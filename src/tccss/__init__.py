@@ -45,6 +45,8 @@ from .soliton import (
     Family,
     FieldSample,
     KernelVectorSet,
+    NearSingularError,
+    NonFiniteFieldError,
     SpectrumConfig,
     SpectrumError,
     TypeISeed,
@@ -54,6 +56,7 @@ from .soliton import (
     build_M,
     build_vectors,
     eval_fields,
+    eval_fields_array,
     make_evaluator,
     one_soliton_closed_form,
     one_soliton_spectrum,

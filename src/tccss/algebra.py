@@ -1,10 +1,13 @@
 """Dense complex linear algebra on small matrices.
 
-Everything downstream (7x7 spectral objects, NxN / 2Nx2N soliton matrices)
-runs through this kernel: multiplication, Hermitian adjoint, LU with partial
-pivoting, determinant, and linear solves.  Matrices here never exceed a few
-dozen entries, so the factorization is written out directly; numpy is used
-for storage and elementwise arithmetic only.
+The matrix type of the 7x7 spectral objects and a hand-written LU with
+partial pivoting, determinant and linear solves.  The pointwise field
+reference (`soliton.eval_fields`), the two-soliton closed form and the
+determinants of the RH and scattering checks run through this LU, which
+keeps them independent of the batched LAPACK solve of the field kernel
+(`soliton.solve_M`).  Matrices here never exceed a few dozen entries, so
+the factorization is written out directly; numpy is used for storage and
+elementwise arithmetic only.
 """
 
 from __future__ import annotations

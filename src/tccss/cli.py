@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 a verification threshold failed, 2 usage or
-configuration errors.
+configuration errors, including spectra whose M is near-singular or whose
+fields overflow.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .io_cli import (
     run_figure,
     run_lambda_sweep,
 )
-from .soliton import SpectrumError
+from .soliton import NearSingularError, NonFiniteFieldError, SpectrumError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,7 +114,9 @@ def main(argv=None) -> int:
         print(f"wrote {path}")
         return 0
 
-    except (ConfigError, SpectrumError, ValueError) as exc:
+    except (
+        ConfigError, SpectrumError, ValueError, NearSingularError, NonFiniteFieldError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerifyError as exc:

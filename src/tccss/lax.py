@@ -71,6 +71,29 @@ def _differentiate(sample: Callable[[float], np.ndarray], h: float, der: int, ac
     return total / h ** der
 
 
+def field_batch(f: FieldEvaluator) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The (x[], t[]) -> (P, 3) form of `f`: its `fields` method when it has
+    one (`soliton.make_evaluator`), else one scalar call per point."""
+    fields = getattr(f, "fields", None)
+    if fields is not None:
+        return fields
+
+    def pointwise(x, t) -> np.ndarray:
+        x, t = np.broadcast_arrays(x, t)
+        out = np.empty((x.size, 3), dtype=complex)
+        for p, (xp, tp) in enumerate(zip(x.ravel(), t.ravel())):
+            out[p] = f(float(xp), float(tp)).as_array()
+        return out
+
+    return pointwise
+
+
+def _grid_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Flat x and t coordinates of every grid point, t-major."""
+    x, t = np.meshgrid(grid.xs(), grid.ts())
+    return x.ravel(), t.ravel()
+
+
 def build_Q(s: FieldSample) -> ComplexMatrix:
     """Potential matrix: field triple and conjugates on the coupling template."""
     q = np.zeros((7, 7), dtype=complex)
@@ -135,40 +158,33 @@ def zero_curvature_residual(
     return float(np.max(np.abs(resid)))
 
 
-def _fields_at(f: FieldEvaluator, x: float, t: float) -> np.ndarray:
-    return f(x, t).as_array()
-
-
-def _pde_residual_point(f: FieldEvaluator, x: float, t: float, st: StencilSpec) -> np.ndarray:
-    u0 = _fields_at(f, x, t)
-    ut = _differentiate(lambda dt: _fields_at(f, x, t + dt), st.ht, 1, st.order)
-    ux = _differentiate(lambda dx: _fields_at(f, x + dx, t), st.hx, 1, st.order)
-    uxxx = _differentiate(lambda dx: _fields_at(f, x + dx, t), st.hx, 3, st.order)
-
-    def power(dx: float) -> float:
-        return float(np.sum(np.abs(_fields_at(f, x + dx, t)) ** 2))
-
-    w0 = power(0.0)
-    wx = complex(_differentiate(lambda dx: np.array(power(dx)), st.hx, 1, st.order))
-    return ut + uxxx + 6.0 * w0 * ux + 3.0 * u0 * wx
-
-
 def pde_residual_tccss(f: FieldEvaluator, grid: GridSpec, st: StencilSpec) -> ResidualReport:
     """Residual of the three-component third-order equation over a grid.
 
     Per component: u_t + u_xxx + 6 (sum |u|^2) u_x + 3 u (sum |u|^2)_x.
+    Each stencil offset is one batched evaluation over the whole grid.
     """
-    values = []
-    per_component = np.zeros(3)
-    for t in grid.ts():
-        for x in grid.xs():
-            r = _pde_residual_point(f, float(x), float(t), st)
-            values.append(r)
-            per_component = np.maximum(per_component, np.abs(r))
+    fields = field_batch(f)
+    x, t = _grid_points(grid)
+
+    def at_x(dx: float) -> np.ndarray:
+        return fields(x + dx, t)
+
+    def power(dx: float) -> np.ndarray:
+        return np.sum(np.abs(at_x(dx)) ** 2, axis=1)
+
+    u0 = at_x(0.0)
+    ut = _differentiate(lambda dt: fields(x, t + dt), st.ht, 1, st.order)
+    ux = _differentiate(at_x, st.hx, 1, st.order)
+    uxxx = _differentiate(at_x, st.hx, 3, st.order)
+    w0 = power(0.0)[:, None]
+    wx = _differentiate(power, st.hx, 1, st.order)[:, None]
+    r = ut + uxxx + 6.0 * w0 * ux + 3.0 * u0 * wx
+    per_component = np.max(np.abs(r), axis=0, initial=0.0)
     notes = tuple(
         f"max |component {m + 1}|: {per_component[m]:.3e}" for m in range(3)
     )
-    return summarize("pde_tccss", np.concatenate(values), grid.describe(), notes)
+    return summarize("pde_tccss", r, grid.describe(), notes)
 
 
 def gauge_transform_and_cnls_residual(
@@ -181,32 +197,25 @@ def gauge_transform_and_cnls_residual(
     + i (q_XXX + 6 q_X sum|q|^2 + 3 q (sum|q|^2)_X) = 0.
     The grid is read as (X, T) samples.
     """
+    fields = field_batch(f)
+    X, T = _grid_points(grid)
 
-    def q_at(X: float, T: float) -> np.ndarray:
-        u = _fields_at(f, X - T / 12.0, T)
-        return u * np.exp(1j / 6.0 * (X - T / 18.0))
+    def q_at(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        u = fields(X - T / 12.0, T)
+        return u * np.exp(1j / 6.0 * (X - T / 18.0))[:, None]
 
-    values = []
-    for T in grid.ts():
-        T = float(T)
-        for X in grid.xs():
-            X = float(X)
-            q0 = q_at(X, T)
-            qT = _differentiate(lambda dT: q_at(X, T + dT), st.ht, 1, st.order)
-            qX = _differentiate(lambda dX: q_at(X + dX, T), st.hx, 1, st.order)
-            qXX = _differentiate(lambda dX: q_at(X + dX, T), st.hx, 2, st.order)
-            qXXX = _differentiate(lambda dX: q_at(X + dX, T), st.hx, 3, st.order)
+    def at_X(dX: float) -> np.ndarray:
+        return q_at(X + dX, T)
 
-            def power(dX: float) -> np.ndarray:
-                return np.array(float(np.sum(np.abs(q_at(X + dX, T)) ** 2)))
+    def power(dX: float) -> np.ndarray:
+        return np.sum(np.abs(at_X(dX)) ** 2, axis=1)
 
-            w0 = float(power(0.0))
-            wX = complex(_differentiate(power, st.hx, 1, st.order))
-            r = (
-                1j * qT
-                + 0.5 * qXX
-                + q0 * w0
-                + 1j * (qXXX + 6.0 * w0 * qX + 3.0 * q0 * wX)
-            )
-            values.append(r)
-    return summarize("cnls_gauge", np.concatenate(values), grid.describe())
+    q0 = q_at(X, T)
+    qT = _differentiate(lambda dT: q_at(X, T + dT), st.ht, 1, st.order)
+    qX = _differentiate(at_X, st.hx, 1, st.order)
+    qXX = _differentiate(at_X, st.hx, 2, st.order)
+    qXXX = _differentiate(at_X, st.hx, 3, st.order)
+    w0 = power(0.0)[:, None]
+    wX = _differentiate(power, st.hx, 1, st.order)[:, None]
+    r = 1j * qT + 0.5 * qXX + q0 * w0 + 1j * (qXXX + 6.0 * w0 * qX + 3.0 * q0 * wX)
+    return summarize("cnls_gauge", r, grid.describe())

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ComplexMatrix, _lu_solve_array, det
+from .algebra import ComplexMatrix, det
 from .report import ResidualReport, summarize
-from .soliton import Family, KernelVectorSet, SpectrumConfig, build_M, build_vectors
+from .soliton import Family, KernelVectorSet, SpectrumConfig, build_M, build_vectors, solve_M
 from .structure import SIGMA, SIGMA3
 
 POLE_GUARD_RADIUS = 1e-8
@@ -93,7 +93,7 @@ def build_rh_pair(cfg: SpectrumConfig, x: float, t: float) -> RHSolutionPair:
         weights = np.zeros((0, 0), dtype=complex)
     else:
         m = build_M(vecs, cfg)
-        weights = _lu_solve_array(m.data, np.eye(m.rows, dtype=complex))
+        weights = solve_M(m.data[None], np.eye(m.rows, dtype=complex)[None], [x], [t])[0]
     return RHSolutionPair(cfg, float(x), float(t), vecs, weights, cfg.expanded_zeros())
 
 

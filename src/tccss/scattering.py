@@ -21,7 +21,7 @@ from typing import Literal
 import numpy as np
 
 from .algebra import ComplexMatrix, det
-from .lax import FieldEvaluator, build_Q
+from .lax import FieldEvaluator, field_batch
 from .report import ResidualReport, summarize
 from .structure import SIGMA3_DIAG
 
@@ -78,20 +78,29 @@ def sample_potential(
     x_max: float = DEFAULT_X_MAX,
     n_steps: int = DEFAULT_N_STEPS,
 ) -> PotentialTable:
-    """Sample Q(x, t) on the RK half-step grid, checking endpoint decay."""
+    """Sample Q(x, t) on the RK half-step grid, checking endpoint decay.
+
+    One batched field evaluation fills the coupling template of every node
+    in place (the layout of `lax.build_Q`).
+    """
     if n_steps < 100:
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")
     if not x_min < x_max:
         raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
-    for x in (x_min, x_max):
-        tail = float(np.max(np.abs(f(x, t).as_array())))
-        if tail >= ENDPOINT_DECAY:
+    xs_half = np.linspace(x_min, x_max, 2 * n_steps + 1)
+    u = field_batch(f)(xs_half, np.full(xs_half.size, float(t)))
+    for x, tail in ((x_min, u[0]), (x_max, u[-1])):
+        mag = float(np.max(np.abs(tail)))
+        if mag >= ENDPOINT_DECAY:
             raise DomainTooSmallError(
-                f"potential magnitude {tail:.3e} at x = {x} exceeds "
+                f"potential magnitude {mag:.3e} at x = {x} exceeds "
                 f"{ENDPOINT_DECAY}; enlarge the domain"
             )
-    xs_half = np.linspace(x_min, x_max, 2 * n_steps + 1)
-    q_half = np.array([build_Q(f(float(x), t)).data for x in xs_half])
+    q_half = np.zeros((xs_half.size, 7, 7), dtype=complex)
+    q_half[:, 0:6:2, 6] = u
+    q_half[:, 1:6:2, 6] = np.conj(u)
+    q_half[:, 6, 0:6:2] = -np.conj(u)
+    q_half[:, 6, 1:6:2] = -u
     return PotentialTable(float(t), float(x_min), float(x_max), int(n_steps), q_half)
 
 

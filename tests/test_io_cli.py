@@ -6,20 +6,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tccss.io_cli import (
     ConfigError,
     RunConfig,
+    _fmt,
+    evaluate_grid,
     figure_config,
     figure_spectrum,
     export_grid,
     parse_config,
     parse_config_file,
+    render_rows_csv,
     run_checks,
     run_figure,
     serialize_config,
 )
-from tccss.soliton import Family
+from tccss.report import GridSpec
+from tccss.soliton import Family, eval_fields
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -151,19 +156,18 @@ class TestExportGrid:
             (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0),
         ]
 
-    def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        cfg = parse_config_file(DOCS / "one_soliton.json")
-        cfg = RunConfig(
-            cfg.spectrum,
-            grid=type(cfg.grid)(-5.0, 5.0, 41, -1.0, 1.0, 9),
-        )
-        outputs = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("TCCSS_THREADS", workers)
-            path = tmp_path / f"w{workers}.csv"
-            export_grid(cfg, path)
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("fig_id", [1, 2, 3, 4])
+    def test_batched_grid_matches_pointwise(self, fig_id):
+        cfg = RunConfig(figure_spectrum(fig_id), grid=GridSpec(-6.0, 6.0, 41, -1.0, 1.0, 5))
+        rows = evaluate_grid(cfg)
+        assert len(rows) == 41 * 5
+        worst = 0.0
+        for row in rows:
+            u = eval_fields(cfg.spectrum, row[0], row[1]).as_array()
+            got = np.array(row[2:8:2]) + 1j * np.array(row[3:8:2])
+            worst = max(worst, float(np.max(np.abs(got - u))))
+            assert row[8:] == [abs(complex(v)) for v in got]
+        assert worst <= 1e-12
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = minimal_cfg(
@@ -233,27 +237,20 @@ class TestRunChecks:
         assert payload["checks"][0]["threshold"] == 1e-30
 
 
-class TestThreadCount:
-    def test_auto_when_unset(self, monkeypatch):
-        from tccss.io_cli import thread_count
-
-        monkeypatch.delenv("TCCSS_THREADS", raising=False)
-        assert thread_count() >= 1
-        monkeypatch.setenv("TCCSS_THREADS", "0")
-        assert thread_count() >= 1
-
-    def test_explicit_cap(self, monkeypatch):
-        from tccss.io_cli import thread_count
-
-        monkeypatch.setenv("TCCSS_THREADS", "3")
-        assert thread_count() == 3
-
-    def test_rejects_garbage(self, monkeypatch):
-        from tccss.io_cli import thread_count
-
-        monkeypatch.setenv("TCCSS_THREADS", "lots")
-        with pytest.raises(ConfigError):
-            thread_count()
+class TestCsvRender:
+    @given(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=11, max_size=11),
+        max_size=5,
+    ))
+    def test_row_format_matches_fmt(self, rows):
+        # one %-format per row must print every float exactly as _fmt does
+        rows += [[-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                  0.1, 1e-5, 1e16, 123456789012345678.0, -2.5, 0.0]]
+        expect = "\n".join(
+            ["x,t,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3,abs_u1,abs_u2,abs_u3"]
+            + [",".join(_fmt(v) for v in row) for row in rows]
+        ) + "\n"
+        assert render_rows_csv(rows) == expect
 
 
 class TestReportTypes:
@@ -411,6 +408,25 @@ class TestCli:
             vals = [float(v) for v in line.split(",")]
             assert abs(vals[1]) <= 1.0 + 1e-9   # |Omega77| <= 1 on the real axis
             assert max(vals[2:]) < 1e-5          # reflectionless
+
+    @pytest.mark.parametrize("zeros, message", [
+        # cond(M) >= 4e15 at every x: the two zeros are 1e-13 apart
+        ([[0.0, 1.0], [0.0, 1.0000000000001]], "near-singular"),
+        # the flow exponent lambda^3 t overflows double precision
+        ([[0.0, 1e308]], "non-finite field"),
+    ])
+    def test_numerical_failure_exit_two(self, tmp_path, zeros, message):
+        doc = json.loads(MINIMAL)
+        doc["spectrum"]["zeros"] = zeros
+        doc["spectrum"]["seeds"] = doc["spectrum"]["seeds"] * len(zeros)
+        doc["grid"] = {"x_min": -2.0, "x_max": 2.0, "nx": 5, "t_min": 0.0, "t_max": 1.0, "nt": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        proc = self.run_cli("generate", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
 
     def test_missing_subcommand_usage_error(self):
         proc = self.run_cli()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from tccss.io_cli import _coarsen, figure_config, figure_spectrum
 from tccss.lax import (
     StencilSpec,
+    _differentiate,
     build_Q,
     build_U,
     build_V,
@@ -10,8 +12,8 @@ from tccss.lax import (
     pde_residual_tccss,
     zero_curvature_residual,
 )
-from tccss.report import GridSpec
-from tccss.soliton import FieldSample
+from tccss.report import GridSpec, summarize
+from tccss.soliton import FieldSample, make_evaluator
 from tccss.structure import SIGMA3
 
 
@@ -181,3 +183,92 @@ class TestGaugeTransform:
                 assert zc < 1e-4
             if zc < 1e-5:
                 assert pde < 1e-4
+
+
+def pointwise_pde(f, grid, st):
+    """Reference: the per-point stencil loop, one scalar call per sample."""
+    values = []
+    for t in grid.ts():
+        for x in grid.xs():
+            x, t = float(x), float(t)
+
+            def u(dx=0.0, dt=0.0):
+                return f(x + dx, t + dt).as_array()
+
+            def power(dx):
+                return np.array(float(np.sum(np.abs(u(dx)) ** 2)))
+
+            ut = _differentiate(lambda dt: u(dt=dt), st.ht, 1, st.order)
+            ux = _differentiate(u, st.hx, 1, st.order)
+            uxxx = _differentiate(u, st.hx, 3, st.order)
+            wx = complex(_differentiate(power, st.hx, 1, st.order))
+            values.append(ut + uxxx + 6.0 * float(power(0.0)) * ux + 3.0 * u() * wx)
+    return summarize("pde_tccss", np.concatenate(values), grid.describe())
+
+
+def pointwise_cnls(f, grid, st):
+    """Reference: the per-point CNLS pullback loop."""
+    values = []
+    for T in grid.ts():
+        for X in grid.xs():
+            X, T = float(X), float(T)
+
+            def q(dX=0.0, dT=0.0):
+                Xs, Ts = X + dX, T + dT
+                return f(Xs - Ts / 12.0, Ts).as_array() * np.exp(1j / 6.0 * (Xs - Ts / 18.0))
+
+            def power(dX):
+                return np.array(float(np.sum(np.abs(q(dX)) ** 2)))
+
+            qT = _differentiate(lambda dT: q(dT=dT), st.ht, 1, st.order)
+            qX, qXX, qXXX = (_differentiate(q, st.hx, d, st.order) for d in (1, 2, 3))
+            w0 = float(power(0.0))
+            wX = complex(_differentiate(power, st.hx, 1, st.order))
+            values.append(
+                1j * qT + 0.5 * qXX + q() * w0 + 1j * (qXXX + 6.0 * w0 * qX + 3.0 * q() * wX)
+            )
+    return summarize("cnls_gauge", np.concatenate(values), grid.describe())
+
+
+class TestBatchedStencils:
+    """Whole-grid stencils against the pointwise loop they replaced."""
+
+    CHECKS = (
+        (pde_residual_tccss, pointwise_pde),
+        (gauge_transform_and_cnls_residual, pointwise_cnls),
+    )
+
+    @pytest.mark.parametrize("fig_id", [1, 3, 4])
+    def test_default_step_roundoff(self, fig_id):
+        # At h = 1e-3 the residual is mostly evaluator roundoff amplified by
+        # 1/h^3, and the batched kernel rounds differently from the pointwise
+        # one.  Figure 2 is left out: there the residual is roundoff alone
+        # (3e-4 to 5e-4 in both paths, above the 1e-4 threshold).
+        f = make_evaluator(figure_spectrum(fig_id))
+        grid = _coarsen(figure_config(fig_id).grid)  # the grid `verify` checks
+        for batched, pointwise in self.CHECKS:
+            got = batched(f, grid, StencilSpec()).max_abs
+            ref = pointwise(f, grid, StencilSpec()).max_abs
+            assert abs(got - ref) <= 0.25 * ref
+
+    @pytest.mark.parametrize("fig_id", [1, 3])
+    def test_truncation_step(self, fig_id):
+        # Truncation dominates at h = 0.02 here.  It does not for figure 4
+        # (residual 1e-6, of which roundoff is 1e-5) or figure 2 (roundoff
+        # 2.5e-6 of the residual).
+        f = make_evaluator(figure_spectrum(fig_id))
+        grid = GridSpec(-4.0, 4.0, 11, -0.5, 0.5, 3)
+        st = StencilSpec(hx=0.02, ht=0.02)
+        for batched, pointwise in self.CHECKS:
+            got, ref = batched(f, grid, st), pointwise(f, grid, st)
+            assert abs(got.max_abs - ref.max_abs) <= 1e-6 * ref.max_abs
+            assert abs(got.rms - ref.rms) <= 1e-6 * ref.rms
+
+    def test_scalar_evaluator_is_lifted(self, one_soliton_cfg):
+        # a plain (x, t) -> FieldSample callable runs through the same stencils
+        f = make_evaluator(one_soliton_cfg)
+        grid = GridSpec(-2.0, 2.0, 5, 0.0, 0.2, 2)
+        st = StencilSpec(hx=0.02, ht=0.02)
+        for batched, _ in self.CHECKS:
+            lifted = batched(lambda x, t: f(x, t), grid, st).max_abs
+            assert abs(lifted - batched(f, grid, st).max_abs) <= 1e-6 * lifted

@@ -6,6 +6,8 @@ import pytest
 from tccss.soliton import (
     DegenerateSeedError,
     Family,
+    NearSingularError,
+    NonFiniteFieldError,
     SpectrumConfig,
     SpectrumError,
     TypeISeed,
@@ -15,6 +17,7 @@ from tccss.soliton import (
     build_M,
     build_vectors,
     eval_fields,
+    eval_fields_array,
     one_soliton_closed_form,
     one_soliton_spectrum,
     theta,
@@ -218,6 +221,72 @@ class TestEvalFields:
         for x in (-x_far - 10, x_far + 10):
             s = eval_fields(cfg, x, 0.0)
             assert max(abs(s.u1), abs(s.u2), abs(s.u3)) <= 1e-6
+
+
+class TestEvalFieldsArray:
+    def grid(self):
+        x, t = np.meshgrid(np.linspace(-5, 5, 41), np.linspace(-1, 1, 21))
+        return x.ravel(), t.ravel()
+
+    def test_matches_closed_forms(self):
+        x, t = self.grid()
+        s1, s2, l1, l2 = fig4_params()
+        a, g, r = 1j / math.sqrt(3), math.sqrt(2) * 1j / math.sqrt(3), math.sqrt(2) * 1j / math.sqrt(3)
+        cases = [
+            (one_soliton_spectrum(1.0, 2.0, 3.0, 1.0),
+             lambda x, t: one_soliton_closed_form(1.0, 2.0, 3.0, 1.0, x, t)),
+            (breather_spectrum(a, g, r, 0.5 + 0.5j),
+             lambda x, t: breather_closed_form(a, g, r, 0.5, 0.5, x, t)),
+            (fig4_cfg(), lambda x, t: two_soliton_closed_form(s1, s2, l1, l2, x, t)),
+        ]
+        for cfg, closed in cases:
+            u = eval_fields_array(cfg, x, t)
+            ref = np.array([closed(float(xp), float(tp)).as_array() for xp, tp in zip(x, t)])
+            assert np.max(np.abs(u - ref)) <= 1e-10
+
+    def test_stabilization_invariance(self):
+        x, t = self.grid()
+        cfgs = (
+            fig4_cfg(),
+            breather_spectrum(1.0, 2j, 0.3, 0.4 + 0.7j),
+            SpectrumConfig(
+                Family.TYPE_I, (0.5 + 0.5j, 0.4 + 0.6j),
+                (TypeISeed(1, 1, 1, 1, 1, 0), TypeISeed(1, 0, 2, 0, 0, 0)),
+            ),
+        )
+        for cfg in cfgs:
+            a = eval_fields_array(cfg, x, t)
+            b = eval_fields_array(cfg, x, t, stabilize=False)
+            assert np.max(np.abs(a - b)) <= 1e-10
+
+    def test_broadcasts_scalar_t_and_vacuum(self):
+        xs = np.linspace(-2, 2, 5)
+        u = eval_fields_array(fig4_cfg(), xs, 0.3)
+        assert u.shape == (5, 3)
+        assert np.array_equal(u, eval_fields_array(fig4_cfg(), xs, np.full(5, 0.3)))
+        vacuum = SpectrumConfig(Family.TYPE_II, (), ())
+        assert np.array_equal(eval_fields_array(vacuum, xs, 0.3), np.zeros((5, 3)))
+
+    def test_near_coincident_zeros_name_worst_point(self):
+        seed = TypeIISeed(1.0, 2.0, 3.0)
+        cfg = SpectrumConfig(Family.TYPE_II, (1j, 1.0000000000001j), (seed, seed))
+        xs = np.linspace(-2, 2, 9)
+        conds = [np.linalg.cond(build_M(build_vectors(cfg, x, 0.5), cfg).data) for x in xs]
+        worst = xs[int(np.argmax(conds))]
+        with pytest.raises(NearSingularError, match=rf"\(x, t\) = \({worst:.17g}, 0.5\)"):
+            eval_fields_array(cfg, xs, 0.5)
+        assert max(conds) > 1e14
+        with pytest.raises(NearSingularError):
+            eval_fields(cfg, 0.0, 0.5)
+
+    def test_non_finite_field_refused(self):
+        overflow = one_soliton_spectrum(1.0, 2.0, 3.0, 1e308)
+        with pytest.raises(NonFiniteFieldError, match=r"\(x, t\) = \(1, 0.5\)"):
+            eval_fields_array(overflow, [1.0], [0.5])
+        with pytest.raises(NonFiniteFieldError):
+            eval_fields_array(fig4_cfg(), [0.0, np.nan], [0.0, 0.0])
+        with pytest.raises(NonFiniteFieldError):
+            eval_fields_array(fig4_cfg(), [np.inf], [0.0])
 
 
 class TestOneSolitonClosedForm:
