@@ -25,7 +25,7 @@ with 17 significant digits, byte-identical for identical configs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -477,13 +477,23 @@ def _scattering_report(cfg: RunConfig) -> ResidualReport:
     sc = cfg.scattering
     f = make_evaluator(cfg.spectrum)
     table = scattering.sample_potential(f, sc.t, sc.x_min, sc.x_max, sc.n_steps)
+    # every other half-step node is the half-step table of n/2 steps
+    half = None if sc.n_steps % 2 else replace(table, n_steps=sc.n_steps // 2, q_half=table.q_half[::2])
     values = []
     notes = []
     for j, z in enumerate(cfg.spectrum.zeros):
-        found = scattering.locate_zero_from_table(table, z + 0.05j)
+        trace = []
+        found = scattering.locate_zero_from_table(table, z + 0.05j, trace=trace)
         err = abs(found - z)
         values.append(err)
         notes.append(f"zero {j + 1}: constructed {z:.6g}, recovered {found:.6g}, |diff| = {err:.3e}")
+        omega77 = trace[-1][1]
+        notes.append(f"secant for zero {j + 1}: {len(trace)} evaluations, final |Omega77| = {abs(omega77):.3e}")
+        if half is not None:
+            gap = abs(omega77 - scattering.omega77_from_table(half, found))
+            notes.append(f"RK4 step-halving at zero {j + 1}: |Omega77_n - Omega77_n/2| = {gap:.3e}")
+    if half is None:
+        notes.append(f"RK4 step-halving estimate skipped: n_steps = {sc.n_steps} is odd")
     row = scattering.coupling_row_sweep(table, np.array([0.3, 1.0, 2.0]))
     reflection = float(np.max(np.abs(row[:, :6])))
     values.append(reflection)

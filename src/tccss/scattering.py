@@ -8,9 +8,17 @@ spectral problem
 
 with identity data at one end of a truncated line, forms the scattering
 matrix on the real axis, and hunts zeros of its analytically-extendable
-(7,7) entry in the upper half-plane.  A fixed-step classical Runge-Kutta
-scheme keeps runs bit-reproducible; sampling the potential once into a
-half-step table lets a whole lambda sweep reuse the same field data.
+(7,7) entry in the upper half-plane.  The potential is sampled once into a
+half-step table that a whole lambda sweep or secant search reuses.
+
+Column j of Psi obeys y' = (Q + diag(d)) y, with d = -2 i lam e7 for
+columns 1-6 and d = 2 i lam (1, ..., 1, 0) for column 7.  Being linear, a
+classical Runge-Kutta step of either class is a fixed 7x7 matrix T_n; the
+T_n are built in batched blocks of at most BLOCK_MATRICES (lambda, step)
+pairs, so transient memory does not grow with n_steps or the number of
+lambdas, and multiplied by pairwise (tree) reduction, or by doubling prefix
+products for the whole path.  What reads only column 7 (Omega77, the
+coupling sweep, the secant) propagates the column-7 class alone.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .algebra import ComplexMatrix, det
+from .algebra import ComplexMatrix
 from .lax import FieldEvaluator, field_batch
 from .report import ResidualReport, summarize
 from .structure import SIGMA3_DIAG
@@ -32,6 +40,9 @@ DEFAULT_N_STEPS = 16000
 # two-soliton tail a few 1e-10 at the default domain edge; 1e-9 still keeps
 # the truncation bias orders of magnitude below every stated tolerance.
 ENDPOINT_DECAY = 1e-9
+# (lambda, step) pairs per block of the transfer-matrix kernel; every
+# transient array holds a small fixed multiple of this many 7x7 matrices.
+BLOCK_MATRICES = 256
 
 Side = Literal["plus", "minus"]
 
@@ -47,9 +58,9 @@ class HalfPlaneError(Exception):
 class ZeroSearchError(Exception):
     """Secant hunt for a spectral zero failed; carries the iterate trace."""
 
-    def __init__(self, message: str, trace: list[tuple[complex, float]]):
-        self.trace = trace
-        lines = "; ".join(f"lam={lam:.6g}, |O77|={mag:.3e}" for lam, mag in trace)
+    def __init__(self, message: str, trace: list[tuple[complex, complex]]):
+        self.trace = [(lam, abs(val)) for lam, val in trace]
+        lines = "; ".join(f"lam={lam:.6g}, |O77|={mag:.3e}" for lam, mag in self.trace)
         super().__init__(f"{message} (trace: {lines})")
 
 
@@ -122,57 +133,67 @@ class JostSolution:
         return self.values[0]
 
     def det_deviation(self, stride: int = 20) -> float:
-        """max |det - 1| over a strided subsample of the trajectory."""
-        worst = 0.0
-        for mat in self.values[::stride]:
-            worst = max(worst, abs(det(ComplexMatrix(mat)) - 1.0))
-        return max(worst, abs(det(ComplexMatrix(self.values[-1])) - 1.0))
+        """max |det - 1| over a strided subsample of the trajectory and its last node."""
+        mats = np.concatenate([self.values[::stride], self.values[-1:]])
+        return float(np.max(np.abs(np.linalg.det(mats) - 1.0)))
 
 
-def _rhs(psi: np.ndarray, q: np.ndarray, lam) -> np.ndarray:
-    # Q Psi - i lam (Psi sigma3 - sigma3 Psi); columns evolve independently,
-    # so the batched (L, 7, 7) form shares one pass over the table.
-    return q @ psi - 1j * lam * (psi * SIGMA3_DIAG[None, :] - SIGMA3_DIAG[:, None] * psi)
+def _shifts(lams, s) -> np.ndarray:
+    """d_i = i lam (sigma3_i - s) of column class s = sigma3_j, (L, 7); s = (1, -1): both."""
+    lam = np.reshape(np.asarray(lams, dtype=complex), (-1, 1))
+    return 1j * lam * (SIGMA3_DIAG - np.reshape(s, (-1, 1)))
 
 
-def _rk4_path(table: PotentialTable, lam: complex, forward: bool) -> np.ndarray:
-    """Full trajectory (n+1, 7, 7) in ascending-x order."""
-    n = table.n_steps
-    q_half = table.q_half
-    step = table.h if forward else -table.h
-    psi = np.eye(7, dtype=complex)
-    path = np.empty((n + 1, 7, 7), dtype=complex)
-    idx = 0 if forward else n
-    path[idx] = psi
-    for i in range(n):
-        base = 2 * i if forward else 2 * (n - i)
-        sgn = 1 if forward else -1
-        q0, qm, q1 = q_half[base], q_half[base + sgn], q_half[base + 2 * sgn]
-        k1 = _rhs(psi, q0, lam)
-        k2 = _rhs(psi + 0.5 * step * k1, qm, lam)
-        k3 = _rhs(psi + 0.5 * step * k2, qm, lam)
-        k4 = _rhs(psi + step * k3, q1, lam)
-        psi = psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        idx += sgn
-        path[idx] = psi
-    return path
+def _step_blocks(table: PotentialTable, d: np.ndarray, forward: bool = True):
+    """RK4 step matrices in marching order, one (L, b, 7, 7) block at a time.
+
+    With A = Q + diag(d) at the start, midpoint and end of a step,
+    T = I + h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = Am + h/2 Am A0,
+    K3 = Am + h/2 Am K2, K4 = A1 + h A1 K3: the classical scheme for y' = A y.
+    Marching down (forward=False) reads the table backwards with step -h.
+    """
+    q = table.q_half if forward else table.q_half[::-1]
+    h = table.h if forward else -table.h
+    b = BLOCK_MATRICES // len(d)
+    diag = np.arange(7)
+    for start in range(0, table.n_steps, b):
+        a = np.repeat(q[None, 2 * start : 2 * (start + b) + 1], len(d), axis=0)
+        a[..., diag, diag] += d[:, None, :]
+        a0, am, a1 = a[:, :-1:2], a[:, 1::2], a[:, 2::2]
+        k2 = am + (0.5 * h) * (am @ a0)
+        k3 = am + (0.5 * h) * (am @ k2)
+        t = a0 + 2.0 * k2 + 2.0 * k3 + a1 + h * (a1 @ k3)
+        t *= h / 6.0
+        t[..., diag, diag] += 1.0
+        yield t
 
 
-def _rk4_final(table: PotentialTable, lams: np.ndarray) -> np.ndarray:
-    """End values Psi_-(x_max) for a whole batch of lambdas: (L, 7, 7)."""
-    n = table.n_steps
-    q_half = table.q_half
-    h = table.h
-    lam3 = np.asarray(lams, dtype=complex).reshape(-1, 1, 1)
-    psi = np.broadcast_to(np.eye(7, dtype=complex), (lam3.shape[0], 7, 7)).copy()
-    for i in range(n):
-        q0, qm, q1 = q_half[2 * i], q_half[2 * i + 1], q_half[2 * i + 2]
-        k1 = _rhs(psi, q0, lam3)
-        k2 = _rhs(psi + 0.5 * h * k1, qm, lam3)
-        k3 = _rhs(psi + 0.5 * h * k2, qm, lam3)
-        k4 = _rhs(psi + h * k3, q1, lam3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return psi
+def _reduce(t: np.ndarray) -> np.ndarray:
+    """Ordered products t[:, -1] @ ... @ t[:, 0] by pairwise (tree) reduction."""
+    while t.shape[1] > 1:
+        m = t.shape[1] // 2 * 2
+        t = np.concatenate([t[:, 1:m:2] @ t[:, 0:m:2], t[:, m:]], axis=1)
+    return t[:, 0]
+
+
+def _prefix(t: np.ndarray) -> np.ndarray:
+    """Ordered prefix products p[:, k] = t[:, k] @ ... @ t[:, 0] by doubling."""
+    s = 1
+    while s < t.shape[1]:
+        t = np.concatenate([t[:, :s], t[:, s:] @ t[:, :-s]], axis=1)
+        s *= 2
+    return t
+
+
+def _end_product(table: PotentialTable, d: np.ndarray) -> np.ndarray:
+    """Psi_-(x_max) of each class row of d: (L, 7, 7), lambdas taken in chunks."""
+    out = np.empty((len(d), 7, 7), dtype=complex)
+    for i in range(0, len(d), BLOCK_MATRICES):
+        p = np.eye(7, dtype=complex)
+        for t in _step_blocks(table, d[i : i + BLOCK_MATRICES]):
+            p = _reduce(t) @ p
+        out[i : i + BLOCK_MATRICES] = p
+    return out
 
 
 def integrate_jost(
@@ -190,8 +211,6 @@ def integrate_jost(
     "plus" starts from the identity at x_max and marches down.  Local
     truncation is O(h^5) (classical fourth-order scheme).
     """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     table = sample_potential(f, t, x_min, x_max, n_steps)
     return integrate_from_table(table, lam, side)
 
@@ -199,15 +218,27 @@ def integrate_jost(
 def integrate_from_table(
     table: PotentialTable, lam: complex, side: Side = "minus"
 ) -> JostSolution:
-    path = _rk4_path(table, complex(lam), forward=(side == "minus"))
+    """Jost solution on every node, from prefix products of both column classes."""
+    if side not in ("plus", "minus"):
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    forward, n = side == "minus", table.n_steps
+    path = np.empty((n + 1, 7, 7), dtype=complex)
+    path[0 if forward else n] = carry = np.eye(7, dtype=complex)
+    k = 1
+    for t in _step_blocks(table, _shifts(lam, (1.0, -1.0)), forward):
+        p = _prefix(t) @ carry
+        rows = np.arange(k, k + p.shape[1])
+        # columns 1-6 from the first class, column 7 from the second
+        path[rows if forward else n - rows] = np.where(SIGMA3_DIAG < 0, p[1], p[0])
+        carry, k = p[:, -1:], k + p.shape[1]
     return JostSolution(complex(lam), side, table.x_nodes(), path)
 
 
-def _conjugate_to_omega(psi_end: np.ndarray, lam: complex, x_max: float) -> np.ndarray:
+def _conjugate_to_omega(psi_end: np.ndarray, lams, x_max: float) -> np.ndarray:
     # Omega = e^{-i lam sigma3 x} Psi_-(x) e^{i lam sigma3 x} at x = x_max,
-    # using Psi_+(x_max) = I.
-    phase = np.exp(1j * lam * SIGMA3_DIAG * x_max)
-    return (1.0 / phase)[:, None] * psi_end * phase[None, :]
+    # using Psi_+(x_max) = I; psi_end is (L, 7, 7), one matrix per lambda.
+    phase = np.exp(1j * np.reshape(lams, (-1, 1)) * SIGMA3_DIAG * x_max)
+    return (1.0 / phase)[:, :, None] * psi_end * phase[:, None, :]
 
 
 def scattering_matrix(
@@ -236,31 +267,27 @@ def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> Complex
             f"lambda = {lam} lies in the lower half-plane; only real lambda "
             "and the (7,7) entry on the upper half-plane are supported"
         )
-    sol = integrate_from_table(table, lam, side="minus")
-    return ComplexMatrix(_conjugate_to_omega(sol.at_x_max, lam, table.x_max))
+    p = _end_product(table, _shifts(lam, (1.0, -1.0)))
+    psi = np.where(SIGMA3_DIAG < 0, p[1], p[0])
+    return ComplexMatrix(_conjugate_to_omega(psi[None], lam, table.x_max)[0])
 
 
 def omega77_from_table(table: PotentialTable, lam: complex) -> complex:
     """The analytically-extendable (7,7) scattering entry (conjugation-invariant)."""
-    psi = _rk4_final(table, np.array([complex(lam)]))
-    return complex(psi[0, 6, 6])
+    return complex(_end_product(table, _shifts(lam, -1.0))[0, 6, 6])
 
 
 def coupling_row_sweep(table: PotentialTable, lams: np.ndarray) -> np.ndarray:
     """Entries Omega_17..Omega_67, Omega_77 for a batch of real lambdas.
 
-    Returns (L, 7) complex; one shared pass over the potential table.
+    Returns (L, 7) complex, column 7 of each Omega; only the column-7 class
+    is propagated, all lambdas in one pass over the potential table.
     """
     lams = np.asarray(lams, dtype=complex)
     if np.any(lams.imag != 0.0):
         raise HalfPlaneError("row sweep is defined for real lambda only")
-    psi = _rk4_final(table, lams)
-    out = np.empty((lams.size, 7), dtype=complex)
-    for i, lam in enumerate(lams):
-        omega = _conjugate_to_omega(psi[i], complex(lam), table.x_max)
-        out[i, :6] = omega[:6, 6]
-        out[i, 6] = omega[6, 6]
-    return out
+    psi = _end_product(table, _shifts(lams, -1.0))
+    return _conjugate_to_omega(psi, lams, table.x_max)[:, :, 6]
 
 
 def locate_spectral_zero(
@@ -283,17 +310,21 @@ def locate_spectral_zero(
 
 
 def locate_zero_from_table(
-    table: PotentialTable, seed: complex, max_iterations: int = 50
+    table: PotentialTable,
+    seed: complex,
+    max_iterations: int = 50,
+    trace: list[tuple[complex, complex]] | None = None,
 ) -> complex:
+    """Secant hunt on a sampled table; a given `trace` list receives every
+    evaluation (lambda, Omega77), the last one at the returned zero."""
     seed = complex(seed)
     if seed.imag <= 0.0:
         raise HalfPlaneError(f"seed {seed} must lie in the open upper half-plane")
-
-    trace: list[tuple[complex, float]] = []
+    trace = [] if trace is None else trace
 
     def g(lam: complex) -> complex:
         val = omega77_from_table(table, lam)
-        trace.append((lam, abs(val)))
+        trace.append((lam, val))
         return val
 
     lam0 = seed
@@ -310,9 +341,7 @@ def locate_zero_from_table(
             raise ZeroSearchError("secant stalled on a flat entry", trace)
         lam2 = lam1 - g1 * (lam1 - lam0) / denom
         if lam2.imag <= 0.0:
-            raise ZeroSearchError(
-                f"iterate {lam2:.6g} escaped the upper half-plane", trace
-            )
+            raise ZeroSearchError(f"iterate {lam2:.6g} escaped the upper half-plane", trace)
         step = abs(lam2 - lam1)
         lam0, g0 = lam1, g1
         lam1 = lam2

@@ -290,6 +290,28 @@ class TestScatteringCheck:
         assert any("recovered" in n for n in check.report.notes)
         assert any("reflection" in n for n in check.report.notes)
 
+    @pytest.mark.parametrize("n_steps", [3000, 3001])
+    def test_secant_and_step_halving_notes(self, n_steps):
+        doc = json.loads(MINIMAL)
+        doc["checks"] = ["scattering"]
+        doc["scattering"] = {"x_min": -30.0, "x_max": 30.0, "n_steps": n_steps, "t": 0.0}
+        notes = run_checks(parse_config(json.dumps(doc))).checks[0].report.notes
+        # one "zero " line per zero: the recovered-zero lines others parse
+        assert sum(n.startswith("zero ") for n in notes) == 1
+        secant = [n for n in notes if n.startswith("secant for zero 1: ")]
+        assert len(secant) == 1
+        evals = int(secant[0].split(": ")[1].split(" evaluations")[0])
+        assert 2 <= evals <= 52
+        assert float(secant[0].rsplit("= ", 1)[1]) < 1e-6
+        halving = [n for n in notes if n.startswith("RK4 step-halving at zero 1: ")]
+        skipped = [n for n in notes if n.startswith("RK4 step-halving estimate skipped")]
+        if n_steps % 2:
+            assert not halving and len(skipped) == 1 and str(n_steps) in skipped[0]
+        else:
+            assert not skipped and len(halving) == 1
+            # fourth order: the n/2 error dominates and stays far below the check
+            assert 0.0 < float(halving[0].rsplit("= ", 1)[1]) < 1e-6
+
 
 class TestFigures:
     def test_figure1_component_ratio(self, tmp_path):

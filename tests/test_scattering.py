@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,103 @@ from tccss.scattering import (
     HalfPlaneError,
     ZeroSearchError,
     coupling_row_sweep,
+    integrate_from_table,
     integrate_jost,
     locate_spectral_zero,
     locate_zero_from_table,
+    omega77_from_table,
     sample_potential,
     scattering_evolution_check,
     scattering_matrix,
+    scattering_matrix_from_table,
 )
 from tccss.soliton import FieldSample
+from tccss.structure import SIGMA3_DIAG
+
+
+def reference_path(table, lam, forward=True):
+    """Step-by-step classical RK4 on the whole matrix Psi, ascending-x order."""
+
+    def rhs(psi, q):
+        return q @ psi - 1j * lam * (psi * SIGMA3_DIAG[None, :] - SIGMA3_DIAG[:, None] * psi)
+
+    n, q_half = table.n_steps, table.q_half
+    step = table.h if forward else -table.h
+    sgn = 1 if forward else -1
+    psi = np.eye(7, dtype=complex)
+    path = np.empty((n + 1, 7, 7), dtype=complex)
+    idx = 0 if forward else n
+    path[idx] = psi
+    for i in range(n):
+        base = 2 * i if forward else 2 * (n - i)
+        q0, qm, q1 = q_half[base], q_half[base + sgn], q_half[base + 2 * sgn]
+        k1 = rhs(psi, q0)
+        k2 = rhs(psi + 0.5 * step * k1, qm)
+        k3 = rhs(psi + 0.5 * step * k2, qm)
+        k4 = rhs(psi + step * k3, q1)
+        psi = psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        idx += sgn
+        path[idx] = psi
+    return path
+
+
+def reference_omega(table, lam):
+    phase = np.exp(1j * lam * SIGMA3_DIAG * table.x_max)
+    return (1.0 / phase)[:, None] * reference_path(table, lam)[-1] * phase[None, :]
+
+
+def rel_diff(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.fixture(scope="module", params=[(3, 1001), (3, 4097), (4, 1001), (4, 4097)],
+                ids=lambda p: f"fig{p[0]}-n{p[1]}")
+def figure_table(request, one_soliton_field, two_soliton_field):
+    fig, n = request.param
+    field = one_soliton_field if fig == 3 else two_soliton_field
+    return sample_potential(field, 0.0, -40.0, 40.0, n)
+
+
+class TestTransferMatrixKernel:
+    """The batched step-matrix products against the step-by-step loop."""
+
+    def test_column7_upper_half_plane(self, figure_table):
+        for lam in (0.35j, 0.5 + 0.5j):
+            want = reference_omega(figure_table, lam)[:, 6]
+            got = scattering_matrix_from_table(figure_table, lam).data[:, 6]
+            assert rel_diff(got, want) <= 1e-12
+            assert abs(omega77_from_table(figure_table, lam) - want[6]) <= 1e-12 * np.max(np.abs(want))
+
+    def test_full_omega_real_lambda(self, figure_table):
+        lam = 0.7
+        want = reference_omega(figure_table, lam)
+        assert rel_diff(scattering_matrix_from_table(figure_table, lam).data, want) <= 1e-12
+        row = coupling_row_sweep(figure_table, np.array([0.3, lam]))[1]
+        assert rel_diff(row, want[:, 6]) <= 1e-12
+
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    def test_path_both_sides(self, figure_table, side):
+        want = reference_path(figure_table, 1.0, forward=(side == "minus"))
+        sol = integrate_from_table(figure_table, 1.0, side)
+        assert sol.values.shape == want.shape
+        assert rel_diff(sol.values, want) <= 1e-12
+        start = sol.at_x_min if side == "minus" else sol.at_x_max
+        assert np.array_equal(start, np.eye(7))
+
+    def test_sweep_memory_bounded_in_steps(self, two_soliton_field):
+        # transient memory is a fixed number of blocks, not (lambdas x steps)
+        lams = np.linspace(0.2, 2.0, 19)
+        peaks = {}
+        for n in (4000, 16000):
+            table = sample_potential(two_soliton_field, 0.0, -40.0, 40.0, n)
+            tracemalloc.start()
+            try:
+                coupling_row_sweep(table, lams)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] < 4 * 2**20
+        assert peaks[16000] <= 1.5 * peaks[4000]
 
 
 class TestIntegrateJost:
@@ -42,6 +133,11 @@ class TestIntegrateJost:
         bound = float(np.exp(np.trapezoid(qnorm, xs)))
         col_norms = np.linalg.norm(sol.at_x_max, axis=0)
         assert np.max(col_norms) <= bound
+
+    def test_rejects_unknown_side(self, zero_field):
+        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
+        with pytest.raises(ValueError, match="side"):
+            integrate_from_table(table, 1.0, side="Minus")
 
     def test_rejects_small_step_count(self, zero_field):
         with pytest.raises(ValueError, match="n_steps"):
@@ -112,6 +208,13 @@ class TestLocateSpectralZero:
     def test_zero_potential_fails(self, zero_field):
         with pytest.raises(ZeroSearchError):
             locate_spectral_zero(zero_field, 0.0, 0.8j, -5.0, 5.0, 200)
+
+    def test_trace_ends_at_returned_zero(self, one_soliton_field):
+        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 3000)
+        trace = []
+        found = locate_zero_from_table(table, 0.8j, trace=trace)
+        assert len(trace) >= 2
+        assert trace[-1] == (found, omega77_from_table(table, found))
 
     def test_seed_must_be_upper(self, zero_field):
         with pytest.raises(HalfPlaneError):
