@@ -3,15 +3,6 @@ equation via a reflectionless Riemann-Hilbert construction, with independent
 verification through Lax-pair, PDE-residual, symmetry, and direct-scattering
 checks."""
 
-from .algebra import (
-    ComplexMatrix,
-    DimensionMismatchError,
-    SingularMatrixError,
-    adjoint,
-    det,
-    lu_solve,
-    matmul,
-)
 from .lax import (
     FieldEvaluator,
     StencilSpec,

@@ -429,7 +429,7 @@ def _zero_curvature_report(cfg: RunConfig) -> ResidualReport:
     st = cfg.stencil
     if cfg.spectrum.family is Family.TYPE_I:
         # mirrored-pair evaluation carries more roundoff, which the nested
-        # stencils amplify by 1/h^3; widen the probe step to its optimum
+        # stencils amplify by 1/h^3; widen the probe step to at least 4e-3
         st = lax.StencilSpec(hx=max(st.hx, 4e-3), ht=max(st.ht, 4e-3), order=st.order)
     lams = [0.3 + 0.0j, 1.1 + 0.4j, -2.0 + 0.1j]
     lams += [complex(rng.uniform(-2, 2), rng.uniform(0, 0.5)) for _ in range(2)]

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import ComplexMatrix
 from .report import GridSpec, ResidualReport, summarize
 from .soliton import FieldSample
 from .structure import SIGMA3
@@ -94,30 +93,25 @@ def _grid_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return x.ravel(), t.ravel()
 
 
-def build_Q(s: FieldSample) -> ComplexMatrix:
+def build_Q(s: FieldSample) -> np.ndarray:
     """Potential matrix: field triple and conjugates on the coupling template."""
     q = np.zeros((7, 7), dtype=complex)
     u = s.as_array()
     q[0:6, 6] = [u[0], np.conj(u[0]), u[1], np.conj(u[1]), u[2], np.conj(u[2])]
     q[6, 0:6] = [-np.conj(u[0]), -u[0], -np.conj(u[1]), -u[1], -np.conj(u[2]), -u[2]]
-    return ComplexMatrix(q)
+    return q
 
 
-def build_U(lam: complex, q: ComplexMatrix) -> ComplexMatrix:
+def build_U(lam: complex, q: np.ndarray) -> np.ndarray:
     """Space part of the Lax pair: i*lam*sigma3 + Q."""
-    if q.rows != 7 or q.cols != 7:
+    if np.shape(q) != (7, 7):
         raise ValueError("Q must be 7x7")
-    return ComplexMatrix(1j * complex(lam) * SIGMA3 + q.data)
+    return 1j * complex(lam) * SIGMA3 + q
 
 
-def build_V(lam: complex, q: ComplexMatrix, qx: ComplexMatrix, qxx: ComplexMatrix) -> ComplexMatrix:
+def build_V(lam: complex, q: np.ndarray, qx: np.ndarray, qxx: np.ndarray) -> np.ndarray:
     """Time part of the Lax pair, cubic in the spectral parameter."""
-    return ComplexMatrix(
-        _assemble_V(complex(lam), q.data, qx.data, qxx.data)
-    )
-
-
-def _assemble_V(lam: complex, q: np.ndarray, qx: np.ndarray, qxx: np.ndarray) -> np.ndarray:
+    lam = complex(lam)
     return (
         4j * lam ** 3 * SIGMA3
         + 4 * lam ** 2 * q
@@ -130,14 +124,14 @@ def _assemble_V(lam: complex, q: np.ndarray, qx: np.ndarray, qxx: np.ndarray) ->
 
 
 def _q_at(f: FieldEvaluator, x: float, t: float) -> np.ndarray:
-    return build_Q(f(x, t)).data
+    return build_Q(f(x, t))
 
 
 def _v_at(f: FieldEvaluator, lam: complex, x: float, t: float, st: StencilSpec) -> np.ndarray:
     q = _q_at(f, x, t)
     qx = _differentiate(lambda dx: _q_at(f, x + dx, t), st.hx, 1, st.order)
     qxx = _differentiate(lambda dx: _q_at(f, x + dx, t), st.hx, 2, st.order)
-    return _assemble_V(lam, q, qx, qxx)
+    return build_V(lam, q, qx, qxx)
 
 
 def zero_curvature_residual(

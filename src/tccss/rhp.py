@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ComplexMatrix, det
 from .report import ResidualReport, summarize
 from .soliton import Family, KernelVectorSet, SpectrumConfig, build_M, build_vectors, solve_M
 from .structure import SIGMA, SIGMA3
@@ -58,7 +57,7 @@ class RHSolutionPair:
         # sum_kj v_k vhat_j W_kj * shifts-scaling applied on the j (column) index
         return self.vecs.columns.T @ (self.weights * shifts[None, :]) @ self.vecs.rows
 
-    def evaluate_P1(self, lam: complex) -> ComplexMatrix:
+    def evaluate_P1(self, lam: complex) -> np.ndarray:
         """P1 at lam; poles sit at the conjugated zeros (lower half-plane)."""
         lam = complex(lam)
         poles = np.conj(self.zeros)
@@ -67,9 +66,9 @@ class RHSolutionPair:
         if np.any(small):
             j = int(np.argmax(small))
             raise PoleError(j, complex(poles[j]), lam)
-        return ComplexMatrix(np.eye(7, dtype=complex) - self._residue_sum(1.0 / gaps))
+        return np.eye(7, dtype=complex) - self._residue_sum(1.0 / gaps)
 
-    def evaluate_P2(self, lam: complex) -> ComplexMatrix:
+    def evaluate_P2(self, lam: complex) -> np.ndarray:
         """P2 at lam; poles sit at the zeros themselves (upper half-plane)."""
         lam = complex(lam)
         gaps = lam - self.zeros
@@ -79,7 +78,7 @@ class RHSolutionPair:
             raise PoleError(k, complex(self.zeros[k]), lam)
         # scaling on the k (row) index of W
         residue = self.vecs.columns.T @ (self.weights * (1.0 / gaps)[:, None]) @ self.vecs.rows
-        return ComplexMatrix(np.eye(7, dtype=complex) + residue)
+        return np.eye(7, dtype=complex) + residue
 
     def first_order_term(self) -> np.ndarray:
         """Coefficient of 1/lam in the large-lambda expansion of P1."""
@@ -93,11 +92,11 @@ def build_rh_pair(cfg: SpectrumConfig, x: float, t: float) -> RHSolutionPair:
         weights = np.zeros((0, 0), dtype=complex)
     else:
         m = build_M(vecs, cfg)
-        weights = solve_M(m.data[None], np.eye(m.rows, dtype=complex)[None], [x], [t])[0]
+        weights = solve_M(m[None], np.eye(len(m), dtype=complex)[None], [x], [t])[0]
     return RHSolutionPair(cfg, float(x), float(t), vecs, weights, cfg.expanded_zeros())
 
 
-def reconstruct_potential(cfg: SpectrumConfig, x: float, t: float) -> ComplexMatrix:
+def reconstruct_potential(cfg: SpectrumConfig, x: float, t: float) -> np.ndarray:
     """Potential matrix Q = i [P1^(1), sigma3] from the expansion of P1.
 
     The commutator zeroes every entry off the seventh row/column, so the
@@ -106,7 +105,7 @@ def reconstruct_potential(cfg: SpectrumConfig, x: float, t: float) -> ComplexMat
     """
     pair = build_rh_pair(cfg, x, t)
     p1 = pair.first_order_term()
-    return ComplexMatrix(1j * (p1 @ SIGMA3 - SIGMA3 @ p1))
+    return 1j * (p1 @ SIGMA3 - SIGMA3 @ p1)
 
 
 def symmetry_residuals(
@@ -126,22 +125,22 @@ def symmetry_residuals(
 
     herm = 0.0
     for lam in samples:
-        p1 = pair.evaluate_P1(np.conj(lam)).data
-        p2 = pair.evaluate_P2(lam).data
+        p1 = pair.evaluate_P1(np.conj(lam))
+        p2 = pair.evaluate_P2(lam)
         herm = max(herm, float(np.max(np.abs(p1.conj().T - p2))))
     out["hermitian"] = herm
 
     if cfg.family is Family.TYPE_I:
         sig = 0.0
         for lam in samples:
-            left = SIGMA @ np.conj(pair.evaluate_P1(-np.conj(lam)).data) @ SIGMA
-            sig = max(sig, float(np.max(np.abs(left - pair.evaluate_P1(lam).data))))
+            left = SIGMA @ np.conj(pair.evaluate_P1(-np.conj(lam))) @ SIGMA
+            sig = max(sig, float(np.max(np.abs(left - pair.evaluate_P1(lam)))))
         out["sigma"] = sig
 
     jump = 0.0
     real_samples = [lam for lam in samples if lam.imag == 0.0]
     for lam in real_samples:
-        prod = pair.evaluate_P2(lam).data @ pair.evaluate_P1(lam).data
+        prod = pair.evaluate_P2(lam) @ pair.evaluate_P1(lam)
         jump = max(jump, float(np.max(np.abs(prod - np.eye(7)))))
     out["jump"] = jump
 
@@ -152,9 +151,9 @@ def symmetry_residuals(
         p2 = pair.evaluate_P2(np.conj(lam_j))
         v = pair.vecs.columns[j]
         vhat = pair.vecs.rows[j]
-        kernel = max(kernel, float(np.max(np.abs(p1.data @ v))))
-        kernel = max(kernel, float(np.max(np.abs(vhat @ p2.data))))
-        detz = max(detz, abs(det(p1)))
+        kernel = max(kernel, float(np.max(np.abs(p1 @ v))))
+        kernel = max(kernel, float(np.max(np.abs(vhat @ p2))))
+        detz = max(detz, abs(np.linalg.det(p1)))
     out["kernel"] = kernel
     out["det_at_zeros"] = detz
     return out

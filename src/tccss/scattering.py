@@ -28,7 +28,6 @@ from typing import Literal
 
 import numpy as np
 
-from .algebra import ComplexMatrix
 from .lax import FieldEvaluator, field_batch
 from .report import ResidualReport, summarize
 from .structure import SIGMA3_DIAG
@@ -248,7 +247,7 @@ def scattering_matrix(
     x_min: float = DEFAULT_X_MIN,
     x_max: float = DEFAULT_X_MAX,
     n_steps: int = DEFAULT_N_STEPS,
-) -> ComplexMatrix:
+) -> np.ndarray:
     """Scattering matrix Omega(lambda) relating the two Jost solutions.
 
     Full matrix for real lambda.  For lambda in the open upper half-plane
@@ -260,7 +259,7 @@ def scattering_matrix(
     return scattering_matrix_from_table(table, lam)
 
 
-def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> ComplexMatrix:
+def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> np.ndarray:
     lam = complex(lam)
     if lam.imag < 0.0:
         raise HalfPlaneError(
@@ -269,7 +268,7 @@ def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> Complex
         )
     p = _end_product(table, _shifts(lam, (1.0, -1.0)))
     psi = np.where(SIGMA3_DIAG < 0, p[1], p[0])
-    return ComplexMatrix(_conjugate_to_omega(psi[None], lam, table.x_max)[0])
+    return _conjugate_to_omega(psi[None], lam, table.x_max)[0]
 
 
 def omega77_from_table(table: PotentialTable, lam: complex) -> complex:
@@ -368,8 +367,8 @@ def scattering_evolution_check(
     has nothing to evolve).
     """
     lam = float(lam)
-    w0 = scattering_matrix(f, t0, lam, x_min, x_max, n_steps).data
-    w1 = scattering_matrix(f, t1, lam, x_min, x_max, n_steps).data
+    w0 = scattering_matrix(f, t0, lam, x_min, x_max, n_steps)
+    w1 = scattering_matrix(f, t1, lam, x_min, x_max, n_steps)
     phase = np.exp(8j * lam ** 3 * (t1 - t0))
     residuals = []
     notes = []

@@ -14,7 +14,9 @@ assembled and inverted.  Two families are supported:
 
 All evaluators are pure functions of (config, x, t).  `eval_fields_array`
 evaluates many points in one vectorized pass; `eval_fields` is the pointwise
-reference built from explicit kernel vectors.
+reference built from explicit kernel vectors.  Both refuse an M that is
+non-finite or too ill-conditioned (`check_M`) before a LAPACK solve; the
+closed forms invert nothing larger than 2x2, written out by hand.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SINGULAR_PIVOT_RTOL, ComplexMatrix, _lu_solve_array
 from .structure import SIGMA
 
 # Largest accepted 2-norm condition number of M: below 2e4 on the bundled
 # figure grids, above 4e15 for zeros 1e-13 apart with equal seeds.
-MAX_CONDITION = 1.0 / SINGULAR_PIVOT_RTOL
+MAX_CONDITION = 1e14
 
 
 class SpectrumError(ValueError):
@@ -229,7 +230,7 @@ def build_vectors(
     return KernelVectorSet(columns, rows, float(x), float(t), np.array(scales))
 
 
-def build_M(vecs: KernelVectorSet, cfg: SpectrumConfig) -> ComplexMatrix:
+def build_M(vecs: KernelVectorSet, cfg: SpectrumConfig) -> np.ndarray:
     """Gram-like matrix M_kj = (vhat_k . v_j) / (lambda_j - conj(lambda_k)).
 
     Consistent with the scaling of `vecs`: with stabilized vectors this is
@@ -241,7 +242,7 @@ def build_M(vecs: KernelVectorSet, cfg: SpectrumConfig) -> ComplexMatrix:
     lam = cfg.expanded_zeros()
     denom = lam[None, :] - np.conj(lam)[:, None]
     gram = vecs.rows @ vecs.columns.T  # gram[k, j] = vhat_k . v_j
-    return ComplexMatrix(gram / denom)
+    return gram / denom
 
 
 def _refuse_non_finite(a: np.ndarray, x, t) -> None:
@@ -319,8 +320,8 @@ def _field_triple(cfg: SpectrumConfig, x: float, t: float, stabilize: bool) -> n
         return np.zeros(3, dtype=complex)
     vecs = build_vectors(cfg, x, t, stabilize=stabilize)
     m = build_M(vecs, cfg)
-    check_M(m.data[None], [x], [t])
-    y = _lu_solve_array(m.data, vecs.rows[:, 6])
+    check_M(m[None], [x], [t])
+    y = np.linalg.solve(m, vecs.rows[:, 6])
     return np.array([2j * np.dot(vecs.columns[:, i], y) for i in (0, 2, 4)])
 
 
@@ -480,7 +481,9 @@ def two_soliton_closed_form(
                 pairing * np.exp(np.conj(thetas[k]) + thetas[j])
                 + np.exp(-np.conj(thetas[k]) - thetas[j])
             ) / (lams[j] - np.conj(lams[k]))
-    w = _lu_solve_array(tmat, np.eye(2, dtype=complex))
+    # T^-1 as the adjugate over the determinant
+    (a, b), (c, d) = tmat
+    w = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
     u = np.zeros(3, dtype=complex)
     comps = [(seed1.alpha, seed2.alpha), (seed1.gamma, seed2.gamma), (seed1.rho, seed2.rho)]
     for k in range(2):

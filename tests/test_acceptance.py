@@ -108,23 +108,55 @@ def test_criterion_2_pde_residual():
     report(2, f"pde max-abs {r3:.2e} / {r4:.2e}; halving ratio {ratio:.1f}")
 
 
-def test_criterion_3_zero_curvature():
-    # probe step balances stencil truncation against evaluator roundoff,
-    # which the nested third-derivative pipeline amplifies by 1/h^3; the
-    # collision-scale mirrored-pair configs need a wider stencil
-    probe_h = {1: 3e-3, 2: 4e-3, 3: 1e-3, 4: 1e-3}
+# Zero-curvature probe step per figure.  It balances stencil truncation
+# (~h^4) against evaluator roundoff, which the nested third-derivative
+# pipeline amplifies by 1/h^3; the collision-scale mirrored-pair configs
+# need a wider stencil.  Figure 2 sits where truncation dominates (see
+# test_criterion_3_probe_step_is_truncation_limited).
+PROBE_H = {1: 3e-3, 2: 6e-3, 3: 1e-3, 4: 1e-3}
+
+
+def zero_curvature_probes():
+    """Five seeded (lambda, x, t) probes per figure, figures 1..4 in order."""
     rng = np.random.default_rng(0)
-    worst = 0.0
+    probes = {}
     for fig_id in (1, 2, 3, 4):
-        st = StencilSpec(hx=probe_h[fig_id], ht=probe_h[fig_id], order=4)
-        f = make_evaluator(figure_spectrum(fig_id))
-        for _ in range(5):
-            lam = complex(rng.uniform(-2, 2), rng.uniform(0, 0.5))
-            x = float(rng.uniform(-3, 3))
-            t = float(rng.uniform(-0.5, 0.5))
-            worst = max(worst, zero_curvature_residual(f, lam, x, t, st))
+        probes[fig_id] = [
+            (complex(rng.uniform(-2, 2), rng.uniform(0, 0.5)),
+             float(rng.uniform(-3, 3)),
+             float(rng.uniform(-0.5, 0.5)))
+            for _ in range(5)
+        ]
+    return probes
+
+
+def zero_curvature_at(fig_id: int, h: float, probes) -> list[float]:
+    st = StencilSpec(hx=h, ht=h, order=4)
+    f = make_evaluator(figure_spectrum(fig_id))
+    return [zero_curvature_residual(f, lam, x, t, st) for lam, x, t in probes]
+
+
+def test_criterion_3_zero_curvature():
+    probes = zero_curvature_probes()
+    worst = max(
+        max(zero_curvature_at(fig_id, PROBE_H[fig_id], probes[fig_id]))
+        for fig_id in (1, 2, 3, 4)
+    )
     assert worst < 1e-6
     report(3, f"zero-curvature over 4 configs x 5 points, max {worst:.2e} < 1e-6")
+
+
+def test_criterion_3_probe_step_is_truncation_limited():
+    # a fourth-order stencil's truncation grows as h^4: widening the step by
+    # 1.25 must multiply each figure 2 residual by about 1.25^4, which a
+    # roundoff-dominated residual (shrinking as h grows) would not do
+    probes = zero_curvature_probes()[2]
+    h = PROBE_H[2]
+    at_h = zero_curvature_at(2, h, probes)
+    wider = zero_curvature_at(2, 1.25 * h, probes)
+    expect = 1.25 ** 4
+    for a, b in zip(at_h, wider):
+        assert expect / 1.5 <= b / a <= expect * 1.5
 
 
 def test_criterion_4_rh_identities():

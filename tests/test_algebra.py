@@ -1,176 +1,99 @@
+"""The linear algebra of the construction: the stacked `M` solve of
+`soliton.solve_M`, the refusal rule of `soliton.check_M`, and the
+determinants of the structure matrices that the RH checks rely on."""
+
 import numpy as np
 import pytest
 
-from tccss.algebra import (
-    ComplexMatrix,
-    DimensionMismatchError,
-    SingularMatrixError,
-    adjoint,
-    det,
-    lu_solve,
-    matmul,
-    pivot_magnitudes,
-)
+from tccss.soliton import MAX_CONDITION, NearSingularError, NonFiniteFieldError, check_M, solve_M
 from tccss.structure import SIGMA, SIGMA3
 
 
 def rand_matrix(rng, n, m=None):
     m = n if m is None else m
-    return ComplexMatrix(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+def at_points(p):
+    """(x, t) labels for a stack of p matrices: x = 0, 1, ..., t = 0.5."""
+    return np.arange(p, dtype=float), np.full(p, 0.5)
 
 
 class TestConstruction:
     def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            ComplexMatrix(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        m = np.array([[[np.nan, 0], [0, 1]]], dtype=complex)
+        with pytest.raises(NonFiniteFieldError, match="non-finite"):
+            check_M(m, *at_points(1))
 
     def test_rejects_inf_imag(self):
-        with pytest.raises(ValueError, match="finite"):
-            ComplexMatrix(np.array([[1, 0], [0, 1j * np.inf]]))
-
-    def test_rejects_ragged(self):
-        with pytest.raises((ValueError, DimensionMismatchError)):
-            ComplexMatrix.from_rows([[1, 2], [3]])
-
-    def test_entries_row_major(self):
-        a = ComplexMatrix.from_rows([[1, 2j], [3, 4]])
-        assert a.rows == 2 and a.cols == 2
-        assert list(a.entries) == [1, 2j, 3, 4]
-
-    def test_immutable(self):
-        a = ComplexMatrix.identity(3)
-        with pytest.raises(ValueError):
-            a.data[0, 0] = 5.0
+        m = np.array([np.eye(2), [[1, 0], [0, 1j * np.inf]]])
+        with pytest.raises(NonFiniteFieldError, match=r"\(x, t\) = \(1, 0.5\)"):
+            solve_M(m, np.ones((2, 2, 1)), *at_points(2))
 
 
 class TestMatmul:
-    def test_identity_times_q(self):
-        q = ComplexMatrix.from_rows(np.arange(49).reshape(7, 7) * (1 + 1j))
-        out = matmul(ComplexMatrix.identity(7), q)
-        assert np.array_equal(out.data, q.data)
-
     def test_sigma3_squares_to_identity(self):
-        s3 = ComplexMatrix(SIGMA3)
-        out = matmul(s3, s3)
-        assert np.array_equal(out.data, np.eye(7))
-
-    def test_imaginary_diag_squares_to_minus_identity(self):
-        a = ComplexMatrix.from_rows([[1j, 0], [0, -1j]])
-        out = matmul(a, a)
-        assert np.allclose(out.data, -np.eye(2), atol=0)
-
-    def test_dimension_mismatch(self):
-        a = ComplexMatrix.zeros(2, 3)
-        b = ComplexMatrix.zeros(2, 3)
-        with pytest.raises(DimensionMismatchError):
-            matmul(a, b)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            a, b, c = (rand_matrix(rng, 7) for _ in range(3))
-            left = matmul(matmul(a, b), c).data
-            right = matmul(a, matmul(b, c)).data
-            scale = max(np.max(np.abs(left)), 1.0)
-            assert np.max(np.abs(left - right)) / scale < 1e-12
-
-
-class TestAdjoint:
-    def test_product_rule(self):
-        rng = np.random.default_rng(3)
-        a, b = rand_matrix(rng, 5), rand_matrix(rng, 5)
-        lhs = adjoint(matmul(a, b)).data
-        rhs = matmul(adjoint(b), adjoint(a)).data
-        assert np.allclose(lhs, rhs, atol=1e-13)
+        assert np.array_equal(SIGMA3 @ SIGMA3, np.eye(7))
+        assert np.array_equal(SIGMA @ SIGMA, np.eye(7))
 
 
 class TestLuSolve:
     def test_identity_system(self):
         rng = np.random.default_rng(0)
-        b = rand_matrix(rng, 4, 2)
-        x = lu_solve(ComplexMatrix.identity(4), b)
-        assert np.allclose(x.data, b.data, atol=0)
+        b = rand_matrix(rng, 4, 2)[None]
+        x = solve_M(np.eye(4, dtype=complex)[None], b, *at_points(1))
+        assert np.allclose(x, b, atol=0)
 
     def test_diagonal_inverse(self):
-        a = ComplexMatrix.diagonal([2j, -1j])
-        x = lu_solve(a, ComplexMatrix.identity(2))
-        assert np.allclose(x.data, np.diag([-0.5j, 1j]), atol=1e-15)
+        a = np.diag([2j, -1j])[None]
+        x = solve_M(a, np.eye(2, dtype=complex)[None], *at_points(1))
+        assert np.allclose(x[0], np.diag([-0.5j, 1j]), atol=1e-15)
 
     def test_scalar_inverse_from_one_soliton_m11(self):
         # M11 = 29 / (2i) for the unit-seed (1, 2, 3) one-soliton at the origin
-        a = ComplexMatrix.from_rows([[29 / 2j]])
-        x = lu_solve(a, ComplexMatrix.from_rows([[1.0]]))
-        assert abs(x[0, 0] - 2j / 29) < 1e-16
+        x = solve_M(np.array([[[29 / 2j]]]), np.array([[[1.0 + 0j]]]), *at_points(1))
+        assert abs(x[0, 0, 0] - 2j / 29) < 1e-16
 
     def test_residual_contract(self):
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rand_matrix(rng, 6)
-            if np.linalg.cond(a.data) > 1e6:
-                continue
-            b = rand_matrix(rng, 6, 3)
-            x = lu_solve(a, b)
-            resid = np.max(np.abs(a.data @ x.data - b.data))
-            assert resid <= 1e-12 * a.max_abs() * max(x.max_abs(), 1.0)
+        a = np.array([rand_matrix(rng, 6) for _ in range(20)])
+        a = a[np.linalg.cond(a) <= 1e6]
+        b = np.array([rand_matrix(rng, 6, 3) for _ in range(len(a))])
+        x = solve_M(a, b, *at_points(len(a)))
+        for ap, bp, xp in zip(a, b, x):
+            resid = np.max(np.abs(ap @ xp - bp))
+            assert resid <= 1e-12 * np.max(np.abs(ap)) * max(np.max(np.abs(xp)), 1.0)
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = rand_matrix(rng, 7)
-            if np.linalg.cond(a.data) > 1e6:
-                continue
-            inv = lu_solve(a, ComplexMatrix.identity(7))
-            assert np.max(np.abs(matmul(a, inv).data - np.eye(7))) < 1e-10
+        a = np.array([rand_matrix(rng, 7) for _ in range(20)])
+        a = a[np.linalg.cond(a) <= 1e6]
+        eye = np.broadcast_to(np.eye(7, dtype=complex), a.shape)
+        inv = solve_M(a, eye, *at_points(len(a)))
+        assert np.max(np.abs(a @ inv - np.eye(7))) < 1e-10
 
     def test_singular_zero_matrix(self):
-        with pytest.raises(SingularMatrixError) as err:
-            lu_solve(ComplexMatrix.zeros(3, 3), ComplexMatrix.identity(3))
-        assert err.value.pivot_index == 0
+        with pytest.raises(NearSingularError, match=r"\(x, t\) = \(0, 0.5\)"):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                solve_M(np.zeros((1, 3, 3), dtype=complex), np.eye(3)[None], *at_points(1))
 
     def test_singular_rank_one(self):
-        a = ComplexMatrix.from_rows([[1, 1], [1, 1]])
-        with pytest.raises(SingularMatrixError) as err:
-            lu_solve(a, ComplexMatrix.identity(2))
-        assert err.value.pivot_index == 1
+        # the refusal names the worst point of the stack, here the second
+        a = np.array([np.eye(2), [[1, 1], [1, 1]]], dtype=complex)
+        with pytest.raises(NearSingularError, match=r"\(x, t\) = \(1, 0.5\)"):
+            solve_M(a, np.ones((2, 2, 1)), *at_points(2))
+        # a stack just inside the bound is accepted
+        check_M(np.diag([1.0, 1.0 / (0.5 * MAX_CONDITION)])[None], *at_points(1))
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            lu_solve(ComplexMatrix.identity(3), ComplexMatrix.zeros(4, 1))
-        with pytest.raises(DimensionMismatchError):
-            lu_solve(ComplexMatrix.zeros(2, 3), ComplexMatrix.zeros(2, 1))
+        with pytest.raises(ValueError):
+            solve_M(np.eye(3)[None], np.zeros((1, 4, 1)), *at_points(1))
+        with pytest.raises(ValueError):
+            solve_M(np.eye(2, 3)[None], np.zeros((1, 2, 1)), *at_points(1))
 
 
 class TestDet:
-    def test_identity(self):
-        assert det(ComplexMatrix.identity(7)) == 1.0
-
     def test_swap_involution_is_odd(self):
         # three disjoint transpositions, each contributing a factor -1
-        assert abs(det(ComplexMatrix(SIGMA)) - (-1.0)) < 1e-15
-
-    def test_diagonal(self):
-        assert abs(det(ComplexMatrix.diagonal([2j, -1j])) - 2.0) < 1e-15
-
-    def test_singular_returns_near_zero(self):
-        a = ComplexMatrix.from_rows([[1, 2], [2, 4]])
-        assert abs(det(a)) < 1e-14
-
-    def test_multiplicative(self):
-        rng = np.random.default_rng(5)
-        for _ in range(15):
-            a, b = rand_matrix(rng, 4), rand_matrix(rng, 4)
-            lhs = det(matmul(a, b))
-            rhs = det(a) * det(b)
-            assert abs(lhs - rhs) / max(abs(rhs), 1e-30) < 1e-10
-
-    def test_matches_numpy_reference(self):
-        rng = np.random.default_rng(9)
-        a = rand_matrix(rng, 7)
-        assert abs(det(a) - np.linalg.det(a.data)) / abs(np.linalg.det(a.data)) < 1e-12
-
-
-class TestPivots:
-    def test_full_rank_pivots_bounded_below(self):
-        rng = np.random.default_rng(1)
-        a = rand_matrix(rng, 5)
-        assert np.min(pivot_magnitudes(a)) > 1e-8
+        assert abs(np.linalg.det(SIGMA) - (-1.0)) < 1e-15
+        assert np.linalg.det(SIGMA3) == -1.0

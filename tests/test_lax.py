@@ -36,10 +36,10 @@ class TestStencilSpec:
 
 class TestBuildQ:
     def test_zero_sample(self):
-        assert np.max(np.abs(build_Q(sample()).data)) == 0.0
+        assert np.max(np.abs(build_Q(sample()))) == 0.0
 
     def test_template_single_component(self):
-        q = build_Q(sample(u1=1.0)).data
+        q = build_Q(sample(u1=1.0))
         expect = np.zeros((7, 7), dtype=complex)
         expect[0, 6] = 1.0
         expect[1, 6] = 1.0
@@ -48,24 +48,24 @@ class TestBuildQ:
         assert np.array_equal(q, expect)
 
     def test_skew_hermitian_by_construction(self):
-        q = build_Q(sample(0.3 - 0.7j, 1.2j, -0.5 + 0.1j)).data
+        q = build_Q(sample(0.3 - 0.7j, 1.2j, -0.5 + 0.1j))
         assert np.max(np.abs(q.conj().T + q)) == 0.0
 
 
 class TestBuildU:
     def test_lambda_zero(self):
         q = build_Q(sample(0.2j, -1.0, 0.5))
-        assert np.array_equal(build_U(0.0, q).data, q.data)
+        assert np.array_equal(build_U(0.0, q), q)
 
     def test_zero_potential(self):
         q = build_Q(sample())
-        assert np.allclose(build_U(1.0, q).data, 1j * SIGMA3, atol=0)
+        assert np.allclose(build_U(1.0, q), 1j * SIGMA3, atol=0)
 
     def test_trace(self):
         lam = 0.7 - 0.2j
         q = build_Q(sample(1.0, 2.0, 3e-1j))
         u = build_U(lam, q)
-        assert abs(np.trace(u.data) - 5j * lam) < 1e-14
+        assert abs(np.trace(u) - 5j * lam) < 1e-14
 
 
 class TestBuildV:
@@ -73,7 +73,7 @@ class TestBuildV:
         z = build_Q(sample())
         lam = 0.3 + 0.1j
         v = build_V(lam, z, z, z)
-        assert np.allclose(v.data, 4j * lam ** 3 * SIGMA3, atol=0)
+        assert np.allclose(v, 4j * lam ** 3 * SIGMA3, atol=0)
 
     def test_lambda_zero_polynomial_tail(self):
         rng = np.random.default_rng(4)
@@ -82,8 +82,8 @@ class TestBuildV:
             return build_Q(sample(*(rng.standard_normal(3) + 1j * rng.standard_normal(3))))
 
         q, qx, qxx = rand_q(), rand_q(), rand_q()
-        v = build_V(0.0, q, qx, qxx).data
-        expect = qx.data @ q.data - q.data @ qx.data - qxx.data + 2 * np.linalg.matrix_power(q.data, 3)
+        v = build_V(0.0, q, qx, qxx)
+        expect = qx @ q - q @ qx - qxx + 2 * np.linalg.matrix_power(q, 3)
         assert np.allclose(v, expect, atol=1e-14)
 
     def test_trace_reduces_to_sigma3_part(self):
@@ -93,7 +93,7 @@ class TestBuildV:
             return build_Q(sample(*(rng.standard_normal(3) + 1j * rng.standard_normal(3))))
 
         lam = 1.1 - 0.4j
-        v = build_V(lam, rand_q(), rand_q(), rand_q()).data
+        v = build_V(lam, rand_q(), rand_q(), rand_q())
         assert abs(np.trace(v - 4j * lam ** 3 * SIGMA3)) < 1e-12
 
 

@@ -112,7 +112,7 @@ class TestBuildM:
         cfg = SpectrumConfig(Family.TYPE_I, (lam,), (TypeISeed(1, 1, 1, 1, 1, 1),))
         vecs = build_vectors(cfg, 0.0, 0.0)
         m = build_M(vecs, cfg)
-        assert m.rows == 2 and m.cols == 2
+        assert m.shape == (2, 2)
         # the (2,1) entry divides by lam - conj(-conj(lam)) = 2 lam
         gram21 = np.dot(vecs.rows[1], vecs.columns[0])
         assert abs(m[1, 0] - gram21 / (2 * lam)) < 1e-14
@@ -142,7 +142,7 @@ class TestBuildM:
         # vhat_j = v_j^dagger forces M^dagger = -M for both families
         for cfg in (fig4_cfg(), breather_spectrum(1.0, 2j, 0.3, 0.4 + 0.7j)):
             vecs = build_vectors(cfg, 0.6, 0.2)
-            m = build_M(vecs, cfg).data
+            m = build_M(vecs, cfg)
             assert np.max(np.abs(m.conj().T + m)) < 1e-12 * np.max(np.abs(m))
             gram = vecs.rows @ vecs.columns.T
             assert np.max(np.abs(np.conj(gram) - gram.T)) < 1e-12 * np.max(np.abs(gram))
@@ -271,7 +271,7 @@ class TestEvalFieldsArray:
         seed = TypeIISeed(1.0, 2.0, 3.0)
         cfg = SpectrumConfig(Family.TYPE_II, (1j, 1.0000000000001j), (seed, seed))
         xs = np.linspace(-2, 2, 9)
-        conds = [np.linalg.cond(build_M(build_vectors(cfg, x, 0.5), cfg).data) for x in xs]
+        conds = [np.linalg.cond(build_M(build_vectors(cfg, x, 0.5), cfg)) for x in xs]
         worst = xs[int(np.argmax(conds))]
         with pytest.raises(NearSingularError, match=rf"\(x, t\) = \({worst:.17g}, 0.5\)"):
             eval_fields_array(cfg, xs, 0.5)
