@@ -2,13 +2,14 @@
 
 Exit codes: 0 success, 1 a verification threshold failed, 2 usage or
 configuration errors, including spectra whose M is near-singular or whose
-fields overflow.
+fields overflow, and `scatter` sweeps whose scattering entries overflow.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .io_cli import (
     run_figure,
     run_lambda_sweep,
 )
+from .scattering import NonFiniteScatteringError
 from .soliton import NearSingularError, NonFiniteFieldError, SpectrumError
 
 
@@ -68,6 +70,8 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
         count = int(parts[2])
     except ValueError:
         raise ConfigError(f"--lambda-re expects numbers a:b:n, got {text!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"--lambda-re endpoints must be finite, got {text!r}")
     return start, stop, count
 
 
@@ -116,6 +120,7 @@ def main(argv=None) -> int:
 
     except (
         ConfigError, SpectrumError, ValueError, NearSingularError, NonFiniteFieldError,
+        NonFiniteScatteringError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ with 17 significant digits, byte-identical for identical configs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -477,8 +477,7 @@ def _scattering_report(cfg: RunConfig) -> ResidualReport:
     sc = cfg.scattering
     f = make_evaluator(cfg.spectrum)
     table = scattering.sample_potential(f, sc.t, sc.x_min, sc.x_max, sc.n_steps)
-    # every other half-step node is the half-step table of n/2 steps
-    half = None if sc.n_steps % 2 else replace(table, n_steps=sc.n_steps // 2, q_half=table.q_half[::2])
+    half = None if sc.n_steps % 2 else scattering.halved(table)
     values = []
     notes = []
     for j, z in enumerate(cfg.spectrum.zeros):
@@ -498,8 +497,7 @@ def _scattering_report(cfg: RunConfig) -> ResidualReport:
     reflection = float(np.max(np.abs(row[:, :6])))
     values.append(reflection)
     notes.append(f"max reflection entry over real lambda in (0.3, 1, 2): {reflection:.3e}")
-    sol = scattering.integrate_from_table(table, 1.0, side="minus")
-    drift = sol.det_deviation(stride=max(1, sc.n_steps // 100))
+    drift = scattering.det_drift_from_table(table, 1.0, stride=max(1, sc.n_steps // 100))
     notes.append(f"max |det - 1| along path at lambda = 1: {drift:.3e}")
     return summarize(
         "scattering",

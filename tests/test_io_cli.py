@@ -431,6 +431,27 @@ class TestCli:
             assert abs(vals[1]) <= 1.0 + 1e-9   # |Omega77| <= 1 on the real axis
             assert max(vals[2:]) < 1e-5          # reflectionless
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("nan:1:3", "endpoints must be finite"),
+        ("0.2:inf:3", "endpoints must be finite"),
+        # finite endpoints beyond the RK4 step's stability bound (h = 0.02: 70.7)
+        ("1e200:1e201:2", "lambda = 1e+200 exceeds the RK4 stability bound"),
+        ("70:71:2", "lambda = 71 exceeds the RK4 stability bound"),
+    ])
+    def test_scatter_non_finite_exit_two(self, tmp_path, sweep, message):
+        doc = json.loads(MINIMAL)
+        doc["scattering"] = {"x_min": -30.0, "x_max": 30.0, "n_steps": 3000, "t": 0.0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out_path = tmp_path / "sweep.csv"
+        proc = self.run_cli(
+            "scatter", "--config", str(cfg_path), "--lambda-re", sweep, "--out", str(out_path),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("zeros, message", [
         # cond(M) >= 4e15 at every x: the two zeros are 1e-13 apart
         ([[0.0, 1.0], [0.0, 1.0000000000001]], "near-singular"),

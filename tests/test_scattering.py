@@ -1,13 +1,18 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tccss import scattering
+from tccss.lax import build_Q
 from tccss.scattering import (
     DomainTooSmallError,
     HalfPlaneError,
+    NonFiniteScatteringError,
     ZeroSearchError,
     coupling_row_sweep,
+    det_drift_from_table,
     integrate_from_table,
     integrate_jost,
     locate_spectral_zero,
@@ -20,6 +25,15 @@ from tccss.scattering import (
 )
 from tccss.soliton import FieldSample
 from tccss.structure import SIGMA3_DIAG
+
+
+def rk4_step(psi, q0, qm, q1, step, rhs):
+    """One classical RK4 step of psi' = rhs(psi, q), psi broadcasting over steps."""
+    k1 = rhs(psi, q0)
+    k2 = rhs(psi + 0.5 * step * k1, qm)
+    k3 = rhs(psi + 0.5 * step * k2, qm)
+    k4 = rhs(psi + step * k3, q1)
+    return psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def reference_path(table, lam, forward=True):
@@ -37,15 +51,19 @@ def reference_path(table, lam, forward=True):
     path[idx] = psi
     for i in range(n):
         base = 2 * i if forward else 2 * (n - i)
-        q0, qm, q1 = q_half[base], q_half[base + sgn], q_half[base + 2 * sgn]
-        k1 = rhs(psi, q0)
-        k2 = rhs(psi + 0.5 * step * k1, qm)
-        k3 = rhs(psi + 0.5 * step * k2, qm)
-        k4 = rhs(psi + step * k3, q1)
-        psi = psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psi = rk4_step(psi, q_half[base], q_half[base + sgn], q_half[base + 2 * sgn], step, rhs)
         idx += sgn
         path[idx] = psi
     return path
+
+
+def reference_steps(table, lam, s, forward=True):
+    """Direct RK4 step matrices of column class s (y' = (Q + diag(i lam (sigma3 - s))) y),
+    all steps at once, in marching order."""
+    d = (1j * lam * (SIGMA3_DIAG - s))[:, None]
+    q = table.q_half if forward else table.q_half[::-1]
+    step = table.h if forward else -table.h
+    return rk4_step(np.eye(7), q[:-1:2], q[1::2], q[2::2], step, lambda y, qq: qq @ y + d * y)
 
 
 def reference_omega(table, lam):
@@ -90,6 +108,59 @@ class TestTransferMatrixKernel:
         assert rel_diff(sol.values, want) <= 1e-12
         start = sol.at_x_min if side == "minus" else sol.at_x_max
         assert np.array_equal(start, np.eye(7))
+
+    @pytest.mark.parametrize("stride", [7, 100])
+    def test_det_drift_matches_path(self, figure_table, stride):
+        want = integrate_from_table(figure_table, 1.0).det_deviation(stride)
+        assert abs(det_drift_from_table(figure_table, 1.0, stride) - want) <= 1e-13
+
+    @pytest.mark.parametrize("forward", [True, False], ids=["up", "down"])
+    @pytest.mark.parametrize("s", [1.0, -1.0], ids=["cols1-6", "col7"])
+    def test_step_coefficients_match_rk4_step(self, figure_table, s, forward):
+        for lam in (0.35j, 0.5 + 0.5j, 0.7, 2 + 0.1j, 5j):
+            blocks = list(scattering._step_blocks(figure_table, lam, (s,), forward))
+            pair = np.concatenate(blocks, axis=2)[:, 0]
+            got = scattering._from_basis(pair[0] + 1j * pair[1])
+            assert rel_diff(got, reference_steps(figure_table, lam, s, forward)) <= 1e-13
+
+    @pytest.mark.parametrize("fig", [3, 4])
+    def test_q_half_layout(self, fig, one_soliton_field, two_soliton_field):
+        # the samples are the batched field values; q_half lays them out as build_Q
+        field = one_soliton_field if fig == 3 else two_soliton_field
+        table = sample_potential(field, 0.0, -40.0, 40.0, 1001)
+        xs_half = np.linspace(-40.0, 40.0, 2003)
+        assert np.array_equal(table.u, field.fields(xs_half, np.zeros(xs_half.size)))
+        want = np.array([build_Q(FieldSample(*row)) for row in table.u])
+        assert np.array_equal(table.q_half, want)
+
+    @pytest.mark.parametrize("n", [4000, 16000])
+    def test_table_no_larger_than_q_half(self, two_soliton_field, n):
+        # every array the table stores counts, so a cached q_half would fail
+        table = sample_potential(two_soliton_field, 0.0, -40.0, 40.0, n)
+        stored = sum(
+            v.nbytes for v in (getattr(table, fld.name) for fld in dataclasses.fields(table))
+            if isinstance(v, np.ndarray)
+        )
+        q_half_bytes = (2 * n + 1) * 7 * 7 * np.dtype(complex).itemsize
+        assert stored <= q_half_bytes + table.u.nbytes
+
+    @pytest.mark.parametrize("fig", [3, 4])
+    def test_halved_table(self, fig, one_soliton_field, two_soliton_field):
+        table = sample_potential(
+            one_soliton_field if fig == 3 else two_soliton_field, 0.0, -40.0, 40.0, 2000
+        )
+        half = scattering.halved(table)
+        assert half.n_steps == 1000 and half.coef is None
+        assert np.array_equal(half.u, table.u[::2])
+        # the per-block coefficients of the halved table step on every other sample
+        for lam in (0.35j, 0.7):
+            want = reference_omega(half, lam)[6, 6]
+            assert abs(omega77_from_table(half, lam) - want) <= 1e-12 * abs(want)
+        with pytest.raises(ValueError, match="odd"):
+            scattering.halved(sample_potential(one_soliton_field, 0.0, -40.0, 40.0, 1001))
+        # the full table's coefficients do not fit the halved samples
+        with pytest.raises(ValueError, match="coef has shape"):
+            dataclasses.replace(table, n_steps=1000, u=table.u[::2])
 
     def test_sweep_memory_bounded_in_steps(self, two_soliton_field):
         # transient memory is a fixed number of blocks, not (lambdas x steps)
@@ -168,6 +239,25 @@ class TestScatteringMatrix:
         table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 8000)
         rows = coupling_row_sweep(table, np.array([0.3, 1.0, 2.0]))
         assert float(np.max(np.abs(rows[:, :6]))) < 1e-6
+
+    def test_sweep_stability_bound(self, one_soliton_field):
+        table = sample_potential(one_soliton_field, 0.0, -40.0, 40.0, 1001)
+        bound = np.sqrt(2.0) / table.h
+        rows = coupling_row_sweep(table, np.array([-0.999 * bound, 0.999 * bound]))
+        assert np.all(np.isfinite(rows)) and np.all(np.abs(rows[:, 6]) <= 1.0 + 1e-9)
+        for lams in ([0.5, 1.001 * bound], [-1.001 * bound], [1e300]):
+            with pytest.raises(NonFiniteScatteringError, match="stability bound"):
+                coupling_row_sweep(table, np.array(lams))
+        with pytest.raises(NonFiniteScatteringError, match="lambda = nan are not finite"):
+            coupling_row_sweep(table, np.array([0.5, np.nan]))
+
+    def test_large_upper_lambda_keeps_omega77(self, one_soliton_field):
+        # columns 1-6 overflow at 5i; the (7,7) entry must not pick that up
+        table = sample_potential(one_soliton_field, 0.0, -40.0, 40.0, 1001)
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = scattering_matrix_from_table(table, 5j)
+        assert not np.all(np.isfinite(omega))
+        assert abs(omega[6, 6] - omega77_from_table(table, 5j)) <= 1e-12
 
     def test_lower_half_plane_rejected(self, zero_field):
         with pytest.raises(HalfPlaneError):
