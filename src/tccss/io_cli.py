@@ -25,6 +25,7 @@ with 17 significant digits, byte-identical for identical configs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,9 +105,11 @@ class RunConfig:
             raise ConfigError(
                 "the scattering round-trip check supports TypeII spectra only"
             )
-        for k in self.thresholds:
+        for k, v in self.thresholds.items():
             if k not in CHECK_NAMES:
                 raise ConfigError(f"thresholds.{k}: unknown check name")
+            if not (math.isfinite(v) and v > 0.0):
+                raise ConfigError(f"thresholds.{k}: expected a finite number > 0, got {v!r}")
 
     def threshold(self, check: str) -> float:
         return float(self.thresholds.get(check, DEFAULT_THRESHOLDS[check]))

@@ -11,6 +11,7 @@ the higher-order CNLS form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -123,14 +124,12 @@ def build_V(lam: complex, q: np.ndarray, qx: np.ndarray, qxx: np.ndarray) -> np.
     )
 
 
-def _q_at(f: FieldEvaluator, x: float, t: float) -> np.ndarray:
-    return build_Q(f(x, t))
-
-
-def _v_at(f: FieldEvaluator, lam: complex, x: float, t: float, st: StencilSpec) -> np.ndarray:
-    q = _q_at(f, x, t)
-    qx = _differentiate(lambda dx: _q_at(f, x + dx, t), st.hx, 1, st.order)
-    qxx = _differentiate(lambda dx: _q_at(f, x + dx, t), st.hx, 2, st.order)
+def _v_at(
+    q_at: Callable[[float, float], np.ndarray], lam: complex, x: float, t: float, st: StencilSpec
+) -> np.ndarray:
+    q = q_at(x, t)
+    qx = _differentiate(lambda dx: q_at(x + dx, t), st.hx, 1, st.order)
+    qxx = _differentiate(lambda dx: q_at(x + dx, t), st.hx, 2, st.order)
     return build_V(lam, q, qx, qxx)
 
 
@@ -141,13 +140,15 @@ def zero_curvature_residual(
 
     U_t reduces to Q_t; V_x differences fully assembled V matrices whose own
     ingredients come from nested x-stencils, so the whole probe consumes only
-    field samples.
+    field samples.  The nested stencils share points; each distinct (x, t)
+    is sampled once.
     """
     lam = complex(lam)
-    qt = _differentiate(lambda dt: _q_at(f, x, t + dt), st.ht, 1, st.order)
-    vx = _differentiate(lambda dx: _v_at(f, lam, x + dx, t, st), st.hx, 1, st.order)
-    u = 1j * lam * SIGMA3 + _q_at(f, x, t)
-    v = _v_at(f, lam, x, t, st)
+    q_at = cache(lambda x, t: build_Q(f(x, t)))
+    qt = _differentiate(lambda dt: q_at(x, t + dt), st.ht, 1, st.order)
+    vx = _differentiate(lambda dx: _v_at(q_at, lam, x + dx, t, st), st.hx, 1, st.order)
+    u = 1j * lam * SIGMA3 + q_at(x, t)
+    v = _v_at(q_at, lam, x, t, st)
     resid = qt - vx + u @ v - v @ u
     return float(np.max(np.abs(resid)))
 
@@ -156,11 +157,12 @@ def pde_residual_tccss(f: FieldEvaluator, grid: GridSpec, st: StencilSpec) -> Re
     """Residual of the three-component third-order equation over a grid.
 
     Per component: u_t + u_xxx + 6 (sum |u|^2) u_x + 3 u (sum |u|^2)_x.
-    Each stencil offset is one batched evaluation over the whole grid.
+    Each distinct stencil shift is one batched evaluation over the whole grid.
     """
     fields = field_batch(f)
     x, t = _grid_points(grid)
 
+    @cache
     def at_x(dx: float) -> np.ndarray:
         return fields(x + dx, t)
 
@@ -198,13 +200,14 @@ def gauge_transform_and_cnls_residual(
         u = fields(X - T / 12.0, T)
         return u * np.exp(1j / 6.0 * (X - T / 18.0))[:, None]
 
+    @cache
     def at_X(dX: float) -> np.ndarray:
         return q_at(X + dX, T)
 
     def power(dX: float) -> np.ndarray:
         return np.sum(np.abs(at_X(dX)) ** 2, axis=1)
 
-    q0 = q_at(X, T)
+    q0 = at_X(0.0)
     qT = _differentiate(lambda dT: q_at(X, T + dT), st.ht, 1, st.order)
     qX = _differentiate(at_X, st.hx, 1, st.order)
     qXX = _differentiate(at_X, st.hx, 2, st.order)

@@ -441,8 +441,10 @@ def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> np.ndar
             f"lambda = {lam} lies in the lower half-plane; only real lambda "
             "and the (7,7) entry on the upper half-plane are supported"
         )
-    psi = _assemble(_end_product(table, lam, BOTH_CLASSES)[:, 0])
-    return _conjugate_to_omega(psi[None], lam, table.x_max)[0]
+    # off the real axis columns 1-6 may overflow; the (7,7) entry stays finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = _assemble(_end_product(table, lam, BOTH_CLASSES)[:, 0])
+        return _conjugate_to_omega(psi[None], lam, table.x_max)[0]
 
 
 def omega77_from_table(table: PotentialTable, lam: complex) -> complex:

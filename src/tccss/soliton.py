@@ -257,8 +257,22 @@ def _refuse_non_finite(a: np.ndarray, x, t) -> None:
 
 def check_M(m: np.ndarray, x, t) -> None:
     """Refuse a stack (P, m, m) of M matrices that is non-finite or has a
-    condition number above MAX_CONDITION; `x`, `t` (length P) locate it."""
+    condition number above MAX_CONDITION; `x`, `t` (length P) locate it.
+
+    Every M of the construction is anti-Hermitian, M^H = -M: the seed
+    pairings are Hermitian and conj(z_j - conj z_k) = -(z_k - conj z_j).
+    The singular values of M are then the moduli |w| of the eigenvalues of
+    the Hermitian iM, and a stack whose |w| spread stays below
+    MAX_CONDITION / 2 is accepted without an SVD.  `eigvalsh` reads one
+    triangle, so the spread is widened by sum |M + M^H|, which bounds how
+    far the singular values of any other M can lie from those |w|.  Every
+    stack this screen does not clear is decided by `np.linalg.cond`.
+    """
     _refuse_non_finite(m, x, t)
+    w = np.abs(np.linalg.eigvalsh(1j * m))
+    skew = np.abs(m + np.conj(np.swapaxes(m, -1, -2))).sum(axis=(-2, -1))
+    if np.all(w.max(axis=1) + skew < 0.5 * MAX_CONDITION * (w.min(axis=1) - skew)):
+        return
     cond = np.linalg.cond(m)
     p = int(np.argmax(cond))
     if not cond[p] <= MAX_CONDITION:

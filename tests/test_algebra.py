@@ -5,7 +5,19 @@ determinants of the structure matrices that the RH checks rely on."""
 import numpy as np
 import pytest
 
-from tccss.soliton import MAX_CONDITION, NearSingularError, NonFiniteFieldError, check_M, solve_M
+from tccss import soliton
+from tccss.io_cli import figure_config
+from tccss.lax import _grid_points
+from tccss.soliton import (
+    MAX_CONDITION,
+    NearSingularError,
+    NonFiniteFieldError,
+    build_M,
+    build_vectors,
+    check_M,
+    eval_fields_array,
+    solve_M,
+)
 from tccss.structure import SIGMA, SIGMA3
 
 
@@ -97,3 +109,73 @@ class TestDet:
         # three disjoint transpositions, each contributing a factor -1
         assert abs(np.linalg.det(SIGMA) - (-1.0)) < 1e-15
         assert np.linalg.det(SIGMA3) == -1.0
+
+
+def figure_M_stacks(fig_id, monkeypatch):
+    """Every M of figure `fig_id`'s export grid as the batched kernel checks
+    it, and the pointwise `build_M` at every 61st point of that grid."""
+    seen = []
+
+    def spy(m, x, t):
+        seen.append(m)
+        return check_M(m, x, t)
+
+    monkeypatch.setattr(soliton, "check_M", spy)
+    cfg = figure_config(fig_id)
+    x, t = _grid_points(cfg.grid)
+    eval_fields_array(cfg.spectrum, x, t)
+    pointwise = np.array([
+        build_M(build_vectors(cfg.spectrum, x[p], t[p]), cfg.spectrum)
+        for p in range(0, x.size, 61)
+    ])
+    return np.concatenate(seen), pointwise
+
+
+class TestConditionScreen:
+    """`check_M` clears anti-Hermitian stacks by the eigenvalues of iM and
+    leaves every other stack to the SVD."""
+
+    @pytest.fixture
+    def cond_calls(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def spy(m):
+            calls.append(m)
+            return cond(m)
+
+        monkeypatch.setattr(np.linalg, "cond", spy)
+        return calls
+
+    @pytest.mark.parametrize("fig_id", [1, 2, 3, 4])
+    def test_figure_stacks(self, fig_id, monkeypatch, cond_calls):
+        for m in figure_M_stacks(fig_id, monkeypatch):
+            skew = np.max(np.abs(m + np.conj(np.swapaxes(m, 1, 2))), axis=(1, 2))
+            assert np.all(skew <= 1e-15 * np.max(np.abs(m), axis=(1, 2)))
+            w = np.abs(np.linalg.eigvalsh(1j * m))
+            s = np.linalg.svd(m, compute_uv=False)
+            assert np.allclose(w.max(axis=1) / w.min(axis=1), s[:, 0] / s[:, -1], rtol=1e-10, atol=0)
+            check_M(m, *at_points(len(m)))
+        assert cond_calls == []  # neither the kernel nor check_M fell back to the SVD
+
+    def test_svd_decides_beyond_screen(self, cond_calls):
+        # cond 0.75e14: above the screen's MAX_CONDITION / 2, inside the bound
+        check_M(1j * np.diag([1.0, 1.0 / (0.75 * MAX_CONDITION)])[None], *at_points(1))
+        assert len(cond_calls) == 1
+        m = np.array([np.eye(2), np.diag([1.0, 1.0 / (2 * MAX_CONDITION)])]) * 1j
+        with pytest.raises(NearSingularError, match=r"\(x, t\) = \(1, 0.5\)"):
+            check_M(m, *at_points(2))
+        assert len(cond_calls) == 2
+
+    def test_not_anti_hermitian_goes_to_svd(self, cond_calls):
+        # the lower triangle of i [[1, 1], [1, 1]] completes to a Hermitian
+        # matrix with eigenvalues +-1, yet M itself is singular
+        with pytest.raises(NearSingularError):
+            check_M(np.ones((1, 2, 2), dtype=complex), *at_points(1))
+        assert len(cond_calls) == 1
+
+    def test_all_zero_not_screened(self, cond_calls):
+        with pytest.raises(NearSingularError):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                check_M(np.zeros((1, 2, 2), dtype=complex), *at_points(1))
+        assert len(cond_calls) == 1

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tccss import cli
 from tccss.io_cli import (
     ConfigError,
     RunConfig,
@@ -83,6 +84,19 @@ class TestParseConfig:
     def test_unknown_check(self):
         with pytest.raises(ConfigError, match="unknown check"):
             minimal_cfg(checks=["nonsense"])
+
+    @pytest.mark.parametrize("value", [-1, 0, math.nan, math.inf])
+    def test_threshold_must_be_finite_positive(self, value):
+        with pytest.raises(ConfigError, match=r"thresholds\.pde: expected a finite number > 0"):
+            minimal_cfg(thresholds={"pde": value})
+
+    @pytest.mark.parametrize("text", ["-1", "0", "NaN", "Infinity"])
+    def test_bad_threshold_exit_two(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(MINIMAL.rstrip()[:-1] + ', "thresholds": {"pde": ' + text + "}}")
+        assert cli.main(["verify", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: thresholds.pde: ") and err.count("\n") == 1
 
     def test_scattering_check_needs_type2(self):
         doc = json.loads(MINIMAL)

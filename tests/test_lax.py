@@ -272,3 +272,41 @@ class TestBatchedStencils:
         for batched, _ in self.CHECKS:
             lifted = batched(lambda x, t: f(x, t), grid, st).max_abs
             assert abs(lifted - batched(f, grid, st).max_abs) <= 1e-6 * lifted
+
+
+class RecordingEvaluator:
+    """Field evaluator that records every (x, t) it is asked for."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = []
+
+    def __call__(self, x, t):
+        self.points.append((x, t))
+        return self.f(x, t)
+
+    def fields(self, x, t):
+        x, t = np.broadcast_arrays(x, t)
+        self.points += zip(x.ravel().tolist(), t.ravel().tolist())
+        return self.f.fields(x, t)
+
+
+class TestSampleOnce:
+    """Each check samples every distinct (x, t) of its stencils once."""
+
+    @pytest.mark.parametrize("check", [pde_residual_tccss, gauge_transform_and_cnls_residual])
+    @pytest.mark.parametrize("order, shifts", [(4, 11), (2, 7)])
+    def test_grid_checks(self, one_soliton_field, check, order, shifts):
+        # shifts: 0, +-h, +-2h (+-3h at order 4) in x and +-h (+-2h) in t
+        f = RecordingEvaluator(one_soliton_field)
+        grid = GridSpec(-2.0, 2.0, 5, 0.0, 0.2, 2)
+        check(f, grid, StencilSpec(order=order))
+        assert len(f.points) == shifts * 10
+        assert len(set(f.points)) == len(f.points)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_zero_curvature(self, one_soliton_field, order):
+        f = RecordingEvaluator(one_soliton_field)
+        zero_curvature_residual(f, 0.7 + 0.2j, 0.3, 0.1, StencilSpec(order=order))
+        assert len(set(f.points)) == len(f.points)
+        assert len(f.points) <= (17 if order == 4 else 11)
