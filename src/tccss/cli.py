@@ -21,6 +21,7 @@ from .io_cli import (
     run_checks,
     run_figure,
     run_lambda_sweep,
+    write_text,
 )
 from .scattering import NonFiniteScatteringError
 from .soliton import NearSingularError, NonFiniteFieldError, SpectrumError
@@ -96,16 +97,11 @@ def main(argv=None) -> int:
                     f"(threshold {check.threshold:.1e}), rms = {r.rms:.3e}"
                 )
             if args.json_out:
-                with open(args.json_out, "w", encoding="utf-8", newline="\n") as fh:
-                    json.dump(outcome.as_dict(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
+                write_text(args.json_out, json.dumps(outcome.as_dict(), indent=2, sort_keys=True) + "\n")
                 print(f"wrote {args.json_out}")
             return 0 if outcome.passed else 1
 
         if args.command == "figure":
-            if args.id not in (1, 2, 3, 4):
-                print(f"error: figure id must be in 1..4, got {args.id}", file=sys.stderr)
-                return 2
             paths = run_figure(args.id, Path(args.out_dir))
             for p in paths:
                 print(f"wrote {p}")
@@ -120,11 +116,8 @@ def main(argv=None) -> int:
 
     except (
         ConfigError, SpectrumError, ValueError, NearSingularError, NonFiniteFieldError,
-        NonFiniteScatteringError,
+        NonFiniteScatteringError, VerifyError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except VerifyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

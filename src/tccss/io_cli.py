@@ -1,6 +1,6 @@
 """Configuration parsing, grid export, figure reproduction, verification.
 
-The JSON configuration schema (complex numbers are [re, im] pairs):
+The JSON run configuration (complex numbers are [re, im] pairs):
 
     {
       "spectrum": {
@@ -17,13 +17,26 @@ The JSON configuration schema (complex numbers are [re, im] pairs):
       "scattering": {"x_min", "x_max", "n_steps", "t"}
     }
 
-Everything except "spectrum" is optional and falls back to the documented
-defaults below.  Field grids are written t-major (outer loop t, inner x)
-with 17 significant digits, byte-identical for identical configs.
+Each object section is read from the fields of its frozen dataclass
+(`_SECTIONS` and the seed classes), so one set of rules holds everywhere:
+
+- a field is required exactly when its dataclass gives no default: every
+  `spectrum`, seed and `grid` field is; `stencil`, `output` and
+  `scattering` fall back per field, and every section but `spectrum` may
+  be left out;
+- a field's annotation picks its value check: `float` a finite JSON
+  number, `int` a JSON integer that is not a boolean, `str` a string,
+  `complex` an [re, im] pair of finite numbers;
+- a key that names no field is refused, in every section (thresholds
+  accept check names) and at the top level.
+
+Field grids are written t-major (outer loop t, inner x) with 17
+significant digits, byte-identical for identical configs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -74,7 +87,7 @@ class OutputSpec:
 
     def __post_init__(self):
         if self.format not in ("csv", "json"):
-            raise ConfigError(f"output.format must be 'csv' or 'json', got {self.format!r}")
+            raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
 
 
 @dataclass(frozen=True)
@@ -115,74 +128,111 @@ class RunConfig:
         return float(self.thresholds.get(check, DEFAULT_THRESHOLDS[check]))
 
 
-# -- JSON helpers ------------------------------------------------------------
-
-def _expect(obj, key, path, kind=None, required=True, default=None):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"missing required field {path}.{key}")
-        return default
-    val = obj[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
-    return val
+# The object sections of RunConfig, each read and written field by field.
+_SECTIONS = {
+    "grid": GridSpec,
+    "stencil": lax.StencilSpec,
+    "output": OutputSpec,
+    "scattering": ScatteringSpec,
+}
 
 
-def _as_complex(val, path) -> complex:
-    if (
-        not isinstance(val, (list, tuple))
-        or len(val) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val)
-    ):
+# -- JSON reading and writing ------------------------------------------------
+
+def _got(val) -> str:
+    return type(val).__name__ if isinstance(val, (list, dict)) else repr(val)
+
+
+def _number(val, path, finite=True) -> float:
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        try:
+            x = float(val)
+        except OverflowError:  # a JSON integer beyond the double range
+            x = math.inf
+        if math.isfinite(x) or not finite:
+            return x
+    raise ConfigError(f"{path}: expected a finite number, got {_got(val)}")
+
+
+def _integer(val, path) -> int:
+    if isinstance(val, int) and not isinstance(val, bool):
+        return val
+    raise ConfigError(f"{path}: expected an integer, got {_got(val)}")
+
+
+def _string(val, path) -> str:
+    if isinstance(val, str):
+        return val
+    raise ConfigError(f"{path}: expected a string, got {_got(val)}")
+
+
+def _complex(val, path) -> complex:
+    if not isinstance(val, list) or len(val) != 2:
         raise ConfigError(f"{path}: complex values are [re, im] number pairs")
-    return complex(float(val[0]), float(val[1]))
+    return complex(_number(val[0], f"{path}[0]"), _number(val[1], f"{path}[1]"))
 
 
-def _as_number(val, path) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{path}: expected a number")
-    return float(val)
+# Value check per field annotation; every module annotates lazily
+# (`from __future__ import annotations`), so annotations are strings.
+_VALUE = {"float": _number, "int": _integer, "str": _string, "complex": _complex}
 
 
-def _as_int(val, path) -> int:
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"{path}: expected an integer")
-    return val
-
-
-def _parse_seed(obj, family: Family, path):
+def _object(obj, names, required, path, noun) -> dict:
+    """`obj` as a JSON object holding every `required` key and no key outside `names`."""
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: seed must be an object")
-    if family is Family.TYPE_II:
-        keys = ("alpha", "gamma", "rho")
-        vals = {k: _as_complex(_expect(obj, k, path), f"{path}.{k}") for k in keys}
-        extra = set(obj) - set(keys)
-        if extra:
-            raise ConfigError(f"{path}: unexpected seed fields {sorted(extra)} for TypeII")
-        return TypeIISeed(**vals)
-    keys = ("alpha", "beta", "gamma", "mu", "rho", "delta")
-    vals = {k: _as_complex(_expect(obj, k, path), f"{path}.{k}") for k in keys}
-    extra = set(obj) - set(keys)
+        raise ConfigError(f"{path}: expected an object")
+    extra = sorted(set(obj) - set(names))
     if extra:
-        raise ConfigError(f"{path}: unexpected seed fields {sorted(extra)} for TypeI")
-    return TypeISeed(**vals)
+        raise ConfigError(f"{path}: unexpected {noun} fields {extra}")
+    for name in required:
+        if name not in obj:
+            raise ConfigError(f"missing required field {path}.{name}")
+    return obj
+
+
+def _fields(cls):
+    """Field names of dataclass `cls`, and those it gives no default."""
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+    return [f.name for f in fields], required
+
+
+def _read(obj, cls, path, noun=None):
+    """Build dataclass `cls` from JSON object `obj`, one check per field."""
+    _object(obj, *_fields(cls), path, noun or path)
+    values = {
+        f.name: _VALUE[f.type](obj[f.name], f"{path}.{f.name}")
+        for f in dataclasses.fields(cls)
+        if f.name in obj
+    }
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _write(obj) -> dict:
+    """Inverse of `_read`: the dataclass's fields as JSON values."""
+    doc = {}
+    for f in dataclasses.fields(obj):
+        v = getattr(obj, f.name)
+        doc[f.name] = [float(v.real), float(v.imag)] if f.type == "complex" else v
+    return doc
 
 
 def _parse_spectrum(obj, path="spectrum") -> SpectrumConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    fam_raw = _expect(obj, "family", path, kind=str)
+    _object(obj, *_fields(SpectrumConfig), path, path)
     try:
-        family = Family(fam_raw)
+        family = Family(obj["family"])
     except ValueError:
-        raise ConfigError(f"{path}.family: expected 'TypeI' or 'TypeII', got {fam_raw!r}")
-    zeros_raw = _expect(obj, "zeros", path, kind=list)
-    seeds_raw = _expect(obj, "seeds", path, kind=list)
-    zeros = tuple(
-        _as_complex(z, f"{path}.zeros[{j}]") for j, z in enumerate(zeros_raw)
-    )
+        raise ConfigError(f"{path}.family: expected 'TypeI' or 'TypeII', got {_got(obj['family'])}")
+    for key in ("zeros", "seeds"):
+        if not isinstance(obj[key], list):
+            raise ConfigError(f"{path}.{key}: expected a list, got {_got(obj[key])}")
+    seed_cls = TypeISeed if family is Family.TYPE_I else TypeIISeed
+    zeros = tuple(_complex(z, f"{path}.zeros[{j}]") for j, z in enumerate(obj["zeros"]))
     seeds = tuple(
-        _parse_seed(s, family, f"{path}.seeds[{j}]") for j, s in enumerate(seeds_raw)
+        _read(s, seed_cls, f"{path}.seeds[{j}]", "seed") for j, s in enumerate(obj["seeds"])
     )
     try:
         return SpectrumConfig(family, zeros, seeds)
@@ -194,141 +244,39 @@ def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON run configuration."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
-
-    spectrum = _parse_spectrum(_expect(doc, "spectrum", "$"))
-
-    defaults = RunConfig(spectrum)
-    grid = defaults.grid
-    if "grid" in doc:
-        g = doc["grid"]
-        if not isinstance(g, dict):
-            raise ConfigError("grid: expected an object")
-        try:
-            grid = GridSpec(
-                _as_number(_expect(g, "x_min", "grid"), "grid.x_min"),
-                _as_number(_expect(g, "x_max", "grid"), "grid.x_max"),
-                _as_int(_expect(g, "nx", "grid"), "grid.nx"),
-                _as_number(_expect(g, "t_min", "grid"), "grid.t_min"),
-                _as_number(_expect(g, "t_max", "grid"), "grid.t_max"),
-                _as_int(_expect(g, "nt", "grid"), "grid.nt"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
-
-    stencil = defaults.stencil
-    if "stencil" in doc:
-        s = doc["stencil"]
-        if not isinstance(s, dict):
-            raise ConfigError("stencil: expected an object")
-        try:
-            stencil = lax.StencilSpec(
-                hx=_as_number(_expect(s, "hx", "stencil", required=False, default=stencil.hx), "stencil.hx"),
-                ht=_as_number(_expect(s, "ht", "stencil", required=False, default=stencil.ht), "stencil.ht"),
-                order=_as_int(_expect(s, "order", "stencil", required=False, default=stencil.order), "stencil.order"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"stencil: {exc}") from exc
-
-    checks: tuple[str, ...] = ()
-    if "checks" in doc:
-        raw = doc["checks"]
-        if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
-            raise ConfigError("checks: expected a list of check names")
-        checks = tuple(raw)
-
-    output = defaults.output
-    if "output" in doc:
-        o = doc["output"]
-        if not isinstance(o, dict):
-            raise ConfigError("output: expected an object")
-        output = OutputSpec(
-            path=str(_expect(o, "path", "output", required=False, default=output.path)),
-            format=str(_expect(o, "format", "output", required=False, default=output.format)),
-        )
-
-    thresholds: dict = {}
-    if "thresholds" in doc:
-        th = doc["thresholds"]
-        if not isinstance(th, dict):
-            raise ConfigError("thresholds: expected an object")
-        thresholds = {
-            str(k): _as_number(v, f"thresholds.{k}") for k, v in th.items()
-        }
-
-    scat = defaults.scattering
-    if "scattering" in doc:
-        sc = doc["scattering"]
-        if not isinstance(sc, dict):
-            raise ConfigError("scattering: expected an object")
-        scat = ScatteringSpec(
-            x_min=_as_number(_expect(sc, "x_min", "scattering", required=False, default=scat.x_min), "scattering.x_min"),
-            x_max=_as_number(_expect(sc, "x_max", "scattering", required=False, default=scat.x_max), "scattering.x_max"),
-            n_steps=_as_int(_expect(sc, "n_steps", "scattering", required=False, default=scat.n_steps), "scattering.n_steps"),
-            t=_as_number(_expect(sc, "t", "scattering", required=False, default=scat.t), "scattering.t"),
-        )
-
-    return RunConfig(spectrum, grid, stencil, checks, output, thresholds, scat)
+    _object(doc, *_fields(RunConfig), "$", "top-level")
+    parts = {name: _read(doc[name], cls, name) for name, cls in _SECTIONS.items() if name in doc}
+    checks = doc.get("checks", [])
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ConfigError("checks: expected a list of check names")
+    # unknown names are refused first, so only check names reach a message
+    thresholds = _object(doc.get("thresholds", {}), CHECK_NAMES, (), "thresholds", "check")
+    thresholds = {k: _number(v, f"thresholds.{k}", finite=False) for k, v in thresholds.items()}
+    return RunConfig(
+        _parse_spectrum(doc["spectrum"]), checks=tuple(checks), thresholds=thresholds, **parts
+    )
 
 
 def parse_config_file(path) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _seed_to_json(seed) -> dict:
-    if isinstance(seed, TypeIISeed):
-        return {
-            "alpha": _complex_pair(seed.alpha),
-            "gamma": _complex_pair(seed.gamma),
-            "rho": _complex_pair(seed.rho),
-        }
-    return {
-        "alpha": _complex_pair(seed.alpha),
-        "beta": _complex_pair(seed.beta),
-        "gamma": _complex_pair(seed.gamma),
-        "mu": _complex_pair(seed.mu),
-        "rho": _complex_pair(seed.rho),
-        "delta": _complex_pair(seed.delta),
-    }
-
-
 def config_to_json(cfg: RunConfig) -> dict:
-    return {
-        "spectrum": {
-            "family": cfg.spectrum.family.value,
-            "zeros": [_complex_pair(z) for z in cfg.spectrum.zeros],
-            "seeds": [_seed_to_json(s) for s in cfg.spectrum.seeds],
-        },
-        "grid": {
-            "x_min": cfg.grid.x_min,
-            "x_max": cfg.grid.x_max,
-            "nx": cfg.grid.nx,
-            "t_min": cfg.grid.t_min,
-            "t_max": cfg.grid.t_max,
-            "nt": cfg.grid.nt,
-        },
-        "stencil": {"hx": cfg.stencil.hx, "ht": cfg.stencil.ht, "order": cfg.stencil.order},
-        "checks": list(cfg.checks),
-        "output": {"path": cfg.output.path, "format": cfg.output.format},
-        "thresholds": dict(cfg.thresholds),
-        "scattering": {
-            "x_min": cfg.scattering.x_min,
-            "x_max": cfg.scattering.x_max,
-            "n_steps": cfg.scattering.n_steps,
-            "t": cfg.scattering.t,
-        },
+    doc = {name: _write(getattr(cfg, name)) for name in _SECTIONS}
+    doc["spectrum"] = {
+        "family": cfg.spectrum.family.value,
+        "zeros": [[z.real, z.imag] for z in cfg.spectrum.zeros],
+        "seeds": [_write(s) for s in cfg.spectrum.seeds],
     }
+    doc["checks"] = list(cfg.checks)
+    doc["thresholds"] = dict(cfg.thresholds)
+    return doc
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -337,6 +285,19 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 # -- grid evaluation and export ----------------------------------------------
+
+def write_text(path, text: str, make_parent=False) -> Path:
+    """Write `text` to `path`; a failed write is a ConfigError (exit 2)."""
+    path = Path(path)
+    try:
+        if make_parent:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return path
+
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
@@ -373,15 +334,9 @@ def render_rows_json(rows: list[list[float]]) -> str:
 
 def export_grid(cfg: RunConfig, out_path=None) -> Path:
     """Write the sampled field grid; deterministic bytes for identical configs."""
-    path = Path(out_path) if out_path is not None else Path(cfg.output.path)
     rows = evaluate_grid(cfg)
     text = render_rows_csv(rows) if cfg.output.format == "csv" else render_rows_json(rows)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    return path
+    return write_text(cfg.output.path if out_path is None else out_path, text)
 
 
 # -- verification orchestration ----------------------------------------------
@@ -535,9 +490,6 @@ def run_checks(cfg: RunConfig) -> VerificationOutcome:
     return VerificationOutcome(tuple(outcomes))
 
 
-run_verify = run_checks
-
-
 # -- figure reproduction -----------------------------------------------------
 
 _SQRT3 = float(np.sqrt(3.0))
@@ -608,27 +560,22 @@ def run_figure(fig_id: int, out_dir) -> list[Path]:
     The sidecar records the exact parameters and the PDE residual report of
     the emitted field.
     """
-    if fig_id not in (1, 2, 3, 4):
-        raise ValueError(f"figure id must be in 1..4, got {fig_id}")
     cfg = figure_config(fig_id)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = export_grid(cfg, out_dir / f"figure{fig_id}.csv")
-    outcome = run_checks(cfg)
+    csv_path = write_text(
+        out_dir / f"figure{fig_id}.csv", render_rows_csv(evaluate_grid(cfg)), make_parent=True
+    )
+    doc = config_to_json(cfg)
     sidecar = {
         "figure": fig_id,
-        "parameters": config_to_json(cfg)["spectrum"],
-        "grid": config_to_json(cfg)["grid"],
-        "pde_check": outcome.checks[0].as_dict(),
+        "parameters": doc["spectrum"],
+        "grid": doc["grid"],
+        "pde_check": run_checks(cfg).checks[0].as_dict(),
         "notes": list(_FIGURE_NOTES[fig_id]),
     }
-    json_path = out_dir / f"figure{fig_id}.json"
-    try:
-        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {json_path}: {exc}") from exc
+    json_path = write_text(
+        out_dir / f"figure{fig_id}.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    )
     return [csv_path, json_path]
 
 
@@ -646,10 +593,4 @@ def run_lambda_sweep(cfg: RunConfig, lam_start: float, lam_stop: float, count: i
     for lam, row in zip(lams, rows):
         entries = [lam, abs(row[6])] + [abs(row[k]) for k in range(6)]
         lines.append(",".join(_fmt(float(v)) for v in entries))
-    path = Path(out_path)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    return path
+    return write_text(out_path, "\n".join(lines) + "\n")

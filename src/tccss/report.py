@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
+        if not math.isfinite(self.x_max - self.x_min) or not math.isfinite(self.t_max - self.t_min):
+            raise ValueError("x_max - x_min and t_max - t_min must be finite")
         if self.nx < 2:
             raise ValueError(f"nx must be >= 2, got {self.nx}")
         if self.t_min > self.t_max:

@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tccss import cli
 from tccss.io_cli import (
@@ -44,6 +46,16 @@ def minimal_cfg(**overrides) -> RunConfig:
     doc = json.loads(MINIMAL)
     doc.update(overrides)
     return parse_config(json.dumps(doc))
+
+
+def cli_error(capsys, argv) -> str:
+    """Run the CLI in-process: exit 2, one `error:` line, no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestParseConfig:
@@ -117,6 +129,40 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unexpected seed fields"):
             parse_config(text)
 
+    def test_deep_nesting_is_invalid_json(self):
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            parse_config("[" * 100_000)
+
+    @pytest.mark.parametrize("section", ["grid", "stencil", "output", "scattering"])
+    def test_sections_fall_back_per_field(self, section):
+        # every field of these sections but grid's has a default
+        if section == "grid":
+            with pytest.raises(ConfigError, match=r"missing required field grid\.nt"):
+                minimal_cfg(grid={"x_min": 0, "x_max": 1, "nx": 2, "t_min": 0, "t_max": 0})
+        else:
+            assert getattr(minimal_cfg(**{section: {}}), section) == getattr(parse_config(MINIMAL), section)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"grid": {"x_min": 0, "x_max": 1, "nx": 2.0, "t_min": 0, "t_max": 0, "nt": 1}},
+         r"grid\.nx: expected an integer, got 2\.0"),
+        ({"stencil": {"order": True}}, r"stencil\.order: expected an integer, got True"),
+        ({"stencil": {"hx": "0.001"}}, r"stencil\.hx: expected a finite number"),
+        ({"scattering": {"x_max": 1e400}}, r"scattering\.x_max: expected a finite number, got inf"),
+        ({"scattering": {"n_steps": None}}, r"scattering\.n_steps: expected an integer, got None"),
+        ({"output": {"format": "xml"}}, r"output: format must be 'csv' or 'json'"),
+        ({"thresholds": {"pdee": 1e-4}}, r"thresholds: unexpected check fields \['pdee'\]"),
+        ({"grid": {"x_min": -1e308, "x_max": 1e308, "nx": 2, "t_min": 0, "t_max": 0, "nt": 1}},
+         r"grid: x_max - x_min and t_max - t_min must be finite"),
+    ])
+    def test_field_value_rules(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            minimal_cfg(**overrides)
+
+    def test_complex_parts_must_be_finite(self):
+        text = MINIMAL.replace('"gamma": [2, 0]', '"gamma": [2, NaN]')
+        with pytest.raises(ConfigError, match=r"seeds\[0\]\.gamma\[1\]: expected a finite number"):
+            parse_config(text)
+
     def test_missing_spectrum(self):
         with pytest.raises(ConfigError, match="spectrum"):
             parse_config("{}")
@@ -140,6 +186,125 @@ class TestParseConfig:
         for path in DOCS.glob("*.json"):
             cfg = parse_config_file(path)
             assert cfg.grid.nx >= 2
+
+
+# Every section present and a 5-point grid, so that a probe or mutation
+# reaches any field and documents that still parse are cheap to generate.
+FULL = {
+    **json.loads(MINIMAL),
+    "grid": {"x_min": -1.0, "x_max": 1.0, "nx": 5, "t_min": 0.0, "t_max": 0.0, "nt": 1},
+    "stencil": {"hx": 0.001, "ht": 0.001, "order": 4},
+    "checks": ["rh_symmetry"],
+    "output": {"path": "fields.csv", "format": "csv"},
+    "thresholds": {"pde": 1e-4},
+    "scattering": {"x_min": -30.0, "x_max": 30.0, "n_steps": 3000, "t": 0.0},
+}
+
+
+def _full_with(section, key, value):
+    doc = json.loads(json.dumps(FULL))
+    (doc[section] if section else doc)[key] = value
+    return doc
+
+
+class TestExitTwo:
+    """Inputs that must end in exit 2 with one `error:` line, through cli.main."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (_full_with(None, "gird", {}), "$: unexpected top-level fields ['gird']"),
+        (_full_with("grid", "dx", 0.1), "grid: unexpected grid fields ['dx']"),
+        (_full_with("scattering", "steps", 10), "scattering: unexpected scattering fields ['steps']"),
+        (_full_with("grid", "x_max", math.inf), "grid.x_max: expected a finite number, got inf"),
+        (_full_with("scattering", "x_min", math.nan), "scattering.x_min: expected a finite number, got nan"),
+        (_full_with("scattering", "t", math.inf), "scattering.t: expected a finite number, got inf"),
+        (_full_with("output", "path", [1, 2]), "output.path: expected a string, got list"),
+    ])
+    def test_config_probe(self, tmp_path, capsys, doc, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out_path = tmp_path / "x.csv"
+        err = cli_error(capsys, ["generate", "--config", str(cfg_path), "--out", str(out_path)])
+        assert err == f"error: {message}\n"
+        assert not out_path.exists()
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text("[" * 100_000)
+        err = cli_error(capsys, ["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+        assert err.startswith("error: invalid JSON: ")
+
+    def test_verify_json_into_missing_directory(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(FULL))
+        report = tmp_path / "missing" / "r.json"
+        err = cli_error(capsys, ["verify", "--config", str(cfg_path), "--json", str(report)])
+        assert err.startswith(f"error: cannot write {report}: ")
+
+    def test_figure_out_dir_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "sub"
+        err = cli_error(capsys, ["figure", "--id", "3", "--out-dir", str(out_dir)])
+        assert err.startswith(f"error: cannot write {out_dir / 'figure3.csv'}: ")
+
+
+def _node_paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _node_paths(child, path + (key,))
+
+
+_FUZZ_PATHS = list(_node_paths(FULL))[1:]
+_FUZZ_OBJECTS = [p for p in [()] + _FUZZ_PATHS if isinstance(reduce(lambda n, k: n[k], p, FULL), dict)]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    """FULL with one key dropped, one unknown key added, or one value replaced."""
+    doc = json.loads(json.dumps(FULL))
+    action = draw(st.sampled_from(["drop", "add", "replace"]))
+    if action == "add":
+        target = reduce(lambda n, k: n[k], draw(st.sampled_from(_FUZZ_OBJECTS)), doc)
+        target[draw(st.text().filter(lambda k: k not in target))] = draw(json_values)
+        return doc
+    *head, last = draw(st.sampled_from(_FUZZ_PATHS))
+    parent = reduce(lambda n, k: n[k], head, doc)
+    if action == "drop":
+        del parent[last]
+    else:
+        # numbers often enough that many replacements still parse
+        parent[last] = draw(st.floats() | st.integers(-5, 5) | json_values)
+    return doc
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=json_values | mutated_configs())
+    def test_parse_and_generate(self, tmp_path, capsys, doc):
+        text = json.dumps(doc)
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            cfg = None
+        else:
+            assert parse_config(serialize_config(cfg)) == cfg
+        if cfg is not None and cfg.grid.nx * cfg.grid.nt > 400:
+            return
+        cfg_path = tmp_path / "fuzz.json"
+        cfg_path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "fuzz.out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1), err
 
 
 class TestExportGrid:
@@ -425,6 +590,8 @@ class TestCli:
     def test_figure_bad_id(self, tmp_path):
         proc = self.run_cli("figure", "--id", "5", "--out-dir", str(tmp_path))
         assert proc.returncode == 2
+        assert proc.stderr == "error: figure id must be in 1..4, got 5\n"
+        assert not list(tmp_path.iterdir())
 
     def test_scatter_sweep(self, tmp_path):
         doc = json.loads(MINIMAL)
