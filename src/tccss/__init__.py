@@ -26,10 +26,7 @@ from .scattering import (
     HalfPlaneError,
     JostSolution,
     ZeroSearchError,
-    integrate_jost,
-    locate_spectral_zero,
     scattering_evolution_check,
-    scattering_matrix,
 )
 from .soliton import (
     DegenerateSeedError,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verification threshold failed, 2 usage or
 configuration errors, including spectra whose M is near-singular or whose
-fields overflow, and `scatter` sweeps whose scattering entries overflow.
+fields overflow, and `scatter` sweeps whose scattering entries overflow or
+whose potential has not decayed at the ends of the scattering domain.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .io_cli import (
     run_lambda_sweep,
     write_text,
 )
-from .scattering import NonFiniteScatteringError
+from .scattering import DomainTooSmallError, NonFiniteScatteringError
 from .soliton import NearSingularError, NonFiniteFieldError, SpectrumError
 
 
@@ -116,7 +117,7 @@ def main(argv=None) -> int:
 
     except (
         ConfigError, SpectrumError, ValueError, NearSingularError, NonFiniteFieldError,
-        NonFiniteScatteringError, VerifyError,
+        NonFiniteScatteringError, DomainTooSmallError, VerifyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

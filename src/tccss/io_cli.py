@@ -97,6 +97,9 @@ class ScatteringSpec:
     n_steps: int = scattering.DEFAULT_N_STEPS
     t: float = 0.0
 
+    def __post_init__(self):
+        scattering.check_domain(self.x_min, self.x_max, self.n_steps)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -417,11 +420,9 @@ def _rh_lambda_samples(spectrum: SpectrumConfig) -> list[complex]:
 
 def _rh_symmetry_report(cfg: RunConfig) -> ResidualReport:
     samples = _rh_lambda_samples(cfg.spectrum)
-    worst: dict[str, float] = {}
-    for (x, t) in ((0.0, 0.0), (0.7, 0.3)):
-        res = rhp.symmetry_residuals(cfg.spectrum, x, t, samples)
-        for k, v in res.items():
-            worst[k] = max(worst.get(k, 0.0), v)
+    points = ((0.0, 0.0), (0.7, 0.3))
+    res = [rhp.symmetry_residuals(cfg.spectrum, x, t, samples) for x, t in points]
+    worst = {k: max(r[k] for r in res) for k in res[0]}
     notes = tuple(f"{k}: {v:.3e}" for k, v in worst.items())
     return summarize(
         "rh_symmetry",

@@ -33,6 +33,10 @@ _STENCILS: dict[tuple[int, int], dict[int, float]] = {
     (3, 2): {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
     (3, 4): {-3: 1 / 8, -2: -1.0, -1: 13 / 8, 1: -13 / 8, 2: 1.0, 3: -1 / 8},
 }
+# Smallest accepted step.  At 1e-6 the roundoff of the third-derivative
+# stencil, about 5.5 eps / h^3, is already above 1e3, so no check could pass;
+# far below it x + h == x and every difference is zero.
+MIN_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -44,10 +48,9 @@ class StencilSpec:
     order: int = 4
 
     def __post_init__(self):
-        if not (0.0 < self.hx <= 0.1):
-            raise ValueError(f"hx must be in (0, 0.1], got {self.hx}")
-        if not (0.0 < self.ht <= 0.1):
-            raise ValueError(f"ht must be in (0, 0.1], got {self.ht}")
+        for name, h in (("hx", self.hx), ("ht", self.ht)):
+            if not (MIN_STEP <= h <= 0.1):
+                raise ValueError(f"{name} must be in [{MIN_STEP}, 0.1], got {h}")
         if self.order not in (2, 4):
             raise ValueError(f"order must be 2 or 4, got {self.order}")
 
@@ -94,12 +97,15 @@ def _grid_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return x.ravel(), t.ravel()
 
 
-def build_Q(s: FieldSample) -> np.ndarray:
-    """Potential matrix: field triple and conjugates on the coupling template."""
-    q = np.zeros((7, 7), dtype=complex)
-    u = s.as_array()
-    q[0:6, 6] = [u[0], np.conj(u[0]), u[1], np.conj(u[1]), u[2], np.conj(u[2])]
-    q[6, 0:6] = [-np.conj(u[0]), -u[0], -np.conj(u[1]), -u[1], -np.conj(u[2]), -u[2]]
+def build_Q(u: np.ndarray) -> np.ndarray:
+    """Potential matrices (..., 7, 7): field triples (..., 3) and conjugates on
+    the coupling template."""
+    u = np.asarray(u, dtype=complex)
+    q = np.zeros(u.shape[:-1] + (7, 7), dtype=complex)
+    q[..., 0:6:2, 6] = u
+    q[..., 1:6:2, 6] = np.conj(u)
+    q[..., 6, 0:6:2] = -np.conj(u)
+    q[..., 6, 1:6:2] = -u
     return q
 
 
@@ -144,7 +150,7 @@ def zero_curvature_residual(
     is sampled once.
     """
     lam = complex(lam)
-    q_at = cache(lambda x, t: build_Q(f(x, t)))
+    q_at = cache(lambda x, t: build_Q(f(x, t).as_array()))
     qt = _differentiate(lambda dt: q_at(x, t + dt), st.ht, 1, st.order)
     vx = _differentiate(lambda dx: _v_at(q_at, lam, x + dx, t, st), st.hx, 1, st.order)
     u = 1j * lam * SIGMA3 + q_at(x, t)

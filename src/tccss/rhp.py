@@ -46,39 +46,34 @@ class RHSolutionPair:
     vector gauge) is shared by both factors and by the potential expansion.
     """
 
-    cfg: SpectrumConfig
-    x: float
-    t: float
-    vecs: KernelVectorSet
+    vecs: KernelVectorSet     # kernel vectors at (vecs.x, vecs.t)
     weights: np.ndarray       # (m, m) inverse of the stabilized M
     zeros: np.ndarray         # (m,) expanded zeros (poles of P2)
 
-    def _residue_sum(self, shifts: np.ndarray) -> np.ndarray:
-        # sum_kj v_k vhat_j W_kj * shifts-scaling applied on the j (column) index
-        return self.vecs.columns.T @ (self.weights * shifts[None, :]) @ self.vecs.rows
+    def _factor(self, lam, poles: np.ndarray, sign: float, on_rows: bool) -> np.ndarray:
+        """I + sign sum_kj v_k vhat_j W_kj / (lam - poles[i]), with i = k
+        when `on_rows` (P2) and i = j otherwise (P1).
 
-    def evaluate_P1(self, lam: complex) -> np.ndarray:
+        (7, 7) for a scalar lam, (L, 7, 7) for a 1-D array of L values.
+        """
+        lam = np.asarray(lam, dtype=complex)
+        gaps = lam.reshape(-1, 1) - poles
+        hits = np.argwhere(np.abs(gaps) < POLE_GUARD_RADIUS)
+        if len(hits):
+            i, j = hits[0]
+            raise PoleError(int(j), complex(poles[j]), complex(lam.reshape(-1)[i]))
+        shifts = sign / gaps
+        scaled = self.weights * (shifts[:, :, None] if on_rows else shifts[:, None, :])
+        p = np.eye(7) + self.vecs.columns.T @ scaled @ self.vecs.rows
+        return p.reshape(lam.shape + (7, 7))
+
+    def evaluate_P1(self, lam) -> np.ndarray:
         """P1 at lam; poles sit at the conjugated zeros (lower half-plane)."""
-        lam = complex(lam)
-        poles = np.conj(self.zeros)
-        gaps = lam - poles
-        small = np.abs(gaps) < POLE_GUARD_RADIUS
-        if np.any(small):
-            j = int(np.argmax(small))
-            raise PoleError(j, complex(poles[j]), lam)
-        return np.eye(7, dtype=complex) - self._residue_sum(1.0 / gaps)
+        return self._factor(lam, np.conj(self.zeros), -1.0, on_rows=False)
 
-    def evaluate_P2(self, lam: complex) -> np.ndarray:
+    def evaluate_P2(self, lam) -> np.ndarray:
         """P2 at lam; poles sit at the zeros themselves (upper half-plane)."""
-        lam = complex(lam)
-        gaps = lam - self.zeros
-        small = np.abs(gaps) < POLE_GUARD_RADIUS
-        if np.any(small):
-            k = int(np.argmax(small))
-            raise PoleError(k, complex(self.zeros[k]), lam)
-        # scaling on the k (row) index of W
-        residue = self.vecs.columns.T @ (self.weights * (1.0 / gaps)[:, None]) @ self.vecs.rows
-        return np.eye(7, dtype=complex) + residue
+        return self._factor(lam, self.zeros, 1.0, on_rows=True)
 
     def first_order_term(self) -> np.ndarray:
         """Coefficient of 1/lam in the large-lambda expansion of P1."""
@@ -93,7 +88,7 @@ def build_rh_pair(cfg: SpectrumConfig, x: float, t: float) -> RHSolutionPair:
     else:
         m = build_M(vecs, cfg)
         weights = solve_M(m[None], np.eye(len(m), dtype=complex)[None], [x], [t])[0]
-    return RHSolutionPair(cfg, float(x), float(t), vecs, weights, cfg.expanded_zeros())
+    return RHSolutionPair(vecs, weights, cfg.expanded_zeros())
 
 
 def reconstruct_potential(cfg: SpectrumConfig, x: float, t: float) -> np.ndarray:
@@ -108,6 +103,10 @@ def reconstruct_potential(cfg: SpectrumConfig, x: float, t: float) -> np.ndarray
     return 1j * (p1 @ SIGMA3 - SIGMA3 @ p1)
 
 
+def _worst(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
+
+
 def symmetry_residuals(
     cfg: SpectrumConfig, x: float, t: float, lambda_samples
 ) -> dict[str, float]:
@@ -118,44 +117,22 @@ def symmetry_residuals(
     * ``jump``:         P2(lam) P1(lam) - I over the real samples
     * ``kernel``:       |P1(lambda_j) v_j| and |vhat_j P2(conj lambda_j)| per zero
     * ``det_at_zeros``: |det P1(lambda_j)| per zero
+
+    Each identity is one array expression over all samples or all zeros.
     """
     pair = build_rh_pair(cfg, x, t)
-    samples = [complex(s) for s in lambda_samples]
-    out: dict[str, float] = {}
-
-    herm = 0.0
-    for lam in samples:
-        p1 = pair.evaluate_P1(np.conj(lam))
-        p2 = pair.evaluate_P2(lam)
-        herm = max(herm, float(np.max(np.abs(p1.conj().T - p2))))
-    out["hermitian"] = herm
-
+    lams = np.array([complex(s) for s in lambda_samples], dtype=complex)
+    p1h = np.conj(pair.evaluate_P1(np.conj(lams))).swapaxes(-1, -2)
+    out = {"hermitian": _worst(p1h - pair.evaluate_P2(lams))}
     if cfg.family is Family.TYPE_I:
-        sig = 0.0
-        for lam in samples:
-            left = SIGMA @ np.conj(pair.evaluate_P1(-np.conj(lam))) @ SIGMA
-            sig = max(sig, float(np.max(np.abs(left - pair.evaluate_P1(lam)))))
-        out["sigma"] = sig
-
-    jump = 0.0
-    real_samples = [lam for lam in samples if lam.imag == 0.0]
-    for lam in real_samples:
-        prod = pair.evaluate_P2(lam) @ pair.evaluate_P1(lam)
-        jump = max(jump, float(np.max(np.abs(prod - np.eye(7)))))
-    out["jump"] = jump
-
-    kernel = 0.0
-    detz = 0.0
-    for j, lam_j in enumerate(pair.zeros):
-        p1 = pair.evaluate_P1(lam_j)
-        p2 = pair.evaluate_P2(np.conj(lam_j))
-        v = pair.vecs.columns[j]
-        vhat = pair.vecs.rows[j]
-        kernel = max(kernel, float(np.max(np.abs(p1 @ v))))
-        kernel = max(kernel, float(np.max(np.abs(vhat @ p2))))
-        detz = max(detz, abs(np.linalg.det(p1)))
-    out["kernel"] = kernel
-    out["det_at_zeros"] = detz
+        left = SIGMA @ np.conj(pair.evaluate_P1(-np.conj(lams))) @ SIGMA
+        out["sigma"] = _worst(left - pair.evaluate_P1(lams))
+    real = lams[lams.imag == 0.0]
+    out["jump"] = _worst(pair.evaluate_P2(real) @ pair.evaluate_P1(real) - np.eye(7))
+    p1, v, vhat = pair.evaluate_P1(pair.zeros), pair.vecs.columns, pair.vecs.rows
+    p2 = pair.evaluate_P2(np.conj(pair.zeros))
+    out["kernel"] = max(_worst(p1 @ v[:, :, None]), _worst(vhat[:, None, :] @ p2))
+    out["det_at_zeros"] = _worst(np.linalg.det(p1))
     return out
 
 

@@ -1,15 +1,16 @@
 """Direct scattering: Jost integration, scattering matrix, spectral zeros.
 
 This is the verification route that never touches the kernel-vector
-construction: given only a field evaluator, it integrates the conjugated
+construction: given only samples of the field, it integrates the conjugated
 spectral problem
 
     Psi_x = Q Psi - i lam (Psi sigma3 - sigma3 Psi)
 
 with identity data at one end of a truncated line, forms the scattering
 matrix on the real axis, and hunts zeros of its analytically-extendable
-(7,7) entry in the upper half-plane.  The potential is sampled once into a
-half-step table that a whole lambda sweep or secant search reuses.
+(7,7) entry in the upper half-plane.  Every route reads a half-step table
+of the potential (`sample_potential`), sampled once and reused by a whole
+lambda sweep or secant search.
 
 Column j of Psi obeys y' = (Q + c P) y, with c = -2 i lam s and
 P = diag(sigma3 != s) for the column class s = sigma3_j: c = 2 i lam and
@@ -35,12 +36,13 @@ alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
 
-from .lax import FieldEvaluator, field_batch
+from .lax import FieldEvaluator, build_Q, field_batch
 from .report import ResidualReport, summarize
 from .structure import SIGMA3_DIAG
 
@@ -114,16 +116,19 @@ class PotentialTable:
 
     @property
     def q_half(self) -> np.ndarray:
-        """Q on every half-step node, (2 n_steps + 1, 7, 7), layout of `lax.build_Q`."""
-        q = np.zeros((len(self.u), 7, 7), dtype=complex)
-        q[:, 0:6:2, 6] = self.u
-        q[:, 1:6:2, 6] = np.conj(self.u)
-        q[:, 6, 0:6:2] = -np.conj(self.u)
-        q[:, 6, 1:6:2] = -self.u
-        return q
+        """Q on every half-step node, (2 n_steps + 1, 7, 7)."""
+        return build_Q(self.u)
 
     def x_nodes(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_steps + 1)
+
+
+def check_domain(x_min: float, x_max: float, n_steps: int) -> None:
+    """Refuse, with a ValueError, a domain that no table can be sampled on."""
+    if n_steps < 100:
+        raise ValueError(f"n_steps must be >= 100, got {n_steps}")
+    if not (x_min < x_max and math.isfinite(float(x_max) - float(x_min))):
+        raise ValueError(f"need x_min < x_max and a finite span, got [{x_min}, {x_max}]")
 
 
 def sample_potential(
@@ -138,10 +143,7 @@ def sample_potential(
     Batched field evaluation; the step coefficients of the forward column-7
     class are built from the samples once.
     """
-    if n_steps < 100:
-        raise ValueError(f"n_steps must be >= 100, got {n_steps}")
-    if not x_min < x_max:
-        raise ValueError(f"need x_min < x_max, got [{x_min}, {x_max}]")
+    check_domain(x_min, x_max, n_steps)
     xs_half = np.linspace(x_min, x_max, 2 * n_steps + 1)
     fields = field_batch(f)
     # in chunks, so that the field kernel's temporaries stay a few blocks' worth
@@ -357,29 +359,15 @@ def _assemble(p: np.ndarray) -> np.ndarray:
     return _from_basis(np.where(SIGMA3_DIAG < 0, p[1], p[0]))
 
 
-def integrate_jost(
-    f: FieldEvaluator,
-    t: float,
-    lam: complex,
-    x_min: float = DEFAULT_X_MIN,
-    x_max: float = DEFAULT_X_MAX,
-    n_steps: int = DEFAULT_N_STEPS,
-    side: Side = "minus",
+def integrate_from_table(
+    table: PotentialTable, lam: complex, side: Side = "minus"
 ) -> JostSolution:
-    """Integrate the conjugated spectral problem across [x_min, x_max].
+    """Jost solution on every node, from prefix products of both column classes.
 
     side "minus" starts from the identity at x_min and marches up; side
     "plus" starts from the identity at x_max and marches down.  Local
     truncation is O(h^5) (classical fourth-order scheme).
     """
-    table = sample_potential(f, t, x_min, x_max, n_steps)
-    return integrate_from_table(table, lam, side)
-
-
-def integrate_from_table(
-    table: PotentialTable, lam: complex, side: Side = "minus"
-) -> JostSolution:
-    """Jost solution on every node, from prefix products of both column classes."""
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     forward, n = side == "minus", table.n_steps
@@ -415,14 +403,7 @@ def _conjugate_to_omega(psi_end: np.ndarray, lams, x_max: float) -> np.ndarray:
     return (1.0 / phase)[:, :, None] * psi_end * phase[:, None, :]
 
 
-def scattering_matrix(
-    f: FieldEvaluator,
-    t: float,
-    lam: complex,
-    x_min: float = DEFAULT_X_MIN,
-    x_max: float = DEFAULT_X_MAX,
-    n_steps: int = DEFAULT_N_STEPS,
-) -> np.ndarray:
+def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> np.ndarray:
     """Scattering matrix Omega(lambda) relating the two Jost solutions.
 
     Full matrix for real lambda.  For lambda in the open upper half-plane
@@ -430,11 +411,6 @@ def scattering_matrix(
     of the returned matrix are not to be trusted there.  The lower
     half-plane is rejected outright.
     """
-    table = sample_potential(f, t, x_min, x_max, n_steps)
-    return scattering_matrix_from_table(table, lam)
-
-
-def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> np.ndarray:
     lam = complex(lam)
     if lam.imag < 0.0:
         raise HalfPlaneError(
@@ -482,33 +458,20 @@ def coupling_row_sweep(table: PotentialTable, lams: np.ndarray) -> np.ndarray:
     return rows
 
 
-def locate_spectral_zero(
-    f: FieldEvaluator,
-    t: float,
-    seed: complex,
-    x_min: float = DEFAULT_X_MIN,
-    x_max: float = DEFAULT_X_MAX,
-    n_steps: int = DEFAULT_N_STEPS,
-    max_iterations: int = 50,
-) -> complex:
-    """Secant hunt for a zero of Omega77 in the upper half-plane.
-
-    Converged when |Omega77| < 1e-8 or the step shrinks below 1e-10; raises
-    ZeroSearchError (with the iterate trace) on stagnation, escape from the
-    upper half-plane, or iteration exhaustion.
-    """
-    table = sample_potential(f, t, x_min, x_max, n_steps)
-    return locate_zero_from_table(table, seed, max_iterations)
-
-
 def locate_zero_from_table(
     table: PotentialTable,
     seed: complex,
     max_iterations: int = 50,
     trace: list[tuple[complex, complex]] | None = None,
 ) -> complex:
-    """Secant hunt on a sampled table; a given `trace` list receives every
-    evaluation (lambda, Omega77), the last one at the returned zero."""
+    """Secant hunt for a zero of Omega77 in the upper half-plane.
+
+    Converged when |Omega77| < 1e-8 or the step shrinks below 1e-10; raises
+    ZeroSearchError (with the iterate trace) on stagnation, escape from the
+    upper half-plane, or iteration exhaustion.  A given `trace` list
+    receives every evaluation (lambda, Omega77), the last one at the
+    returned zero.
+    """
     seed = complex(seed)
     if seed.imag <= 0.0:
         raise HalfPlaneError(f"seed {seed} must lie in the open upper half-plane")
@@ -544,24 +507,24 @@ def locate_zero_from_table(
 
 
 def scattering_evolution_check(
-    f: FieldEvaluator,
-    lam: float,
-    t0: float,
-    t1: float,
-    x_min: float = DEFAULT_X_MIN,
-    x_max: float = DEFAULT_X_MAX,
-    n_steps: int = DEFAULT_N_STEPS,
+    table_t0: PotentialTable, table_t1: PotentialTable, lam: float
 ) -> ResidualReport:
     """Verify the linear time evolution of the scattering data at real lambda.
 
-    The coupling entries obey Omega_k7(t1) = e^{8 i lam^3 (t1 - t0)}
-    Omega_k7(t0) for k = 1..6; the (7,7) entry is time-invariant.  Entries
-    already below 1e-8 at t0 are flagged vacuous (a reflectionless potential
-    has nothing to evolve).
+    The two tables sample one domain at times t0 and t1.  The coupling
+    entries obey Omega_k7(t1) = e^{8 i lam^3 (t1 - t0)} Omega_k7(t0) for
+    k = 1..6; the (7,7) entry is time-invariant.  Entries already below 1e-8
+    at t0 are flagged vacuous (a reflectionless potential has nothing to
+    evolve).
     """
-    lam = float(lam)
-    w0 = scattering_matrix(f, t0, lam, x_min, x_max, n_steps)
-    w1 = scattering_matrix(f, t1, lam, x_min, x_max, n_steps)
+    domain = (table_t0.x_min, table_t0.x_max, table_t0.n_steps)
+    other = (table_t1.x_min, table_t1.x_max, table_t1.n_steps)
+    if domain != other:
+        raise ValueError(f"tables differ in domain or step count: {domain} and {other}")
+    x_min, x_max, n_steps = domain
+    lam, t0, t1 = float(lam), table_t0.t, table_t1.t
+    w0 = scattering_matrix_from_table(table_t0, lam)
+    w1 = scattering_matrix_from_table(table_t1, lam)
     phase = np.exp(8j * lam ** 3 * (t1 - t0))
     residuals = []
     notes = []

@@ -153,10 +153,6 @@ class SpectrumConfig:
                         f"(value {expanded[j]})"
                     )
 
-    @property
-    def n_base(self) -> int:
-        return len(self.zeros)
-
     def expanded_zeros(self) -> np.ndarray:
         """All zeros of the solution: base plus (for type I) the mirrored set."""
         base = np.array(self.zeros, dtype=complex)

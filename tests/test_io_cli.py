@@ -188,8 +188,9 @@ class TestParseConfig:
             assert cfg.grid.nx >= 2
 
 
-# Every section present and a 5-point grid, so that a probe or mutation
-# reaches any field and documents that still parse are cheap to generate.
+# Every section present, a 5-point grid and 2,000 scattering steps, so that a
+# probe or mutation reaches any field and documents that still parse are
+# cheap to run through every command.
 FULL = {
     **json.loads(MINIMAL),
     "grid": {"x_min": -1.0, "x_max": 1.0, "nx": 5, "t_min": 0.0, "t_max": 0.0, "nt": 1},
@@ -197,7 +198,7 @@ FULL = {
     "checks": ["rh_symmetry"],
     "output": {"path": "fields.csv", "format": "csv"},
     "thresholds": {"pde": 1e-4},
-    "scattering": {"x_min": -30.0, "x_max": 30.0, "n_steps": 3000, "t": 0.0},
+    "scattering": {"x_min": -30.0, "x_max": 30.0, "n_steps": 2000, "t": 0.0},
 }
 
 
@@ -225,6 +226,44 @@ class TestExitTwo:
         out_path = tmp_path / "x.csv"
         err = cli_error(capsys, ["generate", "--config", str(cfg_path), "--out", str(out_path)])
         assert err == f"error: {message}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "verify", "scatter"])
+    @pytest.mark.parametrize("doc, message", [
+        (_full_with("scattering", "n_steps", 1), "scattering: n_steps must be >= 100, got 1"),
+        (_full_with("scattering", "x_max", -30.0),
+         "scattering: need x_min < x_max and a finite span, got [-30.0, -30.0]"),
+        ({**FULL, "scattering": {"x_min": 5, "x_max": -5}},
+         "scattering: need x_min < x_max and a finite span, got [5.0, -5.0]"),
+        ({**FULL, "scattering": {"x_min": -1e308, "x_max": 1e308}},
+         "scattering: need x_min < x_max and a finite span, got [-1e+308, 1e+308]"),
+        # x + h == x: every difference would be zero and pde would pass vacuously
+        ({**_full_with("stencil", "hx", 1e-30), "checks": ["pde"]},
+         "stencil: hx must be in [1e-06, 0.1], got 1e-30"),
+        ({**_full_with("stencil", "ht", 5e-324), "checks": ["pde"]},
+         "stencil: ht must be in [1e-06, 0.1], got 5e-324"),
+    ])
+    def test_every_command(self, tmp_path, capsys, command, doc, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out_path = tmp_path / "x.out"
+        extra = {
+            "generate": ["--out"], "verify": ["--json"], "scatter": ["--lambda-re", "0.2:2:3", "--out"],
+        }
+        err = cli_error(capsys, [command, "--config", str(cfg_path), *extra[command], str(out_path)])
+        assert err == f"error: {message}\n"
+        assert not out_path.exists()
+
+    def test_scatter_on_undecayed_domain(self, tmp_path, capsys):
+        doc = json.loads((DOCS / "one_soliton.json").read_text())
+        doc["scattering"] = {"x_min": -30, "x_max": 5}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out_path = tmp_path / "s.csv"
+        err = cli_error(capsys, ["scatter", "--config", str(cfg_path), "--lambda-re", "0.2:2:3",
+                                 "--out", str(out_path)])
+        assert err.startswith("error: potential magnitude ")
+        assert err.endswith(" at x = 5.0 exceeds 1e-09; enlarge the domain\n")
         assert not out_path.exists()
 
     def test_deep_nesting(self, tmp_path, capsys):
@@ -283,28 +322,52 @@ def mutated_configs(draw):
     return doc
 
 
+def _fuzz_cli(tmp_path, capsys, doc, commands, max_steps=math.inf):
+    """Parse `doc`; if it fails to parse, or has at most 400 grid points and
+    at most `max_steps` scattering steps, run each (argv, exit codes) of
+    `commands` through cli.main: an allowed exit code, silent unless it is
+    2, and then exactly one `error:` line."""
+    text = json.dumps(doc)
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        cfg = None
+    else:
+        assert parse_config(serialize_config(cfg)) == cfg
+        if cfg.grid.nx * cfg.grid.nt > 400 or cfg.scattering.n_steps > max_steps:
+            return
+    cfg_path = tmp_path / "fuzz.json"
+    cfg_path.write_text(text)
+    for argv, codes in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([argv[0], "--config", str(cfg_path), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code in codes, (argv, code, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert err == "", err
+
+
 class TestConfigFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=json_values | mutated_configs())
     def test_parse_and_generate(self, tmp_path, capsys, doc):
-        text = json.dumps(doc)
-        try:
-            cfg = parse_config(text)
-        except ConfigError:
-            cfg = None
-        else:
-            assert parse_config(serialize_config(cfg)) == cfg
-        if cfg is not None and cfg.grid.nx * cfg.grid.nt > 400:
-            return
-        cfg_path = tmp_path / "fuzz.json"
-        cfg_path.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "fuzz.out")])
-        err = capsys.readouterr().err
-        assert code in (0, 2)
-        assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1), err
+        out = str(tmp_path / "fuzz.out")
+        _fuzz_cli(tmp_path, capsys, doc, [(["generate", "--out", out], (0, 2))])
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=mutated_configs())
+    def test_verify_and_scatter(self, tmp_path, capsys, doc):
+        out = str(tmp_path / "fuzz.out")
+        commands = [
+            (["verify"], (0, 1, 2)),
+            (["scatter", "--lambda-re", "0.2:2:3", "--out", out], (0, 2)),
+        ]
+        _fuzz_cli(tmp_path, capsys, doc, commands, max_steps=2000)
 
 
 class TestExportGrid:

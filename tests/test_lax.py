@@ -18,16 +18,19 @@ from tccss.structure import SIGMA3
 
 
 def sample(u1=0.0, u2=0.0, u3=0.0):
-    return FieldSample(u1, u2, u3)
+    return FieldSample(u1, u2, u3).as_array()
 
 
 class TestStencilSpec:
     def test_defaults(self):
         st = StencilSpec()
         assert st.order == 4 and st.hx == 1e-3
+        assert StencilSpec(hx=1e-6, ht=1e-6).hx == 1e-6
 
     @pytest.mark.parametrize("bad", [
         dict(hx=0.0), dict(hx=0.2), dict(ht=-1e-3), dict(order=3),
+        # below 1e-6 the third-derivative roundoff alone exceeds every threshold
+        dict(hx=1e-30), dict(ht=5e-324), dict(hx=9.9e-7),
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -50,6 +53,14 @@ class TestBuildQ:
     def test_skew_hermitian_by_construction(self):
         q = build_Q(sample(0.3 - 0.7j, 1.2j, -0.5 + 0.1j))
         assert np.max(np.abs(q.conj().T + q)) == 0.0
+
+    def test_stack_of_triples(self):
+        rng = np.random.default_rng(2)
+        u = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+        q = build_Q(u)
+        assert q.shape == (2, 4, 7, 7)
+        for i, j in np.ndindex(2, 4):
+            assert np.array_equal(q[i, j], build_Q(u[i, j]))
 
 
 class TestBuildU:

@@ -22,6 +22,28 @@ def vacuum_cfg():
     return SpectrumConfig(Family.TYPE_II, (), ())
 
 
+def loop_residuals(cfg, x, t, samples):
+    """symmetry_residuals written as one 7x7 evaluation per sample or zero."""
+    pair = build_rh_pair(cfg, x, t)
+    worst = {"hermitian": 0.0, "sigma": 0.0, "jump": 0.0, "kernel": 0.0, "det_at_zeros": 0.0}
+    for lam in samples:
+        herm = pair.evaluate_P1(np.conj(lam)).conj().T - pair.evaluate_P2(lam)
+        sig = SIGMA @ np.conj(pair.evaluate_P1(-np.conj(lam))) @ SIGMA - pair.evaluate_P1(lam)
+        worst["hermitian"] = max(worst["hermitian"], float(np.max(np.abs(herm))))
+        worst["sigma"] = max(worst["sigma"], float(np.max(np.abs(sig))))
+        if lam.imag == 0.0:
+            jump = pair.evaluate_P2(lam) @ pair.evaluate_P1(lam) - np.eye(7)
+            worst["jump"] = max(worst["jump"], float(np.max(np.abs(jump))))
+    for lam_j, v, vhat in zip(pair.zeros, pair.vecs.columns, pair.vecs.rows):
+        p1, p2 = pair.evaluate_P1(lam_j), pair.evaluate_P2(np.conj(lam_j))
+        worst["kernel"] = max(worst["kernel"], float(np.max(np.abs(p1 @ v))),
+                              float(np.max(np.abs(vhat @ p2))))
+        worst["det_at_zeros"] = max(worst["det_at_zeros"], abs(np.linalg.det(p1)))
+    if cfg.family is not Family.TYPE_I:
+        del worst["sigma"]
+    return worst
+
+
 class TestBuildRhPair:
     def test_vacuum_gives_identity(self):
         pair = build_rh_pair(vacuum_cfg(), 0.3, -0.2)
@@ -69,6 +91,22 @@ class TestBuildRhPair:
             pair.evaluate_P1(-0.5j + 1e-9)
         # just outside the guard radius is fine
         pair.evaluate_P2(0.3j + 1e-6)
+        # over an array, the first sample within the guard radius is named
+        with pytest.raises(PoleError) as err:
+            pair.evaluate_P2(np.array([0.5, 0.5j + 1e-9, 0.3j]))
+        assert err.value.zero_index == 1 and err.value.lam == 0.5j + 1e-9
+
+    @pytest.mark.parametrize("fixture", ["breather_cfg", "collision_cfg", "two_soliton_cfg"])
+    def test_array_evaluation_matches_scalar(self, fixture, request):
+        pair = build_rh_pair(request.getfixturevalue(fixture), 0.3, 0.15)
+        lams = np.array([0.5, -1.2, 0.7 + 1.3j, 2j, -0.4 - 0.3j, 1e6])
+        for evaluate in (pair.evaluate_P1, pair.evaluate_P2):
+            stack = evaluate(lams)
+            assert stack.shape == (len(lams), 7, 7)
+            # the same arithmetic per lambda, so the same bits
+            for lam, p in zip(lams, stack):
+                assert np.array_equal(p, evaluate(lam))
+            assert evaluate(lams[:0]).shape == (0, 7, 7)
 
 
 class TestReconstructPotential:
@@ -133,6 +171,18 @@ class TestCheckSymmetries:
     def test_figure2_sigma_symmetry(self, collision_cfg):
         res = symmetry_residuals(collision_cfg, 0.2, -0.1, [1.0 + 1.0j])
         assert res["sigma"] < 1e-10
+
+    @pytest.mark.parametrize("fixture", ["breather_cfg", "collision_cfg", "two_soliton_cfg"])
+    def test_matches_per_lambda_loop(self, fixture, request):
+        cfg = request.getfixturevalue(fixture)
+        samples = [complex(s) for s in np.linspace(-3.0, 3.0, 20)] + [0.7 + 1.3j]
+        for x, t in ((0.0, 0.0), (0.7, 0.3)):
+            got = symmetry_residuals(cfg, x, t, samples)
+            want = loop_residuals(cfg, x, t, samples)
+            assert list(got) == list(want)
+            # entries of P are O(1): a reordered sum moves a residual by a few ulps at most
+            for key in want:
+                assert abs(got[key] - want[key]) <= 8 * np.finfo(float).eps, key
 
     def test_report_shape(self, one_soliton_cfg):
         report = check_symmetries(one_soliton_cfg, 0.0, 0.0, [0.5, -1.2])

@@ -15,13 +15,10 @@ from tccss.scattering import (
     coupling_row_sweep,
     det_drift_from_table,
     integrate_from_table,
-    integrate_jost,
-    locate_spectral_zero,
     locate_zero_from_table,
     omega77_from_table,
     sample_potential,
     scattering_evolution_check,
-    scattering_matrix,
     scattering_matrix_from_table,
 )
 from tccss.soliton import FieldSample
@@ -131,7 +128,7 @@ class TestTransferMatrixKernel:
         table = sample_potential(field, 0.0, -40.0, 40.0, 1001)
         xs_half = np.linspace(-40.0, 40.0, 2003)
         assert np.array_equal(table.u, field.fields(xs_half, np.zeros(xs_half.size)))
-        want = np.array([build_Q(FieldSample(*row)) for row in table.u])
+        want = np.array([build_Q(FieldSample(*row).as_array()) for row in table.u])
         assert np.array_equal(table.q_half, want)
 
     @pytest.mark.parametrize("n", [4000, 16000])
@@ -181,22 +178,26 @@ class TestTransferMatrixKernel:
 
 class TestIntegrateJost:
     def test_zero_potential_identity(self, zero_field):
+        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
         for lam in (0.5, 1.3j, -2.0 + 0.4j):
-            sol = integrate_jost(zero_field, 0.0, lam, -5.0, 5.0, 200)
+            sol = integrate_from_table(table, lam)
             assert np.allclose(sol.values, np.eye(7), atol=0)
             assert np.array_equal(sol.at_x_min, np.eye(7))
 
     def test_plus_side_boundary(self, zero_field):
-        sol = integrate_jost(zero_field, 0.0, 0.7, -5.0, 5.0, 200, side="plus")
+        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
+        sol = integrate_from_table(table, 0.7, side="plus")
         assert np.array_equal(sol.at_x_max, np.eye(7))
 
     def test_det_preserved_along_path(self, one_soliton_field):
-        sol = integrate_jost(one_soliton_field, 0.0, 1.0, -30.0, 30.0, 12000)
+        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 12000)
+        sol = integrate_from_table(table, 1.0)
         assert sol.det_deviation(stride=500) < 1e-8
 
     def test_column_norms_bounded(self, one_soliton_field):
         # crude integral bound: column growth is at most exp(int ||Q||_F dx)
-        sol = integrate_jost(one_soliton_field, 0.0, 1.0, -30.0, 30.0, 12000)
+        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 12000)
+        sol = integrate_from_table(table, 1.0)
         xs = np.linspace(-30, 30, 2001)
         qnorm = [
             np.sqrt(2 * np.sum(np.abs(one_soliton_field(float(x), 0.0).as_array()) ** 2) * 2)
@@ -213,26 +214,29 @@ class TestIntegrateJost:
 
     def test_rejects_small_step_count(self, zero_field):
         with pytest.raises(ValueError, match="n_steps"):
-            integrate_jost(zero_field, 0.0, 1.0, -5.0, 5.0, 50)
+            sample_potential(zero_field, 0.0, -5.0, 5.0, 50)
 
     def test_rejects_undecayed_potential(self, one_soliton_field):
         with pytest.raises(DomainTooSmallError):
-            integrate_jost(one_soliton_field, 0.0, 1.0, -3.0, 3.0, 500)
+            sample_potential(one_soliton_field, 0.0, -3.0, 3.0, 500)
 
     def test_unitary_for_real_lambda(self, one_soliton_field):
-        sol = integrate_jost(one_soliton_field, 0.0, 0.8, -30.0, 30.0, 12000)
+        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 12000)
+        sol = integrate_from_table(table, 0.8)
         psi = sol.at_x_max
         assert np.max(np.abs(psi.conj().T @ psi - np.eye(7))) < 1e-7
 
 
 class TestScatteringMatrix:
     def test_zero_potential_identity(self, zero_field):
+        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
         for lam in (0.3, 1.0, 2.0):
-            omega = scattering_matrix(zero_field, 0.0, lam, -5.0, 5.0, 200)
+            omega = scattering_matrix_from_table(table, lam)
             assert np.allclose(omega, np.eye(7), atol=0)
 
     def test_unit_determinant_and_bounded_entry(self, one_soliton_field):
-        omega = scattering_matrix(one_soliton_field, 0.0, 0.5, -30.0, 30.0, 8000)
+        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 8000)
+        omega = scattering_matrix_from_table(table, 0.5)
         assert abs(np.linalg.det(omega) - 1.0) < 1e-7
         assert abs(omega[6, 6]) <= 1.0 + 1e-9
 
@@ -262,13 +266,15 @@ class TestScatteringMatrix:
         assert abs(omega[6, 6] - omega77_from_table(table, 5j)) <= 1e-12
 
     def test_lower_half_plane_rejected(self, zero_field):
+        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
         with pytest.raises(HalfPlaneError):
-            scattering_matrix(zero_field, 0.0, -0.5j, -5.0, 5.0, 200)
+            scattering_matrix_from_table(table, -0.5j)
 
     def test_omega77_is_blaschke_factor(self, one_soliton_field):
         # analytic prediction for a reflectionless potential with one zero at i
+        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 8000)
         for lam in (0.8j, 0.5 + 0.5j):
-            omega = scattering_matrix(one_soliton_field, 0.0, lam, -30.0, 30.0, 8000)
+            omega = scattering_matrix_from_table(table, lam)
             expect = (lam - 1j) / (lam + 1j)
             assert abs(omega[6, 6] - expect) < 1e-6
 
@@ -277,10 +283,8 @@ class TestScatteringMatrix:
         exact = (0.7 - 1j) / (0.7 + 1j)
 
         def err(n):
-            return abs(
-                scattering_matrix(one_soliton_field, 0.0, 0.7 + 0.0j, -30.0, 30.0, n)[6, 6]
-                - exact
-            )
+            table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, n)
+            return abs(scattering_matrix_from_table(table, 0.7 + 0.0j)[6, 6] - exact)
 
         ratio = err(375) / err(750)
         assert 10.0 < ratio < 22.0
@@ -288,7 +292,8 @@ class TestScatteringMatrix:
 
 class TestLocateSpectralZero:
     def test_figure3_roundtrip(self, one_soliton_field):
-        found = locate_spectral_zero(one_soliton_field, 0.0, 0.8j, -40.0, 40.0, 16000)
+        table = sample_potential(one_soliton_field, 0.0, -40.0, 40.0, 16000)
+        found = locate_zero_from_table(table, 0.8j)
         assert abs(found - 1j) < 1e-6
 
     def test_figure4_roundtrip(self, two_soliton_field):
@@ -298,8 +303,9 @@ class TestLocateSpectralZero:
             assert abs(found - expect) < 1e-5
 
     def test_zero_potential_fails(self, zero_field):
+        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
         with pytest.raises(ZeroSearchError):
-            locate_spectral_zero(zero_field, 0.0, 0.8j, -5.0, 5.0, 200)
+            locate_zero_from_table(table, 0.8j)
 
     def test_trace_ends_at_returned_zero(self, one_soliton_field):
         table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 3000)
@@ -309,19 +315,28 @@ class TestLocateSpectralZero:
         assert trace[-1] == (found, omega77_from_table(table, found))
 
     def test_seed_must_be_upper(self, zero_field):
+        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
         with pytest.raises(HalfPlaneError):
-            locate_spectral_zero(zero_field, 0.0, -0.8j, -5.0, 5.0, 200)
+            locate_zero_from_table(table, -0.8j)
 
 
 class TestEvolution:
     def test_zero_potential(self, zero_field):
-        report = scattering_evolution_check(zero_field, 0.8, 0.0, 0.2, -5.0, 5.0, 200)
+        tables = [sample_potential(zero_field, t, -5.0, 5.0, 200) for t in (0.0, 0.2)]
+        report = scattering_evolution_check(*tables, 0.8)
         assert report.max_abs == 0.0
+        assert report.grid == "lambda = 0.8, t = 0.0 -> 0.2, [-5.0, 5.0] x 200 steps"
+
+    def test_refuses_tables_of_different_domains(self, zero_field):
+        t0 = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
+        for t1 in (sample_potential(zero_field, 0.2, -5.0, 5.0, 400),
+                   sample_potential(zero_field, 0.2, -5.0, 6.0, 200)):
+            with pytest.raises(ValueError, match="differ in domain or step count"):
+                scattering_evolution_check(t0, t1, 0.8)
 
     def test_one_soliton_isospectrality(self, one_soliton_field):
-        report = scattering_evolution_check(
-            one_soliton_field, 0.8, 0.0, 0.2, -30.0, 30.0, 8000
-        )
+        tables = [sample_potential(one_soliton_field, t, -30.0, 30.0, 8000) for t in (0.0, 0.2)]
+        report = scattering_evolution_check(*tables, 0.8)
         assert report.max_abs < 1e-6
         # reflectionless potential: evolution of the coupling entries is vacuous
         assert sum("vacuous" in n for n in report.notes) == 6
