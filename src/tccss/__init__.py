@@ -4,7 +4,6 @@ verification through Lax-pair, PDE-residual, symmetry, and direct-scattering
 checks."""
 
 from .lax import (
-    FieldEvaluator,
     StencilSpec,
     build_Q,
     build_U,
@@ -31,7 +30,6 @@ from .scattering import (
 from .soliton import (
     DegenerateSeedError,
     Family,
-    FieldSample,
     KernelVectorSet,
     NearSingularError,
     NonFiniteFieldError,
@@ -45,12 +43,10 @@ from .soliton import (
     build_vectors,
     eval_fields,
     eval_fields_array,
-    make_evaluator,
     one_soliton_closed_form,
     one_soliton_spectrum,
     theta,
     two_soliton_closed_form,
-    type1_N_soliton,
 )
 
 __version__ = "0.1.0"

@@ -40,6 +40,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +54,8 @@ from .soliton import (
     TypeISeed,
     TypeIISeed,
     breather_spectrum,
+    eval_fields,
     eval_fields_array,
-    make_evaluator,
 )
 
 CSV_HEADER = "x,t,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3,abs_u1,abs_u2,abs_u3"
@@ -385,7 +386,7 @@ def _coarsen(grid: GridSpec, cap=VERIFY_GRID_CAP) -> GridSpec:
 
 def _zero_curvature_report(cfg: RunConfig) -> ResidualReport:
     rng = np.random.default_rng(0)
-    f = make_evaluator(cfg.spectrum)
+    field = partial(eval_fields, cfg.spectrum)
     g = cfg.grid
     st = cfg.stencil
     if cfg.spectrum.family is Family.TYPE_I:
@@ -399,7 +400,7 @@ def _zero_curvature_report(cfg: RunConfig) -> ResidualReport:
     for lam in lams:
         x = float(rng.uniform(g.x_min, g.x_max) * 0.8)
         t = float(rng.uniform(g.t_min, g.t_max) * 0.8)
-        r = lax.zero_curvature_residual(f, lam, x, t, st)
+        r = lax.zero_curvature_residual(field, lam, x, t, st)
         values.append(r)
         notes.append(f"lambda = {lam:.3g}, (x, t) = ({x:.3g}, {t:.3g}): {r:.3e}")
     return summarize("zero_curvature", values, "5 probe points (seeded rng)", notes)
@@ -418,24 +419,10 @@ def _rh_lambda_samples(spectrum: SpectrumConfig) -> list[complex]:
     return samples
 
 
-def _rh_symmetry_report(cfg: RunConfig) -> ResidualReport:
-    samples = _rh_lambda_samples(cfg.spectrum)
-    points = ((0.0, 0.0), (0.7, 0.3))
-    res = [rhp.symmetry_residuals(cfg.spectrum, x, t, samples) for x, t in points]
-    worst = {k: max(r[k] for r in res) for k in res[0]}
-    notes = tuple(f"{k}: {v:.3e}" for k, v in worst.items())
-    return summarize(
-        "rh_symmetry",
-        list(worst.values()),
-        grid=f"(x, t) in ((0, 0), (0.7, 0.3)), {len(samples)} lambda samples",
-        notes=notes,
-    )
-
-
 def _scattering_report(cfg: RunConfig) -> ResidualReport:
     sc = cfg.scattering
-    f = make_evaluator(cfg.spectrum)
-    table = scattering.sample_potential(f, sc.t, sc.x_min, sc.x_max, sc.n_steps)
+    fields = partial(eval_fields_array, cfg.spectrum)
+    table = scattering.sample_potential(fields, sc.t, sc.x_min, sc.x_max, sc.n_steps)
     half = None if sc.n_steps % 2 else scattering.halved(table)
     values = []
     notes = []
@@ -468,20 +455,21 @@ def _scattering_report(cfg: RunConfig) -> ResidualReport:
 
 def run_checks(cfg: RunConfig) -> VerificationOutcome:
     """Run every configured check; success means all max-abs below threshold."""
-    f = make_evaluator(cfg.spectrum)
+    fields = partial(eval_fields_array, cfg.spectrum)
     outcomes = []
     for name in cfg.checks:
         try:
             if name == "pde":
-                report = lax.pde_residual_tccss(f, _coarsen(cfg.grid), cfg.stencil)
+                report = lax.pde_residual_tccss(fields, _coarsen(cfg.grid), cfg.stencil)
             elif name == "cnls":
                 report = lax.gauge_transform_and_cnls_residual(
-                    f, _coarsen(cfg.grid), cfg.stencil
+                    fields, _coarsen(cfg.grid), cfg.stencil
                 )
             elif name == "zero_curvature":
                 report = _zero_curvature_report(cfg)
             elif name == "rh_symmetry":
-                report = _rh_symmetry_report(cfg)
+                samples = _rh_lambda_samples(cfg.spectrum)
+                report = rhp.check_symmetries(cfg.spectrum, ((0.0, 0.0), (0.7, 0.3)), samples)
             else:
                 report = _scattering_report(cfg)
         except Exception as exc:
@@ -585,8 +573,8 @@ def run_lambda_sweep(cfg: RunConfig, lam_start: float, lam_stop: float, count: i
     if count < 1:
         raise ConfigError(f"sweep needs at least one sample, got {count}")
     sc = cfg.scattering
-    f = make_evaluator(cfg.spectrum)
-    table = scattering.sample_potential(f, sc.t, sc.x_min, sc.x_max, sc.n_steps)
+    fields = partial(eval_fields_array, cfg.spectrum)
+    table = scattering.sample_potential(fields, sc.t, sc.x_min, sc.x_max, sc.n_steps)
     lams = np.linspace(lam_start, lam_stop, count)
     rows = scattering.coupling_row_sweep(table, lams)
     header = "lambda,abs_omega77," + ",".join(f"abs_omega{k}7" for k in range(1, 7))

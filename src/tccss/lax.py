@@ -17,10 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .report import GridSpec, ResidualReport, summarize
-from .soliton import FieldSample
 from .structure import SIGMA3
-
-FieldEvaluator = Callable[[float, float], FieldSample]
 
 # Central-difference weights per (derivative order, accuracy order):
 # residual truncation ~ h^acc, roundoff ~ eps / h^der; defaults below pick
@@ -74,23 +71,6 @@ def _differentiate(sample: Callable[[float], np.ndarray], h: float, der: int, ac
     return total / h ** der
 
 
-def field_batch(f: FieldEvaluator) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The (x[], t[]) -> (P, 3) form of `f`: its `fields` method when it has
-    one (`soliton.make_evaluator`), else one scalar call per point."""
-    fields = getattr(f, "fields", None)
-    if fields is not None:
-        return fields
-
-    def pointwise(x, t) -> np.ndarray:
-        x, t = np.broadcast_arrays(x, t)
-        out = np.empty((x.size, 3), dtype=complex)
-        for p, (xp, tp) in enumerate(zip(x.ravel(), t.ravel())):
-            out[p] = f(float(xp), float(tp)).as_array()
-        return out
-
-    return pointwise
-
-
 def _grid_points(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Flat x and t coordinates of every grid point, t-major."""
     x, t = np.meshgrid(grid.xs(), grid.ts())
@@ -140,32 +120,35 @@ def _v_at(
 
 
 def zero_curvature_residual(
-    f: FieldEvaluator, lam: complex, x: float, t: float, st: StencilSpec
+    field: Callable[[float, float], np.ndarray], lam: complex, x: float, t: float, st: StencilSpec
 ) -> float:
     """Max-abs entry of U_t - V_x + [U, V] at one probe point.
 
-    U_t reduces to Q_t; V_x differences fully assembled V matrices whose own
-    ingredients come from nested x-stencils, so the whole probe consumes only
-    field samples.  The nested stencils share points; each distinct (x, t)
+    `field(x, t)` gives the (3,) field triple at one point.  U_t reduces to
+    Q_t; V_x differences fully assembled V matrices whose own ingredients
+    come from nested x-stencils, so the whole probe consumes only field
+    samples.  The nested stencils share points; each distinct (x, t)
     is sampled once.
     """
     lam = complex(lam)
-    q_at = cache(lambda x, t: build_Q(f(x, t).as_array()))
+    q_at = cache(lambda x, t: build_Q(field(x, t)))
     qt = _differentiate(lambda dt: q_at(x, t + dt), st.ht, 1, st.order)
     vx = _differentiate(lambda dx: _v_at(q_at, lam, x + dx, t, st), st.hx, 1, st.order)
-    u = 1j * lam * SIGMA3 + q_at(x, t)
+    u = build_U(lam, q_at(x, t))
     v = _v_at(q_at, lam, x, t, st)
     resid = qt - vx + u @ v - v @ u
     return float(np.max(np.abs(resid)))
 
 
-def pde_residual_tccss(f: FieldEvaluator, grid: GridSpec, st: StencilSpec) -> ResidualReport:
+def pde_residual_tccss(
+    fields: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec, st: StencilSpec
+) -> ResidualReport:
     """Residual of the three-component third-order equation over a grid.
 
     Per component: u_t + u_xxx + 6 (sum |u|^2) u_x + 3 u (sum |u|^2)_x.
-    Each distinct stencil shift is one batched evaluation over the whole grid.
+    `fields(x[], t[])` gives the (P, 3) field triples at P points; each
+    distinct stencil shift is one such call over the whole grid.
     """
-    fields = field_batch(f)
     x, t = _grid_points(grid)
 
     @cache
@@ -190,16 +173,15 @@ def pde_residual_tccss(f: FieldEvaluator, grid: GridSpec, st: StencilSpec) -> Re
 
 
 def gauge_transform_and_cnls_residual(
-    f: FieldEvaluator, grid: GridSpec, st: StencilSpec
+    fields: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: GridSpec, st: StencilSpec
 ) -> ResidualReport:
     """Pull the field back to the higher-order CNLS frame and measure its residual.
 
     The transformed envelope q_m(X, T) = u_m(X - T/12, T) exp(i (X - T/18) / 6)
     must satisfy i q_T + q_XX / 2 + q sum|q|^2
     + i (q_XXX + 6 q_X sum|q|^2 + 3 q (sum|q|^2)_X) = 0.
-    The grid is read as (X, T) samples.
+    The grid is read as (X, T) samples; `fields` is as for `pde_residual_tccss`.
     """
-    fields = field_batch(f)
     X, T = _grid_points(grid)
 
     def q_at(X: np.ndarray, T: np.ndarray) -> np.ndarray:

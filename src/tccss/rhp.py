@@ -136,16 +136,18 @@ def symmetry_residuals(
     return out
 
 
-def check_symmetries(
-    cfg: SpectrumConfig, x: float, t: float, lambda_samples
-) -> ResidualReport:
-    """Bundle all symmetry residuals into one report (worst value wins)."""
+def check_symmetries(cfg: SpectrumConfig, points, lambda_samples) -> ResidualReport:
+    """Bundle the symmetry residuals at every (x, t) of `points` into one
+    report: each identity's worst value over the points, and the worst of
+    those overall."""
     samples = [complex(s) for s in lambda_samples]
-    res = symmetry_residuals(cfg, x, t, samples)
-    notes = tuple(f"{k}: {v:.3e}" for k, v in res.items())
+    res = [symmetry_residuals(cfg, x, t, samples) for x, t in points]
+    worst = {k: max(r[k] for r in res) for k in res[0]}
+    notes = tuple(f"{k}: {v:.3e}" for k, v in worst.items())
+    where = ", ".join(f"({x:g}, {t:g})" for x, t in points)
     return summarize(
         "rh_symmetry",
-        list(res.values()),
-        grid=f"(x, t) = ({x}, {t}), {len(samples)} lambda samples",
+        list(worst.values()),
+        grid=f"(x, t) in ({where}), {len(samples)} lambda samples",
         notes=notes,
     )

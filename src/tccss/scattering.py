@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
-from .lax import FieldEvaluator, build_Q, field_batch
+from .lax import build_Q
 from .report import ResidualReport, summarize
 from .structure import SIGMA3_DIAG
 
@@ -132,7 +132,7 @@ def check_domain(x_min: float, x_max: float, n_steps: int) -> None:
 
 
 def sample_potential(
-    f: FieldEvaluator,
+    fields: Callable[[np.ndarray, np.ndarray], np.ndarray],
     t: float,
     x_min: float = DEFAULT_X_MIN,
     x_max: float = DEFAULT_X_MAX,
@@ -140,12 +140,11 @@ def sample_potential(
 ) -> PotentialTable:
     """Sample the field on the RK half-step grid, checking endpoint decay.
 
-    Batched field evaluation; the step coefficients of the forward column-7
-    class are built from the samples once.
+    `fields(x[], t)` gives the (P, 3) field triples at P points; the step
+    coefficients of the forward column-7 class are built from the samples once.
     """
     check_domain(x_min, x_max, n_steps)
     xs_half = np.linspace(x_min, x_max, 2 * n_steps + 1)
-    fields = field_batch(f)
     # in chunks, so that the field kernel's temporaries stay a few blocks' worth
     u = np.concatenate([
         fields(xs_half[i : i + 2 * BLOCK_MATRICES], float(t))

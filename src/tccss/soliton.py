@@ -12,8 +12,9 @@ assembled and inverted.  Two families are supported:
 * type II -- N simple pure-imaginary zeros with three-component seeds whose
   conjugate pairing is structural.
 
-All evaluators are pure functions of (config, x, t).  `eval_fields_array`
-evaluates many points in one vectorized pass; `eval_fields` is the pointwise
+The field kernels are pure functions of (config, x, t) giving complex arrays:
+(P, 3) from `eval_fields_array`, which evaluates many points in one
+vectorized pass, and (3,) from `eval_fields`, the pointwise
 reference built from explicit kernel vectors.  Both refuse an M that is
 non-finite or too ill-conditioned (`check_M`) before a LAPACK solve; the
 closed forms invert nothing larger than 2x2, written out by hand.
@@ -89,23 +90,6 @@ class TypeIISeed:
 
 
 Seed = TypeISeed | TypeIISeed
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """The complex field triple (u1, u2, u3) at one (x, t) point."""
-
-    u1: complex
-    u2: complex
-    u3: complex
-
-    def __post_init__(self):
-        for v in (self.u1, self.u2, self.u3):
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError("field components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u1, self.u2, self.u3], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -185,7 +169,9 @@ class KernelVectorSet:
 def theta(lam: complex, x: float, t: float) -> complex:
     """Flow exponent i*lam*x + 4i*lam^3*t attached to a spectral zero."""
     lam = complex(lam)
-    return 1j * lam * x + 4j * lam ** 3 * t
+    # lam * (lam * lam) is the product `lam ** 3` forms, but overflows to
+    # NaN, which `check_M` refuses, instead of raising OverflowError
+    return 1j * lam * x + 4j * (lam * (lam * lam)) * t
 
 
 def _flowed_seed(seed_full: np.ndarray, th: complex, stabilize: bool):
@@ -325,54 +311,26 @@ def eval_fields_array(
     return u
 
 
-def _field_triple(cfg: SpectrumConfig, x: float, t: float, stabilize: bool) -> np.ndarray:
-    if not cfg.zeros:
-        return np.zeros(3, dtype=complex)
-    vecs = build_vectors(cfg, x, t, stabilize=stabilize)
-    m = build_M(vecs, cfg)
-    check_M(m[None], [x], [t])
-    y = np.linalg.solve(m, vecs.rows[:, 6])
-    return np.array([2j * np.dot(vecs.columns[:, i], y) for i in (0, 2, 4)])
-
-
 def eval_fields(
     cfg: SpectrumConfig, x: float, t: float, stabilize: bool = True
-) -> FieldSample:
-    """Evaluate (u1, u2, u3) at one point from explicit kernel vectors.
+) -> np.ndarray:
+    """Evaluate (u1, u2, u3) at one point from explicit kernel vectors: (3,).
 
     u_m = 2i * sum_kj (v_k)_row (vhat_j)_7 (M^-1)_kj with row in {1, 3, 5}.
     This is the single source of truth every closed form is checked against,
     and the pointwise reference for `eval_fields_array`: it shares no
     arithmetic with the batched kernel, so their agreement is a check.
     """
-    u = _field_triple(cfg, x, t, stabilize)
-    return FieldSample(complex(u[0]), complex(u[1]), complex(u[2]))
-
-
-@dataclass(frozen=True)
-class Evaluator:
-    """A config bound into a pure field map: a call gives one FieldSample,
-    `fields(x[], t[])` the (P, 3) array the stencils and sampling use."""
-
-    cfg: SpectrumConfig
-
-    def __call__(self, x: float, t: float) -> FieldSample:
-        return eval_fields(self.cfg, x, t)
-
-    def fields(self, x, t) -> np.ndarray:
-        return eval_fields_array(self.cfg, x, t)
-
-
-def make_evaluator(cfg: SpectrumConfig) -> Evaluator:
-    """Bind a config into a pure (x, t) -> FieldSample map."""
-    return Evaluator(cfg)
-
-
-def type1_N_soliton(cfg: SpectrumConfig, x: float, t: float) -> FieldSample:
-    """Type-I N-soliton entry point (mirrored-pair zero structure)."""
-    if cfg.family is not Family.TYPE_I:
-        raise SpectrumError("type1_N_soliton requires a TypeI spectrum")
-    return eval_fields(cfg, x, t)
+    if not cfg.zeros:
+        return np.zeros(3, dtype=complex)
+    vecs = build_vectors(cfg, x, t, stabilize=stabilize)
+    m = build_M(vecs, cfg)
+    check_M(m[None], [x], [t])
+    y = np.linalg.solve(m, vecs.rows[:, 6])
+    u = np.array([2j * np.dot(vecs.columns[:, i], y) for i in (0, 2, 4)])
+    if not np.isfinite(u).all():
+        _refuse_non_finite(u[None], [x], [t])
+    return u
 
 
 def _sech(z: float) -> float:
@@ -389,7 +347,7 @@ def one_soliton_closed_form(
     eta1: float,
     x: float,
     t: float,
-) -> FieldSample:
+) -> np.ndarray:
     """Single bell soliton for the pure-imaginary zero i*eta1.
 
     u_m = -(sqrt(2) c_m eta1 / sqrt(S)) sech(-2 eta1 x + 8 eta1^3 t + ln sqrt(2S))
@@ -404,7 +362,7 @@ def one_soliton_closed_form(
         raise DegenerateSeedError("all seed amplitudes are zero")
     arg = -2.0 * eta1 * x + 8.0 * eta1 ** 3 * t + math.log(math.sqrt(2.0 * s))
     factor = -math.sqrt(2.0) * eta1 / math.sqrt(s) * _sech(arg)
-    return FieldSample(alpha1 * factor, gamma1 * factor, rho1 * factor)
+    return np.array([alpha1 * factor, gamma1 * factor, rho1 * factor], dtype=complex)
 
 
 def breather_closed_form(
@@ -415,7 +373,7 @@ def breather_closed_form(
     eta1: float,
     x: float,
     t: float,
-) -> FieldSample:
+) -> np.ndarray:
     """Breather from one type-I zero xi1 + i*eta1 with conjugate-paired seeds.
 
     The seeds are constrained to beta = conj(alpha), mu = conj(gamma),
@@ -448,7 +406,7 @@ def breather_closed_form(
     num = xi1 * math.cos(y1) * sech + eta1 * tanh * math.sin(y1) * sech
     den = xi1 ** 2 + eta1 ** 2 * math.sin(y1) ** 2 * sech ** 2
     factor = -2.0 * math.sqrt(2.0) * xi1 * eta1 / math.sqrt(s) * num / den
-    return FieldSample(alpha1 * factor, gamma1 * factor, rho1 * factor)
+    return np.array([alpha1 * factor, gamma1 * factor, rho1 * factor], dtype=complex)
 
 
 def two_soliton_closed_form(
@@ -458,7 +416,7 @@ def two_soliton_closed_form(
     lam2: complex,
     x: float,
     t: float,
-) -> FieldSample:
+) -> np.ndarray:
     """Two-bell soliton: explicit 2x2 transcription of the type-II N = 2 sum.
 
     T_kj = (Delta_kj e^{conj(theta_k) + theta_j} + e^{-conj(theta_k) - theta_j})
@@ -501,7 +459,7 @@ def two_soliton_closed_form(
             phase = 2j * np.exp(thetas[k] - np.conj(thetas[j])) * w[k, j]
             for m in range(3):
                 u[m] += comps[m][k] * phase
-    return FieldSample(complex(u[0]), complex(u[1]), complex(u[2]))
+    return u
 
 
 def breather_spectrum(

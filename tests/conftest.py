@@ -1,8 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from tccss.io_cli import figure_spectrum
-from tccss.soliton import FieldSample, make_evaluator
+from tccss.soliton import eval_fields, eval_fields_array
 
 
 @pytest.fixture(scope="session")
@@ -25,23 +27,44 @@ def two_soliton_cfg():
     return figure_spectrum(4)
 
 
+# `*_field` fixtures are pointwise maps (x, t) -> (3,); `*_fields` fixtures
+# are batched maps (x[], t[]) -> (P, 3).
+
 @pytest.fixture(scope="session")
 def one_soliton_field(one_soliton_cfg):
-    return make_evaluator(one_soliton_cfg)
+    return partial(eval_fields, one_soliton_cfg)
+
+
+@pytest.fixture(scope="session")
+def one_soliton_fields(one_soliton_cfg):
+    return partial(eval_fields_array, one_soliton_cfg)
 
 
 @pytest.fixture(scope="session")
 def two_soliton_field(two_soliton_cfg):
-    return make_evaluator(two_soliton_cfg)
+    return partial(eval_fields, two_soliton_cfg)
+
+
+@pytest.fixture(scope="session")
+def two_soliton_fields(two_soliton_cfg):
+    return partial(eval_fields_array, two_soliton_cfg)
 
 
 @pytest.fixture
 def zero_field():
     def f(x, t):
-        return FieldSample(0.0, 0.0, 0.0)
+        return np.zeros(3, dtype=complex)
 
     return f
 
 
-def max_field_diff(a: FieldSample, b: FieldSample) -> float:
-    return float(np.max(np.abs(a.as_array() - b.as_array())))
+@pytest.fixture
+def zero_fields():
+    def f(x, t):
+        return np.zeros((np.broadcast(x, t).size, 3), dtype=complex)
+
+    return f
+
+
+def max_field_diff(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))

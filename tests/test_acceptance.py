@@ -7,6 +7,7 @@ summary lines; every tolerance is pinned here, not configurable.
 import math
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from tccss.soliton import (
     SpectrumError,
     breather_closed_form,
     eval_fields,
-    make_evaluator,
+    eval_fields_array,
     one_soliton_closed_form,
     two_soliton_closed_form,
     TypeIISeed,
@@ -63,8 +64,8 @@ def test_criterion_1_closed_form_oracle_equivalence():
     cfg3 = figure_spectrum(3)
     for (x, t) in oracle_grid():
         diff = np.abs(
-            one_soliton_closed_form(1.0, 2.0, 3.0, 1.0, x, t).as_array()
-            - eval_fields(cfg3, x, t).as_array()
+            one_soliton_closed_form(1.0, 2.0, 3.0, 1.0, x, t)
+            - eval_fields(cfg3, x, t)
         )
         worst = max(worst, float(np.max(diff)))
 
@@ -73,16 +74,16 @@ def test_criterion_1_closed_form_oracle_equivalence():
         diff = np.abs(
             breather_closed_form(
                 FIG1["alpha"], FIG1["gamma"], FIG1["rho"], FIG1["xi"], FIG1["eta"], x, t
-            ).as_array()
-            - eval_fields(cfg1, x, t).as_array()
+            )
+            - eval_fields(cfg1, x, t)
         )
         worst = max(worst, float(np.max(diff)))
 
     cfg4 = figure_spectrum(4)
     for (x, t) in oracle_grid():
         diff = np.abs(
-            two_soliton_closed_form(*FIG4_SEEDS, *FIG4_ZEROS, x, t).as_array()
-            - eval_fields(cfg4, x, t).as_array()
+            two_soliton_closed_form(*FIG4_SEEDS, *FIG4_ZEROS, x, t)
+            - eval_fields(cfg4, x, t)
         )
         worst = max(worst, float(np.max(diff)))
 
@@ -93,8 +94,8 @@ def test_criterion_1_closed_form_oracle_equivalence():
 def test_criterion_2_pde_residual():
     grid = GridSpec(-5.0, 5.0, 41, -0.5, 0.5, 11)
     st = StencilSpec(hx=1e-3, ht=1e-3, order=4)
-    f3 = make_evaluator(figure_spectrum(3))
-    f4 = make_evaluator(figure_spectrum(4))
+    f3 = partial(eval_fields_array, figure_spectrum(3))
+    f4 = partial(eval_fields_array, figure_spectrum(4))
     r3 = pde_residual_tccss(f3, grid, st).max_abs
     r4 = pde_residual_tccss(f4, grid, st).max_abs
     assert r3 < 1e-5
@@ -132,7 +133,7 @@ def zero_curvature_probes():
 
 def zero_curvature_at(fig_id: int, h: float, probes) -> list[float]:
     st = StencilSpec(hx=h, ht=h, order=4)
-    f = make_evaluator(figure_spectrum(fig_id))
+    f = partial(eval_fields, figure_spectrum(fig_id))
     return [zero_curvature_residual(f, lam, x, t, st) for lam, x, t in probes]
 
 
@@ -177,19 +178,19 @@ def test_criterion_4_rh_identities():
 def test_criterion_5_gauge_transform_round_trip():
     grid = GridSpec(-5.0, 5.0, 41, -0.5, 0.5, 11)
     st = StencilSpec(hx=1e-3, ht=1e-3, order=4)
-    f3 = make_evaluator(figure_spectrum(3))
+    f3 = partial(eval_fields_array, figure_spectrum(3))
     r = gauge_transform_and_cnls_residual(f3, grid, st).max_abs
     assert r < 1e-4
     report(5, f"transformed field satisfies the CNLS form, max-abs {r:.2e} < 1e-4")
 
 
 def test_criterion_6_direct_scattering_round_trip():
-    f3 = make_evaluator(figure_spectrum(3))
+    f3 = partial(eval_fields_array, figure_spectrum(3))
     table3 = sample_potential(f3, 0.0, -40.0, 40.0, 16000)
     z3 = locate_zero_from_table(table3, 0.8j)
     assert abs(z3 - 1j) < 1e-5
 
-    f4 = make_evaluator(figure_spectrum(4))
+    f4 = partial(eval_fields_array, figure_spectrum(4))
     table4 = sample_potential(f4, 0.0, -40.0, 40.0, 16000)
     z_a = locate_zero_from_table(table4, 0.25j)
     z_b = locate_zero_from_table(table4, 0.55j)
@@ -212,7 +213,7 @@ def test_criterion_6_direct_scattering_round_trip():
 
 
 def test_criterion_7_isospectrality():
-    f3 = make_evaluator(figure_spectrum(3))
+    f3 = partial(eval_fields_array, figure_spectrum(3))
     omega_t0 = scattering_matrix_from_table(
         sample_potential(f3, 0.0, -40.0, 40.0, 12000), 0.8
     )[6, 6]
@@ -245,7 +246,7 @@ def test_criterion_8_figure_reproduction(tmp_path):
 
     # |t| = 30: each bell of the figure-4 parameter set matches a lone sech
     def envelope(x, t):
-        u = two_soliton_closed_form(*FIG4_SEEDS, *FIG4_ZEROS, x, t).as_array()
+        u = two_soliton_closed_form(*FIG4_SEEDS, *FIG4_ZEROS, x, t)
         return float(np.sqrt(np.sum(np.abs(u) ** 2)))
 
     split_err = 0.0

@@ -266,6 +266,17 @@ class TestExitTwo:
         assert err.endswith(" at x = 5.0 exceeds 1e-09; enlarge the domain\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("check", ["rh_symmetry", "zero_curvature"])
+    def test_verify_overflowing_zero(self, tmp_path, capsys, check):
+        # lambda^3 overflows: the pointwise kernel refuses it as generate does
+        doc = json.loads((DOCS / "one_soliton.json").read_text())
+        doc["spectrum"]["zeros"] = [[0, 1e120]]
+        doc["checks"] = [check]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        err = cli_error(capsys, ["verify", "--config", str(cfg_path)])
+        assert err.startswith(f"error: check {check!r} failed: non-finite field at (x, t) = ")
+
     def test_deep_nesting(self, tmp_path, capsys):
         cfg_path = tmp_path / "deep.json"
         cfg_path.write_text("[" * 100_000)
@@ -405,7 +416,7 @@ class TestExportGrid:
         assert len(rows) == 41 * 5
         worst = 0.0
         for row in rows:
-            u = eval_fields(cfg.spectrum, row[0], row[1]).as_array()
+            u = eval_fields(cfg.spectrum, row[0], row[1])
             got = np.array(row[2:8:2]) + 1j * np.array(row[3:8:2])
             worst = max(worst, float(np.max(np.abs(got - u))))
             assert row[8:] == [abs(complex(v)) for v in got]

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,12 @@ from tccss.lax import (
     zero_curvature_residual,
 )
 from tccss.report import GridSpec, summarize
-from tccss.soliton import FieldSample, make_evaluator
+from tccss.soliton import eval_fields, eval_fields_array
 from tccss.structure import SIGMA3
 
 
 def sample(u1=0.0, u2=0.0, u3=0.0):
-    return FieldSample(u1, u2, u3).as_array()
+    return np.array([u1, u2, u3], dtype=complex)
 
 
 class TestStencilSpec:
@@ -134,29 +136,29 @@ class TestZeroCurvature:
 
 
 class TestPdeResidual:
-    def test_zero_field(self, zero_field):
+    def test_zero_field(self, zero_fields):
         grid = GridSpec(-1.0, 1.0, 5, 0.0, 0.0, 1)
-        report = pde_residual_tccss(zero_field, grid, StencilSpec())
+        report = pde_residual_tccss(zero_fields, grid, StencilSpec())
         assert report.max_abs == 0.0
 
-    def test_one_soliton(self, one_soliton_field):
+    def test_one_soliton(self, one_soliton_fields):
         grid = GridSpec(-5.0, 5.0, 21, -0.5, 0.5, 5)
-        report = pde_residual_tccss(one_soliton_field, grid, StencilSpec())
+        report = pde_residual_tccss(one_soliton_fields, grid, StencilSpec())
         assert report.max_abs < 1e-5
         assert report.rms <= report.max_abs
 
-    def test_two_soliton(self, two_soliton_field):
+    def test_two_soliton(self, two_soliton_fields):
         grid = GridSpec(-5.0, 5.0, 21, -0.5, 0.5, 5)
-        report = pde_residual_tccss(two_soliton_field, grid, StencilSpec())
+        report = pde_residual_tccss(two_soliton_fields, grid, StencilSpec())
         assert report.max_abs < 1e-4
 
-    def test_convergence_order_slope(self, one_soliton_field):
+    def test_convergence_order_slope(self, one_soliton_fields):
         grid = GridSpec(-2.0, 2.0, 5, 0.0, 0.0, 1)
         for order in (2, 4):
             hs = (0.02, 0.01, 0.005)
             res = [
                 pde_residual_tccss(
-                    one_soliton_field, grid, StencilSpec(hx=h, ht=h, order=order)
+                    one_soliton_fields, grid, StencilSpec(hx=h, ht=h, order=order)
                 ).max_abs
                 for h in hs
             ]
@@ -165,29 +167,32 @@ class TestPdeResidual:
 
 
 class TestGaugeTransform:
-    def test_zero_field(self, zero_field):
+    def test_zero_field(self, zero_fields):
         grid = GridSpec(-1.0, 1.0, 5, 0.0, 0.0, 1)
-        report = gauge_transform_and_cnls_residual(zero_field, grid, StencilSpec())
+        report = gauge_transform_and_cnls_residual(zero_fields, grid, StencilSpec())
         assert report.max_abs == 0.0
 
-    def test_one_soliton(self, one_soliton_field):
+    def test_one_soliton(self, one_soliton_fields):
         grid = GridSpec(-5.0, 5.0, 21, -0.5, 0.5, 5)
-        report = gauge_transform_and_cnls_residual(one_soliton_field, grid, StencilSpec())
+        report = gauge_transform_and_cnls_residual(one_soliton_fields, grid, StencilSpec())
         assert report.max_abs < 1e-4
 
     def test_gauge_factor_preserves_magnitude(self, one_soliton_field):
         for (X, T) in ((0.4, 0.3), (-1.7, -0.8)):
-            u = one_soliton_field(X - T / 12.0, T).as_array()
+            u = one_soliton_field(X - T / 12.0, T)
             q = u * np.exp(1j / 6.0 * (X - T / 18.0))
             assert np.allclose(np.abs(q), np.abs(u), atol=0)
 
-    def test_verdict_agreement_with_pde(self, one_soliton_field, two_soliton_field):
+    def test_verdict_agreement_with_pde(
+        self, one_soliton_fields, one_soliton_field, two_soliton_fields, two_soliton_field
+    ):
         grid = GridSpec(-4.0, 4.0, 9, -0.3, 0.3, 3)
         st = StencilSpec()
-        for f in (one_soliton_field, two_soliton_field):
-            pde = pde_residual_tccss(f, grid, st).max_abs
+        for fields, field in ((one_soliton_fields, one_soliton_field),
+                              (two_soliton_fields, two_soliton_field)):
+            pde = pde_residual_tccss(fields, grid, st).max_abs
             zc = max(
-                zero_curvature_residual(f, lam, 0.5, 0.1, st)
+                zero_curvature_residual(field, lam, 0.5, 0.1, st)
                 for lam in (0.3, 1.1 + 0.4j)
             )
             if pde < 1e-5:
@@ -204,7 +209,7 @@ def pointwise_pde(f, grid, st):
             x, t = float(x), float(t)
 
             def u(dx=0.0, dt=0.0):
-                return f(x + dx, t + dt).as_array()
+                return f(x + dx, t + dt)
 
             def power(dx):
                 return np.array(float(np.sum(np.abs(u(dx)) ** 2)))
@@ -226,7 +231,7 @@ def pointwise_cnls(f, grid, st):
 
             def q(dX=0.0, dT=0.0):
                 Xs, Ts = X + dX, T + dT
-                return f(Xs - Ts / 12.0, Ts).as_array() * np.exp(1j / 6.0 * (Xs - Ts / 18.0))
+                return f(Xs - Ts / 12.0, Ts) * np.exp(1j / 6.0 * (Xs - Ts / 18.0))
 
             def power(dX):
                 return np.array(float(np.sum(np.abs(q(dX)) ** 2)))
@@ -255,11 +260,12 @@ class TestBatchedStencils:
         # 1/h^3, and the batched kernel rounds differently from the pointwise
         # one.  Figure 2 is left out: there the residual is roundoff alone
         # (3e-4 to 5e-4 in both paths, above the 1e-4 threshold).
-        f = make_evaluator(figure_spectrum(fig_id))
+        cfg = figure_spectrum(fig_id)
+        fields, field = partial(eval_fields_array, cfg), partial(eval_fields, cfg)
         grid = _coarsen(figure_config(fig_id).grid)  # the grid `verify` checks
         for batched, pointwise in self.CHECKS:
-            got = batched(f, grid, StencilSpec()).max_abs
-            ref = pointwise(f, grid, StencilSpec()).max_abs
+            got = batched(fields, grid, StencilSpec()).max_abs
+            ref = pointwise(field, grid, StencilSpec()).max_abs
             assert abs(got - ref) <= 0.25 * ref
 
     @pytest.mark.parametrize("fig_id", [1, 3])
@@ -267,39 +273,27 @@ class TestBatchedStencils:
         # Truncation dominates at h = 0.02 here.  It does not for figure 4
         # (residual 1e-6, of which roundoff is 1e-5) or figure 2 (roundoff
         # 2.5e-6 of the residual).
-        f = make_evaluator(figure_spectrum(fig_id))
+        cfg = figure_spectrum(fig_id)
+        fields, field = partial(eval_fields_array, cfg), partial(eval_fields, cfg)
         grid = GridSpec(-4.0, 4.0, 11, -0.5, 0.5, 3)
         st = StencilSpec(hx=0.02, ht=0.02)
         for batched, pointwise in self.CHECKS:
-            got, ref = batched(f, grid, st), pointwise(f, grid, st)
+            got, ref = batched(fields, grid, st), pointwise(field, grid, st)
             assert abs(got.max_abs - ref.max_abs) <= 1e-6 * ref.max_abs
             assert abs(got.rms - ref.rms) <= 1e-6 * ref.rms
 
-    def test_scalar_evaluator_is_lifted(self, one_soliton_cfg):
-        # a plain (x, t) -> FieldSample callable runs through the same stencils
-        f = make_evaluator(one_soliton_cfg)
-        grid = GridSpec(-2.0, 2.0, 5, 0.0, 0.2, 2)
-        st = StencilSpec(hx=0.02, ht=0.02)
-        for batched, _ in self.CHECKS:
-            lifted = batched(lambda x, t: f(x, t), grid, st).max_abs
-            assert abs(lifted - batched(f, grid, st).max_abs) <= 1e-6 * lifted
 
+def recording(f):
+    """`f`, pointwise or batched, recording every (x, t) it is asked for
+    in the list `.points`."""
 
-class RecordingEvaluator:
-    """Field evaluator that records every (x, t) it is asked for."""
+    def g(x, t):
+        xs, ts = np.broadcast_arrays(x, t)
+        g.points += zip(xs.ravel().tolist(), ts.ravel().tolist())
+        return f(x, t)
 
-    def __init__(self, f):
-        self.f = f
-        self.points = []
-
-    def __call__(self, x, t):
-        self.points.append((x, t))
-        return self.f(x, t)
-
-    def fields(self, x, t):
-        x, t = np.broadcast_arrays(x, t)
-        self.points += zip(x.ravel().tolist(), t.ravel().tolist())
-        return self.f.fields(x, t)
+    g.points = []
+    return g
 
 
 class TestSampleOnce:
@@ -307,9 +301,9 @@ class TestSampleOnce:
 
     @pytest.mark.parametrize("check", [pde_residual_tccss, gauge_transform_and_cnls_residual])
     @pytest.mark.parametrize("order, shifts", [(4, 11), (2, 7)])
-    def test_grid_checks(self, one_soliton_field, check, order, shifts):
+    def test_grid_checks(self, one_soliton_fields, check, order, shifts):
         # shifts: 0, +-h, +-2h (+-3h at order 4) in x and +-h (+-2h) in t
-        f = RecordingEvaluator(one_soliton_field)
+        f = recording(one_soliton_fields)
         grid = GridSpec(-2.0, 2.0, 5, 0.0, 0.2, 2)
         check(f, grid, StencilSpec(order=order))
         assert len(f.points) == shifts * 10
@@ -317,7 +311,7 @@ class TestSampleOnce:
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_zero_curvature(self, one_soliton_field, order):
-        f = RecordingEvaluator(one_soliton_field)
+        f = recording(one_soliton_field)
         zero_curvature_residual(f, 0.7 + 0.2j, 0.3, 0.1, StencilSpec(order=order))
         assert len(set(f.points)) == len(f.points)
         assert len(f.points) <= (17 if order == 4 else 11)

@@ -128,9 +128,9 @@ class TestReconstructPotential:
         for (x, t) in ((0.0, 0.0), (0.8, -0.5)):
             q = reconstruct_potential(two_soliton_cfg, x, t)
             s = eval_fields(two_soliton_cfg, x, t)
-            assert abs(q[0, 6] - s.u1) < 1e-12
-            assert abs(q[2, 6] - s.u2) < 1e-12
-            assert abs(q[4, 6] - s.u3) < 1e-12
+            assert abs(q[0, 6] - s[0]) < 1e-12
+            assert abs(q[2, 6] - s[1]) < 1e-12
+            assert abs(q[4, 6] - s[2]) < 1e-12
 
     @pytest.mark.parametrize("fixture", ["two_soliton_cfg", "collision_cfg"])
     def test_symmetries_of_potential(self, fixture, request):
@@ -151,12 +151,12 @@ class TestReconstructPotential:
 
 class TestCheckSymmetries:
     def test_vacuum_all_zero(self):
-        report = check_symmetries(vacuum_cfg(), 0.0, 0.0, [0.5, 1.0, 2j])
+        report = check_symmetries(vacuum_cfg(), [(0.0, 0.0)], [0.5, 1.0, 2j])
         assert report.max_abs == 0.0
 
     def test_zero_amplitude_seeds_machine_small(self):
         cfg = one_soliton_spectrum(0.0, 0.0, 0.0, 0.8)
-        report = check_symmetries(cfg, 0.0, 0.0, [0.5, 1.0, 2j])
+        report = check_symmetries(cfg, [(0.0, 0.0)], [0.5, 1.0, 2j])
         assert report.max_abs < 1e-14
 
     def test_figure4_residuals(self, two_soliton_cfg):
@@ -185,10 +185,17 @@ class TestCheckSymmetries:
                 assert abs(got[key] - want[key]) <= 8 * np.finfo(float).eps, key
 
     def test_report_shape(self, one_soliton_cfg):
-        report = check_symmetries(one_soliton_cfg, 0.0, 0.0, [0.5, -1.2])
+        report = check_symmetries(one_soliton_cfg, [(0.0, 0.0)], [0.5, -1.2])
         assert report.name == "rh_symmetry"
         assert report.max_abs >= report.rms
         assert any("jump" in n for n in report.notes)
+
+    def test_worst_over_points(self, collision_cfg):
+        points = ((0.0, 0.0), (0.7, 0.3))
+        report = check_symmetries(collision_cfg, points, [0.5, 1.0 + 1.0j])
+        assert report.grid == "(x, t) in ((0, 0), (0.7, 0.3)), 2 lambda samples"
+        res = [symmetry_residuals(collision_cfg, x, t, [0.5, 1.0 + 1.0j]) for x, t in points]
+        assert report.notes == tuple(f"{k}: {max(r[k] for r in res):.3e}" for k in res[0])
 
 
 class TestInvariants:

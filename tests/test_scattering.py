@@ -21,7 +21,6 @@ from tccss.scattering import (
     scattering_evolution_check,
     scattering_matrix_from_table,
 )
-from tccss.soliton import FieldSample
 from tccss.structure import SIGMA3_DIAG
 
 
@@ -75,10 +74,10 @@ def rel_diff(got, want):
 
 @pytest.fixture(scope="module", params=[(3, 1001), (3, 4097), (4, 1001), (4, 4097)],
                 ids=lambda p: f"fig{p[0]}-n{p[1]}")
-def figure_table(request, one_soliton_field, two_soliton_field):
+def figure_table(request, one_soliton_fields, two_soliton_fields):
     fig, n = request.param
-    field = one_soliton_field if fig == 3 else two_soliton_field
-    return sample_potential(field, 0.0, -40.0, 40.0, n)
+    fields = one_soliton_fields if fig == 3 else two_soliton_fields
+    return sample_potential(fields, 0.0, -40.0, 40.0, n)
 
 
 class TestTransferMatrixKernel:
@@ -122,19 +121,19 @@ class TestTransferMatrixKernel:
             assert rel_diff(got, reference_steps(figure_table, lam, s, forward)) <= 1e-13
 
     @pytest.mark.parametrize("fig", [3, 4])
-    def test_q_half_layout(self, fig, one_soliton_field, two_soliton_field):
+    def test_q_half_layout(self, fig, one_soliton_fields, two_soliton_fields):
         # the samples are the batched field values; q_half lays them out as build_Q
-        field = one_soliton_field if fig == 3 else two_soliton_field
-        table = sample_potential(field, 0.0, -40.0, 40.0, 1001)
+        fields = one_soliton_fields if fig == 3 else two_soliton_fields
+        table = sample_potential(fields, 0.0, -40.0, 40.0, 1001)
         xs_half = np.linspace(-40.0, 40.0, 2003)
-        assert np.array_equal(table.u, field.fields(xs_half, np.zeros(xs_half.size)))
-        want = np.array([build_Q(FieldSample(*row).as_array()) for row in table.u])
+        assert np.array_equal(table.u, fields(xs_half, np.zeros(xs_half.size)))
+        want = np.array([build_Q(row) for row in table.u])
         assert np.array_equal(table.q_half, want)
 
     @pytest.mark.parametrize("n", [4000, 16000])
-    def test_table_no_larger_than_q_half(self, two_soliton_field, n):
+    def test_table_no_larger_than_q_half(self, two_soliton_fields, n):
         # every array the table stores counts, so a cached q_half would fail
-        table = sample_potential(two_soliton_field, 0.0, -40.0, 40.0, n)
+        table = sample_potential(two_soliton_fields, 0.0, -40.0, 40.0, n)
         stored = sum(
             v.nbytes for v in (getattr(table, fld.name) for fld in dataclasses.fields(table))
             if isinstance(v, np.ndarray)
@@ -143,9 +142,9 @@ class TestTransferMatrixKernel:
         assert stored <= q_half_bytes + table.u.nbytes
 
     @pytest.mark.parametrize("fig", [3, 4])
-    def test_halved_table(self, fig, one_soliton_field, two_soliton_field):
+    def test_halved_table(self, fig, one_soliton_fields, two_soliton_fields):
         table = sample_potential(
-            one_soliton_field if fig == 3 else two_soliton_field, 0.0, -40.0, 40.0, 2000
+            one_soliton_fields if fig == 3 else two_soliton_fields, 0.0, -40.0, 40.0, 2000
         )
         half = scattering.halved(table)
         assert half.n_steps == 1000 and half.coef is None
@@ -155,17 +154,17 @@ class TestTransferMatrixKernel:
             want = reference_omega(half, lam)[6, 6]
             assert abs(omega77_from_table(half, lam) - want) <= 1e-12 * abs(want)
         with pytest.raises(ValueError, match="odd"):
-            scattering.halved(sample_potential(one_soliton_field, 0.0, -40.0, 40.0, 1001))
+            scattering.halved(sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 1001))
         # the full table's coefficients do not fit the halved samples
         with pytest.raises(ValueError, match="coef has shape"):
             dataclasses.replace(table, n_steps=1000, u=table.u[::2])
 
-    def test_sweep_memory_bounded_in_steps(self, two_soliton_field):
+    def test_sweep_memory_bounded_in_steps(self, two_soliton_fields):
         # transient memory is a fixed number of blocks, not (lambdas x steps)
         lams = np.linspace(0.2, 2.0, 19)
         peaks = {}
         for n in (4000, 16000):
-            table = sample_potential(two_soliton_field, 0.0, -40.0, 40.0, n)
+            table = sample_potential(two_soliton_fields, 0.0, -40.0, 40.0, n)
             tracemalloc.start()
             try:
                 coupling_row_sweep(table, lams)
@@ -177,76 +176,76 @@ class TestTransferMatrixKernel:
 
 
 class TestIntegrateJost:
-    def test_zero_potential_identity(self, zero_field):
-        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
+    def test_zero_potential_identity(self, zero_fields):
+        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
         for lam in (0.5, 1.3j, -2.0 + 0.4j):
             sol = integrate_from_table(table, lam)
             assert np.allclose(sol.values, np.eye(7), atol=0)
             assert np.array_equal(sol.at_x_min, np.eye(7))
 
-    def test_plus_side_boundary(self, zero_field):
-        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
+    def test_plus_side_boundary(self, zero_fields):
+        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
         sol = integrate_from_table(table, 0.7, side="plus")
         assert np.array_equal(sol.at_x_max, np.eye(7))
 
-    def test_det_preserved_along_path(self, one_soliton_field):
-        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 12000)
+    def test_det_preserved_along_path(self, one_soliton_fields):
+        table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 12000)
         sol = integrate_from_table(table, 1.0)
         assert sol.det_deviation(stride=500) < 1e-8
 
-    def test_column_norms_bounded(self, one_soliton_field):
+    def test_column_norms_bounded(self, one_soliton_fields, one_soliton_field):
         # crude integral bound: column growth is at most exp(int ||Q||_F dx)
-        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 12000)
+        table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 12000)
         sol = integrate_from_table(table, 1.0)
         xs = np.linspace(-30, 30, 2001)
         qnorm = [
-            np.sqrt(2 * np.sum(np.abs(one_soliton_field(float(x), 0.0).as_array()) ** 2) * 2)
+            np.sqrt(2 * np.sum(np.abs(one_soliton_field(float(x), 0.0)) ** 2) * 2)
             for x in xs
         ]
         bound = float(np.exp(np.trapezoid(qnorm, xs)))
         col_norms = np.linalg.norm(sol.at_x_max, axis=0)
         assert np.max(col_norms) <= bound
 
-    def test_rejects_unknown_side(self, zero_field):
-        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
+    def test_rejects_unknown_side(self, zero_fields):
+        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
         with pytest.raises(ValueError, match="side"):
             integrate_from_table(table, 1.0, side="Minus")
 
-    def test_rejects_small_step_count(self, zero_field):
+    def test_rejects_small_step_count(self, zero_fields):
         with pytest.raises(ValueError, match="n_steps"):
-            sample_potential(zero_field, 0.0, -5.0, 5.0, 50)
+            sample_potential(zero_fields, 0.0, -5.0, 5.0, 50)
 
-    def test_rejects_undecayed_potential(self, one_soliton_field):
+    def test_rejects_undecayed_potential(self, one_soliton_fields):
         with pytest.raises(DomainTooSmallError):
-            sample_potential(one_soliton_field, 0.0, -3.0, 3.0, 500)
+            sample_potential(one_soliton_fields, 0.0, -3.0, 3.0, 500)
 
-    def test_unitary_for_real_lambda(self, one_soliton_field):
-        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 12000)
+    def test_unitary_for_real_lambda(self, one_soliton_fields):
+        table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 12000)
         sol = integrate_from_table(table, 0.8)
         psi = sol.at_x_max
         assert np.max(np.abs(psi.conj().T @ psi - np.eye(7))) < 1e-7
 
 
 class TestScatteringMatrix:
-    def test_zero_potential_identity(self, zero_field):
-        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
+    def test_zero_potential_identity(self, zero_fields):
+        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
         for lam in (0.3, 1.0, 2.0):
             omega = scattering_matrix_from_table(table, lam)
             assert np.allclose(omega, np.eye(7), atol=0)
 
-    def test_unit_determinant_and_bounded_entry(self, one_soliton_field):
-        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 8000)
+    def test_unit_determinant_and_bounded_entry(self, one_soliton_fields):
+        table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 8000)
         omega = scattering_matrix_from_table(table, 0.5)
         assert abs(np.linalg.det(omega) - 1.0) < 1e-7
         assert abs(omega[6, 6]) <= 1.0 + 1e-9
 
-    def test_reflectionless(self, one_soliton_field):
-        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 8000)
+    def test_reflectionless(self, one_soliton_fields):
+        table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 8000)
         rows = coupling_row_sweep(table, np.array([0.3, 1.0, 2.0]))
         assert float(np.max(np.abs(rows[:, :6]))) < 1e-6
 
-    def test_sweep_stability_bound(self, one_soliton_field):
-        table = sample_potential(one_soliton_field, 0.0, -40.0, 40.0, 1001)
+    def test_sweep_stability_bound(self, one_soliton_fields):
+        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 1001)
         bound = np.sqrt(2.0) / table.h
         rows = coupling_row_sweep(table, np.array([-0.999 * bound, 0.999 * bound]))
         assert np.all(np.isfinite(rows)) and np.all(np.abs(rows[:, 6]) <= 1.0 + 1e-9)
@@ -256,34 +255,34 @@ class TestScatteringMatrix:
         with pytest.raises(NonFiniteScatteringError, match="lambda = nan are not finite"):
             coupling_row_sweep(table, np.array([0.5, np.nan]))
 
-    def test_large_upper_lambda_keeps_omega77(self, one_soliton_field):
+    def test_large_upper_lambda_keeps_omega77(self, one_soliton_fields):
         # columns 1-6 overflow at 5i, silently; the (7,7) entry must not pick that up
-        table = sample_potential(one_soliton_field, 0.0, -40.0, 40.0, 1001)
+        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 1001)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             omega = scattering_matrix_from_table(table, 5j)
         assert not np.all(np.isfinite(omega))
         assert abs(omega[6, 6] - omega77_from_table(table, 5j)) <= 1e-12
 
-    def test_lower_half_plane_rejected(self, zero_field):
-        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
+    def test_lower_half_plane_rejected(self, zero_fields):
+        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
         with pytest.raises(HalfPlaneError):
             scattering_matrix_from_table(table, -0.5j)
 
-    def test_omega77_is_blaschke_factor(self, one_soliton_field):
+    def test_omega77_is_blaschke_factor(self, one_soliton_fields):
         # analytic prediction for a reflectionless potential with one zero at i
-        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 8000)
+        table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 8000)
         for lam in (0.8j, 0.5 + 0.5j):
             omega = scattering_matrix_from_table(table, lam)
             expect = (lam - 1j) / (lam + 1j)
             assert abs(omega[6, 6] - expect) < 1e-6
 
-    def test_step_halving_fourth_order(self, one_soliton_field):
+    def test_step_halving_fourth_order(self, one_soliton_fields):
         # quadruple the step to lift truncation above the tail-cutoff floor
         exact = (0.7 - 1j) / (0.7 + 1j)
 
         def err(n):
-            table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, n)
+            table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, n)
             return abs(scattering_matrix_from_table(table, 0.7 + 0.0j)[6, 6] - exact)
 
         ratio = err(375) / err(750)
@@ -291,51 +290,51 @@ class TestScatteringMatrix:
 
 
 class TestLocateSpectralZero:
-    def test_figure3_roundtrip(self, one_soliton_field):
-        table = sample_potential(one_soliton_field, 0.0, -40.0, 40.0, 16000)
+    def test_figure3_roundtrip(self, one_soliton_fields):
+        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 16000)
         found = locate_zero_from_table(table, 0.8j)
         assert abs(found - 1j) < 1e-6
 
-    def test_figure4_roundtrip(self, two_soliton_field):
-        table = sample_potential(two_soliton_field, 0.0, -40.0, 40.0, 16000)
+    def test_figure4_roundtrip(self, two_soliton_fields):
+        table = sample_potential(two_soliton_fields, 0.0, -40.0, 40.0, 16000)
         for seed, expect in ((0.25j, 0.3j), (0.55j, 0.5j)):
             found = locate_zero_from_table(table, seed)
             assert abs(found - expect) < 1e-5
 
-    def test_zero_potential_fails(self, zero_field):
-        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
+    def test_zero_potential_fails(self, zero_fields):
+        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
         with pytest.raises(ZeroSearchError):
             locate_zero_from_table(table, 0.8j)
 
-    def test_trace_ends_at_returned_zero(self, one_soliton_field):
-        table = sample_potential(one_soliton_field, 0.0, -30.0, 30.0, 3000)
+    def test_trace_ends_at_returned_zero(self, one_soliton_fields):
+        table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 3000)
         trace = []
         found = locate_zero_from_table(table, 0.8j, trace=trace)
         assert len(trace) >= 2
         assert trace[-1] == (found, omega77_from_table(table, found))
 
-    def test_seed_must_be_upper(self, zero_field):
-        table = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
+    def test_seed_must_be_upper(self, zero_fields):
+        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
         with pytest.raises(HalfPlaneError):
             locate_zero_from_table(table, -0.8j)
 
 
 class TestEvolution:
-    def test_zero_potential(self, zero_field):
-        tables = [sample_potential(zero_field, t, -5.0, 5.0, 200) for t in (0.0, 0.2)]
+    def test_zero_potential(self, zero_fields):
+        tables = [sample_potential(zero_fields, t, -5.0, 5.0, 200) for t in (0.0, 0.2)]
         report = scattering_evolution_check(*tables, 0.8)
         assert report.max_abs == 0.0
         assert report.grid == "lambda = 0.8, t = 0.0 -> 0.2, [-5.0, 5.0] x 200 steps"
 
-    def test_refuses_tables_of_different_domains(self, zero_field):
-        t0 = sample_potential(zero_field, 0.0, -5.0, 5.0, 200)
-        for t1 in (sample_potential(zero_field, 0.2, -5.0, 5.0, 400),
-                   sample_potential(zero_field, 0.2, -5.0, 6.0, 200)):
+    def test_refuses_tables_of_different_domains(self, zero_fields):
+        t0 = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
+        for t1 in (sample_potential(zero_fields, 0.2, -5.0, 5.0, 400),
+                   sample_potential(zero_fields, 0.2, -5.0, 6.0, 200)):
             with pytest.raises(ValueError, match="differ in domain or step count"):
                 scattering_evolution_check(t0, t1, 0.8)
 
-    def test_one_soliton_isospectrality(self, one_soliton_field):
-        tables = [sample_potential(one_soliton_field, t, -30.0, 30.0, 8000) for t in (0.0, 0.2)]
+    def test_one_soliton_isospectrality(self, one_soliton_fields):
+        tables = [sample_potential(one_soliton_fields, t, -30.0, 30.0, 8000) for t in (0.0, 0.2)]
         report = scattering_evolution_check(*tables, 0.8)
         assert report.max_abs < 1e-6
         # reflectionless potential: evolution of the coupling entries is vacuous

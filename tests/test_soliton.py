@@ -22,7 +22,6 @@ from tccss.soliton import (
     one_soliton_spectrum,
     theta,
     two_soliton_closed_form,
-    type1_N_soliton,
 )
 from tccss.structure import SIGMA
 
@@ -152,9 +151,9 @@ class TestEvalFields:
     def test_one_soliton_origin_exact(self):
         cfg = one_soliton_spectrum(1.0, 2.0, 3.0, 1.0)
         s = eval_fields(cfg, 0.0, 0.0)
-        assert abs(s.u1 - (-4 / 29)) < 1e-15
-        assert abs(s.u2 - (-8 / 29)) < 1e-15
-        assert abs(s.u3 - (-12 / 29)) < 1e-15
+        assert abs(s[0] - (-4 / 29)) < 1e-15
+        assert abs(s[1] - (-8 / 29)) < 1e-15
+        assert abs(s[2] - (-12 / 29)) < 1e-15
 
     def test_scalar_chain_oracle(self):
         # independent N = 1 evaluation: u_m = 2i c_m e^{theta - conj theta} / M11
@@ -164,7 +163,7 @@ class TestEvalFields:
             s_norm = 1.0 + 4.0 + 9.0
             m11 = (2 * s_norm * np.exp(2 * th) + np.exp(-2 * th)) / 2j
             got = eval_fields(cfg, x, t)
-            for c, v in zip((1.0, 2.0, 3.0), got.as_array()):
+            for c, v in zip((1.0, 2.0, 3.0), got):
                 assert abs(v - 2j * c * np.exp(th - np.conj(th)) / m11) < 1e-14
 
     def test_zero_seeds_give_zero_field(self):
@@ -174,7 +173,7 @@ class TestEvalFields:
         )
         for cfg in (cfg2, cfg1):
             s = eval_fields(cfg, 0.5, -0.7)
-            assert max(abs(s.u1), abs(s.u2), abs(s.u3)) == 0.0
+            assert np.max(np.abs(s)) == 0.0
 
     def test_two_soliton_closed_form_200_points(self):
         s1, s2, l1, l2 = fig4_params()
@@ -196,8 +195,8 @@ class TestEvalFields:
         for _ in range(25):
             x, t = float(rng.uniform(-4, 4)), float(rng.uniform(-1, 1))
             s = eval_fields(cfg, x, t)
-            assert abs(s.u2 * (0.3 + 1j) - s.u1 * (-2.0)) < 1e-13
-            assert abs(s.u3 * (0.3 + 1j) - s.u1 * (1.5j)) < 1e-13
+            assert abs(s[1] * (0.3 + 1j) - s[0] * (-2.0)) < 1e-13
+            assert abs(s[2] * (0.3 + 1j) - s[0] * (1.5j)) < 1e-13
 
     def test_stabilization_invariance(self):
         cfg = fig4_cfg()
@@ -212,15 +211,16 @@ class TestEvalFields:
         cfg1 = breather_spectrum(1.0, 1.0, 1.0, 0.5 + 2.0j)
         for cfg in (cfg2, cfg1):
             for x in (-200.0, 200.0):
-                s = eval_fields(cfg, x, 0.0)  # FieldSample rejects non-finite
-                assert max(abs(s.u1), abs(s.u2), abs(s.u3)) < 1e-6
+                s = eval_fields(cfg, x, 0.0)
+                assert np.all(np.isfinite(s))
+                assert np.max(np.abs(s)) < 1e-6
 
     def test_decay_at_spatial_infinity(self):
         cfg = fig4_cfg()
         x_far = 30.0 / (2 * 0.3)
         for x in (-x_far - 10, x_far + 10):
             s = eval_fields(cfg, x, 0.0)
-            assert max(abs(s.u1), abs(s.u2), abs(s.u3)) <= 1e-6
+            assert np.max(np.abs(s)) <= 1e-6
 
 
 class TestEvalFieldsArray:
@@ -241,7 +241,7 @@ class TestEvalFieldsArray:
         ]
         for cfg, closed in cases:
             u = eval_fields_array(cfg, x, t)
-            ref = np.array([closed(float(xp), float(tp)).as_array() for xp, tp in zip(x, t)])
+            ref = np.array([closed(float(xp), float(tp)) for xp, tp in zip(x, t)])
             assert np.max(np.abs(u - ref)) <= 1e-10
 
     def test_stabilization_invariance(self):
@@ -288,23 +288,31 @@ class TestEvalFieldsArray:
         with pytest.raises(NonFiniteFieldError):
             eval_fields_array(fig4_cfg(), [np.inf], [0.0])
 
+    def test_overflowing_zero_refused_by_both_paths(self):
+        # theta overflows to NaN (not OverflowError) and both kernels refuse it
+        cfg = SpectrumConfig(Family.TYPE_II, (1e120j,), (TypeIISeed(1.0, 2.0, 3.0),))
+        with pytest.raises(NonFiniteFieldError, match=r"\(x, t\) = \(0, 0\)"):
+            eval_fields(cfg, 0.0, 0.0)
+        with pytest.raises(NonFiniteFieldError, match=r"\(x, t\) = \(0, 0\)"):
+            eval_fields_array(cfg, [0.0], [0.0])
+
 
 class TestOneSolitonClosedForm:
     def test_origin_value(self):
         s = one_soliton_closed_form(1.0, 2.0, 3.0, 1.0, 0.0, 0.0)
-        assert abs(s.u1 - (-4 / 29)) < 1e-15
+        assert abs(s[0] - (-4 / 29)) < 1e-15
 
     def test_peak_amplitude_by_grid_search(self):
         xs = np.linspace(-3, 3, 60001)
-        vals = [abs(one_soliton_closed_form(1, 2, 3, 1.0, float(x), 0.0).u1) for x in xs]
+        vals = [abs(one_soliton_closed_form(1, 2, 3, 1.0, float(x), 0.0)[0]) for x in xs]
         peak = max(vals)
         assert abs(peak - math.sqrt(2) / math.sqrt(14)) < 1e-7
 
     def test_component_decoupling(self):
         for x in (-2.0, 0.0, 1.5):
             s = one_soliton_closed_form(0.0, 2.0, 3.0, 1.0, x, 0.4)
-            assert s.u1 == 0.0
-            assert abs(s.u2) > 0.0 and abs(s.u3) > 0.0
+            assert s[0] == 0.0
+            assert abs(s[1]) > 0.0 and abs(s[2]) > 0.0
 
     def test_matches_eval_fields_on_grid(self):
         cfg = one_soliton_spectrum(1.0, 2.0, 3.0, 1.0)
@@ -328,13 +336,13 @@ class TestBreatherClosedForm:
 
     def test_component_ratio(self):
         s = breather_closed_form(self.A1, self.G1, self.G1, 0.5, 0.5, 0.3, 0.1)
-        assert abs(abs(s.u2) - math.sqrt(2) * abs(s.u1)) < 1e-14
-        assert abs(abs(s.u3) - math.sqrt(2) * abs(s.u1)) < 1e-14
+        assert abs(abs(s[1]) - math.sqrt(2) * abs(s[0])) < 1e-14
+        assert abs(abs(s[2]) - math.sqrt(2) * abs(s[0])) < 1e-14
 
     def test_spatial_decay(self):
         for x in (-60.0, 60.0):
             s = breather_closed_form(self.A1, self.G1, self.G1, 0.5, 0.5, x, 0.0)
-            assert max(abs(s.u1), abs(s.u2), abs(s.u3)) < 1e-12
+            assert np.max(np.abs(s)) < 1e-12
 
     def test_matches_eval_fields_at_origin(self):
         cfg = breather_spectrum(self.A1, self.G1, self.G1, 0.5 + 0.5j)
@@ -386,7 +394,7 @@ class TestTwoSolitonClosedForm:
         s1, s2, l1, l2 = fig4_params()
 
         def envelope(x, t):
-            u = two_soliton_closed_form(s1, s2, l1, l2, x, t).as_array()
+            u = two_soliton_closed_form(s1, s2, l1, l2, x, t)
             return float(np.sqrt(np.sum(np.abs(u) ** 2)))
 
         for t in (-30.0, 30.0):
@@ -411,23 +419,18 @@ class TestTwoSolitonClosedForm:
 class TestType1NSoliton:
     def test_figure2_finite_collision(self, collision_cfg):
         for (x, t) in ((0.0, 0.0), (3.0, 1.0), (-5.0, -2.0)):
-            s = type1_N_soliton(collision_cfg, x, t)
-            assert np.all(np.isfinite(s.as_array()))
-        mid = type1_N_soliton(collision_cfg, 0.0, 0.0)
-        assert max(abs(mid.u1), abs(mid.u2), abs(mid.u3)) > 1e-3
+            s = eval_fields(collision_cfg, x, t)
+            assert np.all(np.isfinite(s))
+        mid = eval_fields(collision_cfg, 0.0, 0.0)
+        assert np.max(np.abs(mid)) > 1e-3
 
     def test_breather_reduction(self):
         a, g, r = 1j / math.sqrt(3), 0.5 + 0.2j, -0.3j
         cfg = breather_spectrum(a, g, r, 0.5 + 0.5j)
         for (x, t) in ((0.4, 0.2), (-1.5, -0.6)):
-            got = type1_N_soliton(cfg, x, t)
+            got = eval_fields(cfg, x, t)
             cf = breather_closed_form(a, g, r, 0.5, 0.5, x, t)
             assert max_field_diff(got, cf) < 1e-11
-
-    def test_rejects_type2(self):
-        cfg = one_soliton_spectrum(1, 2, 3, 1.0)
-        with pytest.raises(SpectrumError):
-            type1_N_soliton(cfg, 0.0, 0.0)
 
 
 class TestValidation:
