@@ -107,6 +107,18 @@ def _worst(a: np.ndarray) -> float:
     return float(np.max(np.abs(a), initial=0.0))
 
 
+def _near_poles(cfg: SpectrumConfig, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the samples `lams` and of the expanded zeros within
+    POLE_GUARD_RADIUS of a pole of P1 or P2.  The poles, the zeros and
+    their conjugates, are closed under lam -> conj(lam) and -conj(lam), so
+    a sample clear of them is clear at every argument the identities use."""
+    zeros = cfg.expanded_zeros()
+    poles = np.concatenate([zeros, np.conj(zeros)])
+    samples = (np.abs(lams[:, None] - poles) < POLE_GUARD_RADIUS).any(axis=1)
+    gaps = np.abs(zeros[:, None] - np.conj(zeros)) < POLE_GUARD_RADIUS
+    return samples, gaps.any(axis=0) | gaps.any(axis=1)
+
+
 def symmetry_residuals(
     cfg: SpectrumConfig, x: float, t: float, lambda_samples
 ) -> dict[str, float]:
@@ -119,9 +131,13 @@ def symmetry_residuals(
     * ``det_at_zeros``: |det P1(lambda_j)| per zero
 
     Each identity is one array expression over all samples or all zeros.
+    Samples and zeros within POLE_GUARD_RADIUS of a pole are left out
+    (`check_symmetries` names them).
     """
     pair = build_rh_pair(cfg, x, t)
     lams = np.array([complex(s) for s in lambda_samples], dtype=complex)
+    near_sample, near_zero = _near_poles(cfg, lams)
+    lams = lams[~near_sample]
     p1h = np.conj(pair.evaluate_P1(np.conj(lams))).swapaxes(-1, -2)
     out = {"hermitian": _worst(p1h - pair.evaluate_P2(lams))}
     if cfg.family is Family.TYPE_I:
@@ -129,8 +145,8 @@ def symmetry_residuals(
         out["sigma"] = _worst(left - pair.evaluate_P1(lams))
     real = lams[lams.imag == 0.0]
     out["jump"] = _worst(pair.evaluate_P2(real) @ pair.evaluate_P1(real) - np.eye(7))
-    p1, v, vhat = pair.evaluate_P1(pair.zeros), pair.vecs.columns, pair.vecs.rows
-    p2 = pair.evaluate_P2(np.conj(pair.zeros))
+    zeros, v, vhat = (a[~near_zero] for a in (pair.zeros, pair.vecs.columns, pair.vecs.rows))
+    p1, p2 = pair.evaluate_P1(zeros), pair.evaluate_P2(np.conj(zeros))
     out["kernel"] = max(_worst(p1 @ v[:, :, None]), _worst(vhat[:, None, :] @ p2))
     out["det_at_zeros"] = _worst(np.linalg.det(p1))
     return out
@@ -139,11 +155,19 @@ def symmetry_residuals(
 def check_symmetries(cfg: SpectrumConfig, points, lambda_samples) -> ResidualReport:
     """Bundle the symmetry residuals at every (x, t) of `points` into one
     report: each identity's worst value over the points, and the worst of
-    those overall."""
+    those overall.  A note names every sample and zero left out for lying
+    within POLE_GUARD_RADIUS of a pole."""
     samples = [complex(s) for s in lambda_samples]
     res = [symmetry_residuals(cfg, x, t, samples) for x, t in points]
     worst = {k: max(r[k] for r in res) for k in res[0]}
-    notes = tuple(f"{k}: {v:.3e}" for k, v in worst.items())
+    notes = [f"{k}: {v:.3e}" for k, v in worst.items()]
+    near_sample, near_zero = _near_poles(cfg, np.array(samples, dtype=complex))
+    guard, zeros = f"within {POLE_GUARD_RADIUS:g} of a pole", cfg.expanded_zeros()
+    notes += [f"lambda sample {samples[i]} left out: {guard}" for i in np.flatnonzero(near_sample)]
+    notes += [
+        f"zero {j + 1} = {zeros[j]} left out of kernel and det_at_zeros: {guard}"
+        for j in np.flatnonzero(near_zero)
+    ]
     where = ", ".join(f"({x:g}, {t:g})" for x, t in points)
     return summarize(
         "rh_symmetry",

@@ -15,9 +15,9 @@ assembled and inverted.  Two families are supported:
 The field kernels are pure functions of (config, x, t) giving complex arrays:
 (P, 3) from `eval_fields_array`, which evaluates many points in one
 vectorized pass, and (3,) from `eval_fields`, the pointwise
-reference built from explicit kernel vectors.  Both refuse an M that is
-non-finite or too ill-conditioned (`check_M`) before a LAPACK solve; the
-closed forms invert nothing larger than 2x2, written out by hand.
+reference built from explicit kernel vectors.  Both solve M through
+`solve_M`, which refuses an M that is non-finite or too ill-conditioned;
+the closed forms invert nothing larger than 2x2, written out by hand.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def theta(lam: complex, x: float, t: float) -> complex:
     """Flow exponent i*lam*x + 4i*lam^3*t attached to a spectral zero."""
     lam = complex(lam)
     # lam * (lam * lam) is the product `lam ** 3` forms, but overflows to
-    # NaN, which `check_M` refuses, instead of raising OverflowError
+    # NaN, which `solve_M` refuses, instead of raising OverflowError
     return 1j * lam * x + 4j * (lam * (lam * lam)) * t
 
 
@@ -238,23 +238,9 @@ def _refuse_non_finite(a: np.ndarray, x, t) -> None:
 
 
 def check_M(m: np.ndarray, x, t) -> None:
-    """Refuse a stack (P, m, m) of M matrices that is non-finite or has a
-    condition number above MAX_CONDITION; `x`, `t` (length P) locate it.
-
-    Every M of the construction is anti-Hermitian, M^H = -M: the seed
-    pairings are Hermitian and conj(z_j - conj z_k) = -(z_k - conj z_j).
-    The singular values of M are then the moduli |w| of the eigenvalues of
-    the Hermitian iM, and a stack whose |w| spread stays below
-    MAX_CONDITION / 2 is accepted without an SVD.  `eigvalsh` reads one
-    triangle, so the spread is widened by sum |M + M^H|, which bounds how
-    far the singular values of any other M can lie from those |w|.  Every
-    stack this screen does not clear is decided by `np.linalg.cond`.
-    """
+    """Refuse a non-finite stack (P, m, m) of M, or one whose SVD condition
+    number exceeds MAX_CONDITION, naming the worst of the points `x`, `t`."""
     _refuse_non_finite(m, x, t)
-    w = np.abs(np.linalg.eigvalsh(1j * m))
-    skew = np.abs(m + np.conj(np.swapaxes(m, -1, -2))).sum(axis=(-2, -1))
-    if np.all(w.max(axis=1) + skew < 0.5 * MAX_CONDITION * (w.min(axis=1) - skew)):
-        return
     cond = np.linalg.cond(m)
     p = int(np.argmax(cond))
     if not cond[p] <= MAX_CONDITION:
@@ -265,10 +251,25 @@ def check_M(m: np.ndarray, x, t) -> None:
 
 
 def solve_M(m: np.ndarray, rhs: np.ndarray, x, t) -> np.ndarray:
-    """Solve the stacked systems M[p] y[p] = rhs[p], (P, m, m) by (P, m, k),
-    after `check_M`."""
-    check_M(m, x, t)
-    return np.linalg.solve(m, rhs)
+    """Solve the stacked systems M[p] y[p] = rhs[p], (P, m, m) by (P, m, k).
+
+    One LAPACK solve against [rhs | I] also gives X = M^-1, and cond(M) <=
+    |M|_F |X|_F, at most m times too large: a stack whose products stay
+    below MAX_CONDITION / 2 is accepted; `check_M` decides any other stack
+    and any failed solve."""
+    _refuse_non_finite(m, x, t)
+    k, eye = rhs.shape[-1], np.eye(m.shape[-1])[None].repeat(len(m), axis=0)
+    try:
+        y = np.linalg.solve(m, np.concatenate([rhs, eye], axis=-1))
+    except np.linalg.LinAlgError:
+        check_M(m, x, t)
+        raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        # squares overflow at extreme scales; inf or NaN leaves the stack to the SVD
+        bound = (np.abs(m) ** 2).sum(axis=(1, 2)) * (np.abs(y[..., k:]) ** 2).sum(axis=(1, 2))
+    if not np.all(bound < (0.5 * MAX_CONDITION) ** 2):
+        check_M(m, x, t)
+    return y[..., :k]
 
 
 def eval_fields_array(
@@ -325,8 +326,7 @@ def eval_fields(
         return np.zeros(3, dtype=complex)
     vecs = build_vectors(cfg, x, t, stabilize=stabilize)
     m = build_M(vecs, cfg)
-    check_M(m[None], [x], [t])
-    y = np.linalg.solve(m, vecs.rows[:, 6])
+    y = solve_M(m[None], vecs.rows[None, :, 6:], [x], [t])[0, :, 0]
     u = np.array([2j * np.dot(vecs.columns[:, i], y) for i in (0, 2, 4)])
     if not np.isfinite(u).all():
         _refuse_non_finite(u[None], [x], [t])

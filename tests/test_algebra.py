@@ -1,6 +1,9 @@
 """The linear algebra of the construction: the stacked `M` solve of
-`soliton.solve_M`, the refusal rule of `soliton.check_M`, and the
-determinants of the structure matrices that the RH checks rely on."""
+`soliton.solve_M` with its condition screen, the refusal rule of
+`soliton.check_M`, and the determinants of the structure matrices that
+the RH checks rely on."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -112,15 +115,15 @@ class TestDet:
 
 
 def figure_M_stacks(fig_id, monkeypatch):
-    """Every M of figure `fig_id`'s export grid as the batched kernel checks
+    """Every M of figure `fig_id`'s export grid as the batched kernel solves
     it, and the pointwise `build_M` at every 61st point of that grid."""
     seen = []
 
-    def spy(m, x, t):
+    def spy(m, rhs, x, t):
         seen.append(m)
-        return check_M(m, x, t)
+        return solve_M(m, rhs, x, t)
 
-    monkeypatch.setattr(soliton, "check_M", spy)
+    monkeypatch.setattr(soliton, "solve_M", spy)
     cfg = figure_config(fig_id)
     x, t = _grid_points(cfg.grid)
     eval_fields_array(cfg.spectrum, x, t)
@@ -131,51 +134,118 @@ def figure_M_stacks(fig_id, monkeypatch):
     return np.concatenate(seen), pointwise
 
 
+def frobenius_bound(m):
+    """|M|_F |M^-1|_F per matrix of a stack: an upper bound on cond(M)."""
+    return np.linalg.norm(m, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(m), axis=(1, 2))
+
+
+@pytest.fixture
+def cond_calls(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+
+    def spy(m):
+        calls.append(m)
+        return cond(m)
+
+    monkeypatch.setattr(np.linalg, "cond", spy)
+    return calls
+
+
 class TestConditionScreen:
-    """`check_M` clears anti-Hermitian stacks by the eigenvalues of iM and
-    leaves every other stack to the SVD."""
-
-    @pytest.fixture
-    def cond_calls(self, monkeypatch):
-        calls = []
-        cond = np.linalg.cond
-
-        def spy(m):
-            calls.append(m)
-            return cond(m)
-
-        monkeypatch.setattr(np.linalg, "cond", spy)
-        return calls
+    """`solve_M` clears a stack by |M|_F |M^-1|_F from its own solve and
+    leaves every stack that screen does not clear to the SVD of `check_M`."""
 
     @pytest.mark.parametrize("fig_id", [1, 2, 3, 4])
     def test_figure_stacks(self, fig_id, monkeypatch, cond_calls):
         for m in figure_M_stacks(fig_id, monkeypatch):
+            # every M of the construction is anti-Hermitian, so its singular
+            # values are the moduli of the eigenvalues of the Hermitian iM
             skew = np.max(np.abs(m + np.conj(np.swapaxes(m, 1, 2))), axis=(1, 2))
             assert np.all(skew <= 1e-15 * np.max(np.abs(m), axis=(1, 2)))
             w = np.abs(np.linalg.eigvalsh(1j * m))
             s = np.linalg.svd(m, compute_uv=False)
             assert np.allclose(w.max(axis=1) / w.min(axis=1), s[:, 0] / s[:, -1], rtol=1e-10, atol=0)
-            check_M(m, *at_points(len(m)))
-        assert cond_calls == []  # neither the kernel nor check_M fell back to the SVD
+            assert np.all(frobenius_bound(m) < 0.5 * MAX_CONDITION)
+            solve_M(m, np.ones(m.shape[:2] + (1,), dtype=complex), *at_points(len(m)))
+        assert cond_calls == []  # neither the kernel nor solve_M fell back to the SVD
 
     def test_svd_decides_beyond_screen(self, cond_calls):
         # cond 0.75e14: above the screen's MAX_CONDITION / 2, inside the bound
-        check_M(1j * np.diag([1.0, 1.0 / (0.75 * MAX_CONDITION)])[None], *at_points(1))
+        rhs = np.ones((1, 2, 1), dtype=complex)
+        solve_M(1j * np.diag([1.0, 1.0 / (0.75 * MAX_CONDITION)])[None], rhs, *at_points(1))
         assert len(cond_calls) == 1
         m = np.array([np.eye(2), np.diag([1.0, 1.0 / (2 * MAX_CONDITION)])]) * 1j
         with pytest.raises(NearSingularError, match=r"\(x, t\) = \(1, 0.5\)"):
-            check_M(m, *at_points(2))
+            solve_M(m, np.ones((2, 2, 1)), *at_points(2))
         assert len(cond_calls) == 2
 
     def test_not_anti_hermitian_goes_to_svd(self, cond_calls):
-        # the lower triangle of i [[1, 1], [1, 1]] completes to a Hermitian
-        # matrix with eigenvalues +-1, yet M itself is singular
+        # singular and not anti-Hermitian: the solve fails, the SVD refuses
         with pytest.raises(NearSingularError):
-            check_M(np.ones((1, 2, 2), dtype=complex), *at_points(1))
+            solve_M(np.ones((1, 2, 2), dtype=complex), np.ones((1, 2, 1)), *at_points(1))
         assert len(cond_calls) == 1
 
     def test_all_zero_not_screened(self, cond_calls):
         with pytest.raises(NearSingularError):
             with np.errstate(invalid="ignore", divide="ignore"):
-                check_M(np.zeros((1, 2, 2), dtype=complex), *at_points(1))
+                solve_M(np.zeros((1, 2, 2), dtype=complex), np.ones((1, 2, 1)), *at_points(1))
         assert len(cond_calls) == 1
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rand_matrix(rng, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestScreenSoundness:
+    """The screen accepts nothing the SVD would refuse: random stacks
+    U diag(s) V^H with cond(M) log-uniform in [1e8, 1e18]."""
+
+    @pytest.mark.parametrize("anti_hermitian", [False, True])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_refuses_exactly_above_bound(self, n, anti_hermitian):
+        rng = np.random.default_rng(100 * n + anti_hermitian)
+        for _ in range(40):
+            log_cond = rng.uniform(8, 18)
+            s = 10.0 ** -np.sort(rng.uniform(0, log_cond, n))
+            if n > 1:
+                s[[0, -1]] = 1.0, 10.0 ** -log_cond
+            s *= 10.0 ** rng.uniform(-3, 3)
+            u = random_unitary(rng, n)
+            if anti_hermitian:
+                m = 1j * (u * (s * rng.choice([-1.0, 1.0], n))) @ u.conj().T
+            else:
+                m = (u * s) @ random_unitary(rng, n).conj().T
+            b = rand_matrix(rng, n, 2)
+            if np.linalg.cond(m) > MAX_CONDITION:
+                with pytest.raises(NearSingularError, match=r"\(x, t\) = \(0, 0.5\)"):
+                    solve_M(m[None], b[None], *at_points(1))
+                continue
+            y = solve_M(m[None], b[None], *at_points(1))[0]
+            resid = np.max(np.abs(m @ y - b))
+            assert resid <= 1e-12 * np.max(np.abs(m)) * max(np.max(np.abs(y)), 1.0)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scale_goes_to_svd_quietly(self, scale, cond_calls):
+        # |M|_F^2 |X|_F^2 is inf * 0 here: the SVD accepts, with no warning
+        m = scale * 1j * np.array([[[2.0, 1.0], [1.0, -3.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = solve_M(m, np.ones((1, 2, 1)), *at_points(1))
+        assert np.allclose(m[0] @ y[0], 1.0, rtol=1e-14, atol=0)
+        assert len(cond_calls) == 1
+
+    def test_failed_solve_names_the_singular_point(self):
+        m = np.array([np.eye(3), 2 * np.eye(3), np.ones((3, 3))], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(m, np.ones((3, 3, 1)))
+        with pytest.raises(NearSingularError, match=r"\(x, t\) = \(2, 0.5\)"):
+            solve_M(m, np.ones((3, 3, 1)), *at_points(3))
+
+    def test_one_bad_matrix_names_its_point(self):
+        rng = np.random.default_rng(5)
+        m = np.array([random_unitary(rng, 4) for _ in range(5)])
+        m[3] = m[3] @ np.diag([1.0, 1.0, 1.0, 1e-16])
+        with pytest.raises(NearSingularError, match=r"\(x, t\) = \(3, 0.5\)"):
+            solve_M(m, rand_matrix(rng, 4, 1)[None].repeat(5, axis=0), *at_points(5))

@@ -297,6 +297,41 @@ class TestExitTwo:
         assert err.startswith(f"error: cannot write {out_dir / 'figure3.csv'}: ")
 
 
+class TestRhSymmetryNearAxis:
+    """Zeros 1e-12 above the real axis put lambda samples and zeros within
+    the pole guard; `verify` leaves them out and names them in the notes."""
+
+    UNIT = {"alpha": [1, 0], "beta": [1, 0], "gamma": [1, 0], "mu": [1, 0], "rho": [1, 0], "delta": [1, 0]}
+
+    @pytest.mark.parametrize("spectrum, left_out", [
+        ({"family": "TypeII", "zeros": [[0, 1e-12]],
+          "seeds": [{"alpha": [1, 0], "gamma": [2, 0], "rho": [3, 0]}]},
+         ["zero 1 = 1e-12j left out of kernel and det_at_zeros: within 1e-08 of a pole"]),
+        ({"family": "TypeI", "zeros": [[3, 1e-12]], "seeds": [UNIT]},
+         ["lambda sample (-3+0j) left out: within 1e-08 of a pole",
+          "lambda sample (3+0j) left out: within 1e-08 of a pole",
+          "zero 1 = (3+1e-12j) left out of kernel and det_at_zeros: within 1e-08 of a pole",
+          "zero 2 = (-3+1e-12j) left out of kernel and det_at_zeros: within 1e-08 of a pole"]),
+    ])
+    def test_verify_gives_a_verdict(self, tmp_path, capsys, spectrum, left_out):
+        doc = json.loads(MINIMAL)
+        doc["spectrum"] = spectrum
+        doc["checks"] = ["rh_symmetry"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["verify", "--config", str(cfg_path), "--json", str(report)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1)
+        assert "error:" not in out + err
+        verdicts = [line for line in out.splitlines() if line.startswith(("[PASS]", "[FAIL]"))]
+        assert len(verdicts) == 1 and " rh_symmetry: " in verdicts[0]
+        notes = json.loads(report.read_text())["checks"][0]["notes"]
+        assert notes[-len(left_out):] == left_out
+
+
 def _node_paths(node, path=()):
     yield path
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()

@@ -197,6 +197,23 @@ class TestCheckSymmetries:
         res = [symmetry_residuals(collision_cfg, x, t, [0.5, 1.0 + 1.0j]) for x, t in points]
         assert report.notes == tuple(f"{k}: {max(r[k] for r in res):.3e}" for k in res[0])
 
+    def test_samples_and_zeros_near_poles_left_out(self):
+        # the zero 1e-12j lies within the guard of its own conjugate pole
+        cfg = one_soliton_spectrum(1.0, 2.0, 3.0, 1e-12)
+        samples = [0.5, -1.2, 0.3 + 0.4j]
+        res = symmetry_residuals(cfg, 0.7, 0.3, samples + [1e-12j, 1e-9, -2e-12j])
+        assert res == symmetry_residuals(cfg, 0.7, 0.3, samples)
+        assert res["kernel"] == 0.0 and res["det_at_zeros"] == 0.0
+        report = check_symmetries(cfg, [(0.0, 0.0)], samples + [1e-9])
+        assert report.notes[-2:] == (
+            "lambda sample (1e-09+0j) left out: within 1e-08 of a pole",
+            "zero 1 = 1e-12j left out of kernel and det_at_zeros: within 1e-08 of a pole",
+        )
+
+    def test_clear_samples_name_nothing(self, collision_cfg):
+        report = check_symmetries(collision_cfg, [(0.0, 0.0)], [0.5, 1.0 + 1.0j])
+        assert not any("left out" in n for n in report.notes)
+
 
 class TestInvariants:
     def test_inverse_pair_on_real_axis(self, two_soliton_cfg, collision_cfg):
