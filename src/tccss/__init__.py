@@ -1,14 +1,16 @@
 """Multi-soliton solutions of the three-component coupled Sasa-Satsuma
 equation via a reflectionless Riemann-Hilbert construction, with independent
-verification through Lax-pair, PDE-residual, symmetry, and direct-scattering
-checks."""
+verification through Lax-pair and PDE residuals on exact jets, symmetry, and
+direct-scattering checks."""
 
 from .lax import (
     StencilSpec,
     build_Q,
     build_U,
     build_V,
+    build_V_x,
     gauge_transform_and_cnls_residual,
+    jet_table,
     pde_residual_tccss,
     zero_curvature_residual,
 )
@@ -43,6 +45,7 @@ from .soliton import (
     build_vectors,
     eval_fields,
     eval_fields_array,
+    eval_jets_array,
     one_soliton_closed_form,
     one_soliton_spectrum,
     theta,

@@ -54,8 +54,8 @@ from .soliton import (
     TypeISeed,
     TypeIISeed,
     breather_spectrum,
-    eval_fields,
     eval_fields_array,
+    eval_jets_array,
 )
 
 CSV_HEADER = "x,t,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3,abs_u1,abs_u2,abs_u3"
@@ -63,8 +63,10 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
 
 CHECK_NAMES = ("pde", "cnls", "zero_curvature", "rh_symmetry", "scattering")
 
-# Pass thresholds on each check's max-abs residual; derived from the
-# truncation budgets of the order-4, h = 1e-3 defaults (see README).
+# Pass thresholds on each check's max-abs residual.  The jet-route checks
+# (pde, cnls, zero_curvature) read at most 2.1e-7 on the benchmark configs at
+# the order-4, h = 1e-3 stencil defaults, nearly all of it cross-check
+# truncation (see README).
 DEFAULT_THRESHOLDS = {
     "pde": 1e-4,
     "cnls": 1e-4,
@@ -384,26 +386,72 @@ def _coarsen(grid: GridSpec, cap=VERIFY_GRID_CAP) -> GridSpec:
     return GridSpec(grid.x_min, grid.x_max, nx, grid.t_min, grid.t_max, nt)
 
 
-def _zero_curvature_report(cfg: RunConfig) -> ResidualReport:
+def _zero_curvature_probes(grid: GridSpec) -> list[tuple[complex, float, float]]:
+    """Five seeded (lambda, x, t) probes inside 0.8 times the grid."""
     rng = np.random.default_rng(0)
-    field = partial(eval_fields, cfg.spectrum)
-    g = cfg.grid
-    st = cfg.stencil
-    if cfg.spectrum.family is Family.TYPE_I:
-        # mirrored-pair evaluation carries more roundoff, which the nested
-        # stencils amplify by 1/h^3; widen the probe step to at least 4e-3
-        st = lax.StencilSpec(hx=max(st.hx, 4e-3), ht=max(st.ht, 4e-3), order=st.order)
     lams = [0.3 + 0.0j, 1.1 + 0.4j, -2.0 + 0.1j]
     lams += [complex(rng.uniform(-2, 2), rng.uniform(0, 0.5)) for _ in range(2)]
-    values = []
-    notes = [f"probe stencil: hx = ht = {st.hx}, order {st.order}"]
-    for lam in lams:
-        x = float(rng.uniform(g.x_min, g.x_max) * 0.8)
-        t = float(rng.uniform(g.t_min, g.t_max) * 0.8)
-        r = lax.zero_curvature_residual(field, lam, x, t, st)
-        values.append(r)
-        notes.append(f"lambda = {lam:.3g}, (x, t) = ({x:.3g}, {t:.3g}): {r:.3e}")
-    return summarize("zero_curvature", values, "5 probe points (seeded rng)", notes)
+    return [
+        (lam, float(rng.uniform(grid.x_min, grid.x_max) * 0.8),
+         float(rng.uniform(grid.t_min, grid.t_max) * 0.8))
+        for lam in lams
+    ]
+
+
+# The jet orders each jet-route check reads, besides u itself, and the
+# sampled order whose central difference cross-checks each of them.
+_JET_ORDERS_READ = {
+    "pde": ("x1", "x3", "t1"),
+    "cnls": ("x1", "x2", "x3", "t1"),
+    "zero_curvature": ("x1", "x2", "x3", "t1"),
+}
+_SAMPLED = {"x1": "u", "x2": "u_x", "x3": "u_xx", "t1": "u"}
+
+
+def _jet_table(cfg: RunConfig):
+    """Points, jets (5, P, 3) and cross-check discrepancies of the table:
+    the coarsened grid's points, then the zero-curvature probes."""
+    grid = _coarsen(cfg.grid)
+    gx, gt = np.meshgrid(grid.xs(), grid.ts())
+    probes = _zero_curvature_probes(cfg.grid)
+    x = np.concatenate([gx.ravel(), [p[1] for p in probes]])
+    t = np.concatenate([gt.ravel(), [p[2] for p in probes]])
+    jets, discrepancy = lax.jet_table(
+        partial(eval_fields_array, cfg.spectrum), partial(eval_jets_array, cfg.spectrum),
+        x, t, cfg.stencil,
+    )
+    return x, t, jets, discrepancy
+
+
+def _jet_report(check: str, cfg: RunConfig, table) -> ResidualReport:
+    """One jet-route check: its max_abs is the larger of the residual and the
+    cross-check discrepancy of every jet order it reads."""
+    x, t, jets, discrepancy = table
+    grid, st, orders = _coarsen(cfg.grid), cfg.stencil, _JET_ORDERS_READ[check]
+    n = grid.nx * grid.nt
+    notes = [f"jet table: {x.size} points ({grid.nx}x{grid.nt} grid and {x.size - n} zero-curvature probes)"]
+    for o in orders:
+        notes.append(
+            f"cross-check {o}: {discrepancy[o]:.3e} against the order-{st.order} central "
+            f"first difference of {_SAMPLED[o]} in {o[0]}, h = {st.hx if o[0] == 'x' else st.ht}"
+        )
+    if check == "pde":
+        name, where = "pde_tccss", grid.describe()
+        residual = lax.pde_residual_tccss(jets[:, :n])
+    elif check == "cnls":
+        name, where = "cnls_gauge", f"{grid.describe()}, read at (X, T) = (x + t/12, t)"
+        residual = lax.gauge_transform_and_cnls_residual(jets[:, :n], x[:n], t[:n])
+    else:
+        name, where = "zero_curvature", "5 probe points (seeded rng) and the grid crest"
+        crest = int(np.argmax(np.sum(np.abs(jets[0, :n]) ** 2, axis=1)))
+        residual = []
+        for i, (lam, _, _) in enumerate(_zero_curvature_probes(cfg.grid)):
+            points = [n + i, crest]
+            values = lax.zero_curvature_residual(lam, jets[:, points])
+            residual.extend(values)
+            for kind, p, r in zip(("probe", "crest"), points, values):
+                notes.append(f"lambda = {lam:.3g}, {kind} (x, t) = ({x[p]:.3g}, {t[p]:.3g}): {r:.3e}")
+    return summarize(name, residual, where, notes, floor=max(discrepancy[o] for o in orders))
 
 
 def _rh_lambda_samples(spectrum: SpectrumConfig) -> list[complex]:
@@ -454,19 +502,17 @@ def _scattering_report(cfg: RunConfig) -> ResidualReport:
 
 
 def run_checks(cfg: RunConfig) -> VerificationOutcome:
-    """Run every configured check; success means all max-abs below threshold."""
-    fields = partial(eval_fields_array, cfg.spectrum)
+    """Run every configured check; success means all max-abs below threshold.
+
+    The jet table is built once, by the first jet-route check that runs."""
+    table = None
     outcomes = []
     for name in cfg.checks:
         try:
-            if name == "pde":
-                report = lax.pde_residual_tccss(fields, _coarsen(cfg.grid), cfg.stencil)
-            elif name == "cnls":
-                report = lax.gauge_transform_and_cnls_residual(
-                    fields, _coarsen(cfg.grid), cfg.stencil
-                )
-            elif name == "zero_curvature":
-                report = _zero_curvature_report(cfg)
+            if name in _JET_ORDERS_READ:
+                if table is None:
+                    table = _jet_table(cfg)
+                report = _jet_report(name, cfg, table)
             elif name == "rh_symmetry":
                 samples = _rh_lambda_samples(cfg.spectrum)
                 report = rhp.check_symmetries(cfg.spectrum, ((0.0, 0.0), (0.7, 0.3)), samples)

@@ -74,11 +74,12 @@ class ResidualReport:
         }
 
 
-def summarize(name: str, values, grid: str, notes=()) -> ResidualReport:
-    """Build a report from a flat collection of residual magnitudes."""
+def summarize(name: str, values, grid: str, notes=(), floor: float = 0.0) -> ResidualReport:
+    """Build a report from a flat collection of residual magnitudes; its
+    max_abs is at least `floor`, a bound the values alone do not show."""
     arr = np.abs(np.asarray(values, dtype=complex)).ravel()
     if arr.size == 0:
-        return ResidualReport(name, 0.0, 0.0, grid, tuple(notes))
-    max_abs = float(np.max(arr))
+        return ResidualReport(name, floor, 0.0, grid, tuple(notes))
+    max_abs = max(float(np.max(arr)), floor)
     rms = float(np.sqrt(np.mean(arr ** 2)))
     return ResidualReport(name, max_abs, min(rms, max_abs), grid, tuple(notes))

@@ -49,6 +49,9 @@ from .structure import SIGMA3_DIAG
 DEFAULT_X_MIN = -40.0
 DEFAULT_X_MAX = 40.0
 DEFAULT_N_STEPS = 16000
+# Largest accepted RK4 step: beyond it the local error (h |Q + c P|)^5 / 120
+# on a unit-size potential is not small; far beyond, the coefficients overflow.
+MAX_STEP = 1.0
 # Endpoint tail guard.  Collision-induced position shifts can leave a
 # two-soliton tail a few 1e-10 at the default domain edge; 1e-9 still keeps
 # the truncation bias orders of magnitude below every stated tolerance.
@@ -127,8 +130,14 @@ def check_domain(x_min: float, x_max: float, n_steps: int) -> None:
     """Refuse, with a ValueError, a domain that no table can be sampled on."""
     if n_steps < 100:
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")
-    if not (x_min < x_max and math.isfinite(float(x_max) - float(x_min))):
+    span = float(x_max) - float(x_min)
+    if not (x_min < x_max and math.isfinite(span)):
         raise ValueError(f"need x_min < x_max and a finite span, got [{x_min}, {x_max}]")
+    if not span / n_steps <= MAX_STEP:
+        raise ValueError(
+            f"step h = (x_max - x_min) / n_steps = {span / n_steps:.3g} exceeds "
+            f"{MAX_STEP}; take more steps"
+        )
 
 
 def sample_potential(

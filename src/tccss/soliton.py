@@ -14,8 +14,9 @@ assembled and inverted.  Two families are supported:
 
 The field kernels are pure functions of (config, x, t) giving complex arrays:
 (P, 3) from `eval_fields_array`, which evaluates many points in one
-vectorized pass, and (3,) from `eval_fields`, the pointwise
-reference built from explicit kernel vectors.  Both solve M through
+vectorized pass, (5, P, 3) from `eval_jets_array`, the same pass with the
+exact jets (u, u_x, u_xx, u_xxx, u_t), and (3,) from `eval_fields`, the
+pointwise reference built from explicit kernel vectors.  All solve M through
 `solve_M`, which refuses an M that is non-finite or too ill-conditioned;
 the closed forms invert nothing larger than 2x2, written out by hand.
 """
@@ -222,7 +223,9 @@ def build_M(vecs: KernelVectorSet, cfg: SpectrumConfig) -> np.ndarray:
     if vecs.count == 0:
         raise SpectrumError("the vacuum spectrum has no M matrix")
     lam = cfg.expanded_zeros()
-    denom = lam[None, :] - np.conj(lam)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # zeros near the double range overflow to inf; `solve_M` refuses that M
+        denom = lam[None, :] - np.conj(lam)[:, None]
     gram = vecs.rows @ vecs.columns.T  # gram[k, j] = vhat_k . v_j
     return gram / denom
 
@@ -250,10 +253,11 @@ def check_M(m: np.ndarray, x, t) -> None:
         )
 
 
-def solve_M(m: np.ndarray, rhs: np.ndarray, x, t) -> np.ndarray:
-    """Solve the stacked systems M[p] y[p] = rhs[p], (P, m, m) by (P, m, k).
+def solve_M(m: np.ndarray, rhs: np.ndarray, x, t, inverse: bool = False):
+    """Solve the stacked systems M[p] y[p] = rhs[p], (P, m, m) by (P, m, k);
+    with `inverse`, return (y, X) with X = M^-1 as well.
 
-    One LAPACK solve against [rhs | I] also gives X = M^-1, and cond(M) <=
+    One LAPACK solve against [rhs | I] also gives X, and cond(M) <=
     |M|_F |X|_F, at most m times too large: a stack whose products stay
     below MAX_CONDITION / 2 is accepted; `check_M` decides any other stack
     and any failed solve."""
@@ -269,24 +273,46 @@ def solve_M(m: np.ndarray, rhs: np.ndarray, x, t) -> np.ndarray:
         bound = (np.abs(m) ** 2).sum(axis=(1, 2)) * (np.abs(y[..., k:]) ** 2).sum(axis=(1, 2))
     if not np.all(bound < (0.5 * MAX_CONDITION) ** 2):
         check_M(m, x, t)
-    return y[..., :k]
+    return (y[..., :k], y[..., k:]) if inverse else y[..., :k]
 
 
 def eval_fields_array(
     cfg: SpectrumConfig, x, t, stabilize: bool = True
 ) -> np.ndarray:
-    """Fields (u1, u2, u3) at the points (x[p], t[p]) in one pass: (P, 3).
+    """Fields (u1, u2, u3) at the points (x[p], t[p]) in one pass: (P, 3),
+    the order-0 part of `eval_jets_array`."""
+    return eval_jets_array(cfg, x, t, stabilize, derivatives=False)[0]
 
-    `x` and `t` broadcast against each other.  With thetas of shape (P, m),
-    every kernel vector is a seed times the exponentials e = exp(theta - s)
-    on channels 1..6 and f = exp(-theta - s) on channel 7 (s = |Re theta|
-    when stabilized), so M is the constant seed pairings times outer
-    products of e and f; no (P, m, 7) vector array is formed.
+
+def eval_jets_array(
+    cfg: SpectrumConfig, x, t, stabilize: bool = True, derivatives: bool = True
+) -> np.ndarray:
+    """Exact jets (u, u_x, u_xx, u_xxx, u_t) at the points: (5, P, 3).
+
+    `x` and `t` broadcast against each other; with `derivatives=False` only
+    u is formed, (1, P, 3).  With thetas of shape (P, m), every kernel
+    vector is a seed times the exponentials e = exp(theta - s) on channels
+    1..6 and f = exp(-theta - s) on channel 7 (s = |Re theta| when
+    stabilized), so M is the constant seed pairings times outer products of
+    e and f; no (P, m, 7) vector array is formed.
+
+    The fields depend on (x, t) only through theta = i z x + 4 i z^3 t of
+    each expanded zero z, and not on s, which is held fixed at each
+    point.  So a derivative along a rate a (a = i z for x, 4 i z^3 for t)
+    multiplies e_j by a_j, f_j by -a_j and the right-hand side b = conj(f
+    seed_7) by -conj(a): M's two numerator parts pick up c^n and (-c)^n
+    with c_kj = conj(a_k) + a_j.  Leibniz's rule gives every jet order of
+    y = M^-1 b from the inverse X that the solve of y forms anyway,
+
+        y^(n) = X (b^(n) - sum_{i=1..n} C(n, i) M^(i) y^(n-i)),
+
+    and u^(n) = 2i sum_j sum_i C(n, i) a_j^i e_j y_j^(n-i) seed_j (Taylor-mode
+    propagation), with no second solve or condition check.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     x, t = x.ravel(), t.ravel()
     if not cfg.zeros:
-        return np.zeros((x.size, 3), dtype=complex)
+        return np.zeros((5 if derivatives else 1, x.size, 3), dtype=complex)
     seeds = np.array([s.full() for s in cfg.seeds])
     lam = np.array(cfg.zeros)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -300,16 +326,33 @@ def eval_fields_array(
         e = np.exp(th - scale)
         f = np.exp(-th - scale)
         zeros = cfg.expanded_zeros()
-        pair6 = np.conj(seeds[:, :6]) @ seeds[:, :6].T
-        pair7 = np.outer(np.conj(seeds[:, 6]), seeds[:, 6])
-        m = (
-            pair6 * (np.conj(e)[:, :, None] * e[:, None, :])
-            + pair7 * (np.conj(f)[:, :, None] * f[:, None, :])
-        ) / (zeros[None, :] - np.conj(zeros)[:, None])
-        y = solve_M(m, np.conj(seeds[:, 6] * f)[:, :, None], x, t)[:, :, 0]
-        u = 2j * (e * y) @ seeds[:, 0:6:2]
-    _refuse_non_finite(u, x, t)
-    return u
+        # M = (p6 + p7) / denom: the seed pairings times outer products of
+        # e (channels 1..6) and f (channel 7)
+        p6 = np.conj(seeds[:, :6]) @ seeds[:, :6].T * (np.conj(e)[:, :, None] * e[:, None, :])
+        p7 = np.outer(np.conj(seeds[:, 6]), seeds[:, 6]) * (np.conj(f)[:, :, None] * f[:, None, :])
+        denom = zeros[None, :] - np.conj(zeros)[:, None]
+        comps = seeds[:, 0:6:2]
+        m = (p6 + p7) / denom
+        b = np.conj(seeds[:, 6] * f)
+        y, inv = solve_M(m, b[:, :, None], x, t, inverse=True)
+        jets = [2j * (e * y[:, :, 0]) @ comps]
+        if derivatives:
+            # M^(i) = c^i (p6 + (-1)^i p7) / denom: c^i times m or m_odd
+            m_odd = (p6 - p7) / denom
+            for rate, n in ((1j * zeros, 3), (4j * zeros ** 3, 1)):
+                c = np.conj(rate)[:, None] + rate[None, :]
+                dm = {i: c ** i * (m_odd if i % 2 else m) for i in range(1, n + 1)}
+                ys = [y[:, :, 0]]
+                for k in range(1, n + 1):
+                    r = (-np.conj(rate)) ** k * b
+                    for i in range(1, k + 1):
+                        r -= math.comb(k, i) * np.einsum("pij,pj->pi", dm[i], ys[k - i])
+                    ys.append(np.einsum("pij,pj->pi", inv, r))
+                    g = sum(math.comb(k, i) * rate ** i * ys[k - i] for i in range(k + 1))
+                    jets.append(2j * (e * g) @ comps)
+        jets = np.stack(jets)
+    _refuse_non_finite(jets.transpose(1, 0, 2), x, t)
+    return jets
 
 
 def eval_fields(

@@ -12,13 +12,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from tccss.io_cli import figure_config, figure_spectrum, run_checks, run_figure
-from tccss.lax import (
-    StencilSpec,
-    gauge_transform_and_cnls_residual,
-    pde_residual_tccss,
-    zero_curvature_residual,
-)
+from tccss.io_cli import RunConfig, figure_config, figure_spectrum, run_checks, run_figure
+from tccss.lax import StencilSpec, jet_table, zero_curvature_residual
 from tccss.report import GridSpec
 from tccss.rhp import symmetry_residuals
 from tccss.scattering import (
@@ -33,6 +28,7 @@ from tccss.soliton import (
     breather_closed_form,
     eval_fields,
     eval_fields_array,
+    eval_jets_array,
     one_soliton_closed_form,
     two_soliton_closed_form,
     TypeIISeed,
@@ -91,30 +87,27 @@ def test_criterion_1_closed_form_oracle_equivalence():
     report(1, f"closed forms vs construction, max diff {worst:.2e} < 1e-10")
 
 
+def verify_max_abs(fig_id: int, check: str, grid: GridSpec, st: StencilSpec) -> float:
+    """max_abs of one check as `verify` runs it: the larger of the exact jet
+    residual and the stencil cross-check of the jet orders it reads."""
+    cfg = RunConfig(figure_spectrum(fig_id), grid=grid, stencil=st, checks=(check,))
+    return run_checks(cfg).checks[0].report.max_abs
+
+
 def test_criterion_2_pde_residual():
     grid = GridSpec(-5.0, 5.0, 41, -0.5, 0.5, 11)
     st = StencilSpec(hx=1e-3, ht=1e-3, order=4)
-    f3 = partial(eval_fields_array, figure_spectrum(3))
-    f4 = partial(eval_fields_array, figure_spectrum(4))
-    r3 = pde_residual_tccss(f3, grid, st).max_abs
-    r4 = pde_residual_tccss(f4, grid, st).max_abs
+    r3 = verify_max_abs(3, "pde", grid, st)
+    r4 = verify_max_abs(4, "pde", grid, st)
     assert r3 < 1e-5
     assert r4 < 1e-4
 
     small = GridSpec(-2.0, 2.0, 11, -0.2, 0.2, 3)
-    coarse = pde_residual_tccss(f3, small, StencilSpec(hx=0.04, ht=0.04)).max_abs
-    fine = pde_residual_tccss(f3, small, StencilSpec(hx=0.02, ht=0.02)).max_abs
+    coarse = verify_max_abs(3, "pde", small, StencilSpec(hx=0.04, ht=0.04))
+    fine = verify_max_abs(3, "pde", small, StencilSpec(hx=0.02, ht=0.02))
     ratio = coarse / fine
     assert 10.0 < ratio < 22.0
     report(2, f"pde max-abs {r3:.2e} / {r4:.2e}; halving ratio {ratio:.1f}")
-
-
-# Zero-curvature probe step per figure.  It balances stencil truncation
-# (~h^4) against evaluator roundoff, which the nested third-derivative
-# pipeline amplifies by 1/h^3; the collision-scale mirrored-pair configs
-# need a wider stencil.  Figure 2 sits where truncation dominates (see
-# test_criterion_3_probe_step_is_truncation_limited).
-PROBE_H = {1: 3e-3, 2: 6e-3, 3: 1e-3, 4: 1e-3}
 
 
 def zero_curvature_probes():
@@ -131,33 +124,41 @@ def zero_curvature_probes():
     return probes
 
 
-def zero_curvature_at(fig_id: int, h: float, probes) -> list[float]:
-    st = StencilSpec(hx=h, ht=h, order=4)
-    f = partial(eval_fields, figure_spectrum(fig_id))
-    return [zero_curvature_residual(f, lam, x, t, st) for lam, x, t in probes]
+def zero_curvature_at(fig_id: int, h: float, probes) -> tuple[list[float], dict]:
+    """Exact zero-curvature residual at each probe, and the cross-check of
+    the probes' jets against a step-h stencil."""
+    cfg = figure_spectrum(fig_id)
+    x = np.array([p[1] for p in probes])
+    t = np.array([p[2] for p in probes])
+    jets, cross = jet_table(
+        partial(eval_fields_array, cfg), partial(eval_jets_array, cfg), x, t,
+        StencilSpec(hx=h, ht=h, order=4),
+    )
+    residuals = [float(zero_curvature_residual(lam, jets[:, [i]])[0]) for i, (lam, _, _) in enumerate(probes)]
+    return residuals, cross
 
 
 def test_criterion_3_zero_curvature():
     probes = zero_curvature_probes()
-    worst = max(
-        max(zero_curvature_at(fig_id, PROBE_H[fig_id], probes[fig_id]))
-        for fig_id in (1, 2, 3, 4)
-    )
+    worst = 0.0
+    for fig_id in (1, 2, 3, 4):
+        residuals, cross = zero_curvature_at(fig_id, 1e-3, probes[fig_id])
+        worst = max(worst, *residuals, *cross.values())
     assert worst < 1e-6
     report(3, f"zero-curvature over 4 configs x 5 points, max {worst:.2e} < 1e-6")
 
 
 def test_criterion_3_probe_step_is_truncation_limited():
-    # a fourth-order stencil's truncation grows as h^4: widening the step by
-    # 1.25 must multiply each figure 2 residual by about 1.25^4, which a
-    # roundoff-dominated residual (shrinking as h grows) would not do
+    # at h = 6e-3 the cross-check of the figure 2 probes is stencil
+    # truncation, which grows as h^4: widening the step by 1.25 must
+    # multiply each order's discrepancy by about 1.25^4, which a wrong jet
+    # (a discrepancy that does not shrink with h) or roundoff would not do
     probes = zero_curvature_probes()[2]
-    h = PROBE_H[2]
-    at_h = zero_curvature_at(2, h, probes)
-    wider = zero_curvature_at(2, 1.25 * h, probes)
+    _, at_h = zero_curvature_at(2, 6e-3, probes)
+    _, wider = zero_curvature_at(2, 1.25 * 6e-3, probes)
     expect = 1.25 ** 4
-    for a, b in zip(at_h, wider):
-        assert expect / 1.5 <= b / a <= expect * 1.5
+    for order in ("x1", "x2", "x3", "t1"):
+        assert expect / 1.5 <= wider[order] / at_h[order] <= expect * 1.5
 
 
 def test_criterion_4_rh_identities():
@@ -177,9 +178,7 @@ def test_criterion_4_rh_identities():
 
 def test_criterion_5_gauge_transform_round_trip():
     grid = GridSpec(-5.0, 5.0, 41, -0.5, 0.5, 11)
-    st = StencilSpec(hx=1e-3, ht=1e-3, order=4)
-    f3 = partial(eval_fields_array, figure_spectrum(3))
-    r = gauge_transform_and_cnls_residual(f3, grid, st).max_abs
+    r = verify_max_abs(3, "cnls", grid, StencilSpec(hx=1e-3, ht=1e-3, order=4))
     assert r < 1e-4
     report(5, f"transformed field satisfies the CNLS form, max-abs {r:.2e} < 1e-4")
 
@@ -303,7 +302,7 @@ def test_criterion_9_robustness(tmp_path):
 
 def test_figure_verify_configs_all_pass():
     # the bundled verify path stays green for the figure parameter sets
-    for fig_id in (1, 3):
+    for fig_id in (1, 2, 3, 4):
         cfg = figure_config(fig_id)
         outcome = run_checks(cfg)
         assert outcome.passed, [c.report.name for c in outcome.checks if not c.passed]

@@ -10,7 +10,6 @@ import pytest
 
 from tccss import soliton
 from tccss.io_cli import figure_config
-from tccss.lax import _grid_points
 from tccss.soliton import (
     MAX_CONDITION,
     NearSingularError,
@@ -119,13 +118,13 @@ def figure_M_stacks(fig_id, monkeypatch):
     it, and the pointwise `build_M` at every 61st point of that grid."""
     seen = []
 
-    def spy(m, rhs, x, t):
+    def spy(m, rhs, x, t, **kwargs):
         seen.append(m)
-        return solve_M(m, rhs, x, t)
+        return solve_M(m, rhs, x, t, **kwargs)
 
     monkeypatch.setattr(soliton, "solve_M", spy)
     cfg = figure_config(fig_id)
-    x, t = _grid_points(cfg.grid)
+    x, t = (a.ravel() for a in np.meshgrid(cfg.grid.xs(), cfg.grid.ts()))
     eval_fields_array(cfg.spectrum, x, t)
     pointwise = np.array([
         build_M(build_vectors(cfg.spectrum, x[p], t[p]), cfg.spectrum)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tccss import cli
 from tccss.io_cli import (
@@ -208,6 +208,10 @@ def _full_with(section, key, value):
     return doc
 
 
+# A fuzz-found scattering domain: step h = 3.8e83.
+HUGE_STEP = _full_with("scattering", "x_min", -7.57e86)
+
+
 class TestExitTwo:
     """Inputs that must end in exit 2 with one `error:` line, through cli.main."""
 
@@ -242,6 +246,11 @@ class TestExitTwo:
          "stencil: hx must be in [1e-06, 0.1], got 1e-30"),
         ({**_full_with("stencil", "ht", 5e-324), "checks": ["pde"]},
          "stencil: ht must be in [1e-06, 0.1], got 5e-324"),
+        # the RK4 step coefficients would overflow
+        (HUGE_STEP, "scattering: step h = (x_max - x_min) / n_steps = 3.79e+83 exceeds 1.0; "
+                    "take more steps"),
+        ({**FULL, "scattering": {"x_min": -40.0, "x_max": 61.0, "n_steps": 100}},
+         "scattering: step h = (x_max - x_min) / n_steps = 1.01 exceeds 1.0; take more steps"),
     ])
     def test_every_command(self, tmp_path, capsys, command, doc, message):
         cfg_path = tmp_path / "cfg.json"
@@ -266,11 +275,20 @@ class TestExitTwo:
         assert err.endswith(" at x = 5.0 exceeds 1e-09; enlarge the domain\n")
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("check", ["rh_symmetry", "zero_curvature"])
+    @pytest.mark.parametrize("check", ["rh_symmetry", "zero_curvature", "pde"])
     def test_verify_overflowing_zero(self, tmp_path, capsys, check):
-        # lambda^3 overflows: the pointwise kernel refuses it as generate does
+        # lambda^3 overflows: the kernels refuse it as generate does
+        self.verify_zero(tmp_path, capsys, check, 1e120)
+
+    @pytest.mark.parametrize("check", ["rh_symmetry", "zero_curvature", "pde"])
+    def test_verify_overflowing_pole_denominator(self, tmp_path, capsys, check):
+        # lambda - conj(lambda) = 2e308j overflows too, with no warning
+        self.verify_zero(tmp_path, capsys, check, 1e308)
+
+    @staticmethod
+    def verify_zero(tmp_path, capsys, check, zero):
         doc = json.loads((DOCS / "one_soliton.json").read_text())
-        doc["spectrum"]["zeros"] = [[0, 1e120]]
+        doc["spectrum"]["zeros"] = [[0, zero]]
         doc["checks"] = [check]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -407,6 +425,7 @@ class TestConfigFuzz:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(doc=mutated_configs())
+    @example(doc=HUGE_STEP)
     def test_verify_and_scatter(self, tmp_path, capsys, doc):
         out = str(tmp_path / "fuzz.out")
         commands = [
@@ -515,6 +534,48 @@ class TestRunChecks:
         assert by_name["pde_tccss"] < 1e-5
         assert by_name["zero_curvature"] < 1e-6
         assert by_name["rh_symmetry"] < 1e-10
+
+    def test_jet_route_notes(self):
+        cfg = minimal_cfg(
+            grid={"x_min": -4.0, "x_max": 4.0, "nx": 9, "t_min": -0.5, "t_max": 0.5, "nt": 3},
+            stencil={"hx": 0.002, "ht": 0.001, "order": 2},
+            checks=["pde", "cnls", "zero_curvature"],
+        )
+        pde, cnls, zc = run_checks(cfg).checks
+        table = "jet table: 32 points (9x3 grid and 5 zero-curvature probes)"
+        cross = {
+            "x1": "against the order-2 central first difference of u in x, h = 0.002",
+            "x2": "against the order-2 central first difference of u_x in x, h = 0.002",
+            "x3": "against the order-2 central first difference of u_xx in x, h = 0.002",
+            "t1": "against the order-2 central first difference of u in t, h = 0.001",
+        }
+        for check, orders in ((pde, ("x1", "x3", "t1")), (cnls, cross), (zc, cross)):
+            notes = check.report.notes
+            assert notes[0] == table
+            assert [n.split(": ")[0] for n in notes[1:1 + len(orders)]] == [f"cross-check {o}" for o in orders]
+            values = [float(n.split(": ")[1].split(" ")[0]) for n in notes[1:1 + len(orders)]]
+            for note, o in zip(notes[1:], orders):
+                assert note.endswith(cross[o])
+            # max_abs is the cross-check wherever it exceeds the residual
+            assert check.report.max_abs >= max(values) * (1 - 1e-3)
+        probes = zc.report.notes[5:]
+        assert len(probes) == 10
+        assert [n.split(", ")[1].split(" ")[0] for n in probes] == ["probe", "crest"] * 5
+        # the crest of the bell soliton at t = -0.5, 0 or 0.5 (x nodes 1 apart)
+        crest = {n.split("= (")[1].split(")")[0] for n in probes[1::2]}
+        assert len(crest) == 1
+        assert all(float(n.rsplit(": ", 1)[1]) < 1e-12 for n in probes)
+
+    def test_jet_table_built_once_and_only_for_jet_checks(self, monkeypatch):
+        from tccss import io_cli
+
+        calls = []
+        build = io_cli._jet_table
+        monkeypatch.setattr(io_cli, "_jet_table", lambda cfg: calls.append(cfg) or build(cfg))
+        run_checks(minimal_cfg(checks=["rh_symmetry"]))
+        assert calls == []
+        run_checks(minimal_cfg(checks=["pde", "rh_symmetry", "cnls", "zero_curvature"]))
+        assert len(calls) == 1
 
     def test_threshold_override_forces_failure(self):
         cfg = minimal_cfg(checks=["rh_symmetry"], thresholds={"rh_symmetry": 1e-30})

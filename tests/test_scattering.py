@@ -215,6 +215,13 @@ class TestIntegrateJost:
         with pytest.raises(ValueError, match="n_steps"):
             sample_potential(zero_fields, 0.0, -5.0, 5.0, 50)
 
+    def test_rejects_a_step_above_one(self, zero_fields):
+        # 100 steps of 1 are accepted; a step of 3.8e83 would overflow the
+        # step coefficients and is refused before any sampling
+        sample_potential(zero_fields, 0.0, -50.0, 50.0, 100)
+        with pytest.raises(ValueError, match=r"step h = \(x_max - x_min\) / n_steps = 3.79e\+83 exceeds 1.0"):
+            sample_potential(zero_fields, 0.0, -7.57e86, 30.0, 2000)
+
     def test_rejects_undecayed_potential(self, one_soliton_fields):
         with pytest.raises(DomainTooSmallError):
             sample_potential(one_soliton_fields, 0.0, -3.0, 3.0, 500)
