@@ -30,8 +30,11 @@ Each object section is read from the fields of its frozen dataclass
 - a key that names no field is refused, in every section (thresholds
   accept check names) and at the top level.
 
-Field grids are written t-major (outer loop t, inner x) with 17
-significant digits, byte-identical for identical configs.
+Field grids are written t-major (outer loop t, inner x), byte-identical
+for identical configs: CSV prints each float as `'%.17g' % v` does (17
+significant digits), and JSON as `json.dumps(v)` does (the shortest repr
+that round-trips, `0.1`, `-10.0`).  Both go through `floatfmt`, one
+bounded chunk of rows at a time, straight to the file.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lax, rhp, scattering, soliton
+from . import floatfmt, lax, rhp, scattering, soliton
 from .report import GridSpec, ResidualReport, summarize
 from .soliton import (
     Family,
@@ -59,7 +62,13 @@ from .soliton import (
 )
 
 CSV_HEADER = "x,t,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3,abs_u1,abs_u2,abs_u3"
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
+# json.dumps({"columns": ..., "rows": rows}, separators=(",", ":"),
+# sort_keys=True) up to the rows and after them
+_JSON_HEAD = b'{"columns":%s,"rows":[' % json.dumps(CSV_HEADER.split(","), separators=(",", ":")).encode()
+_JSON_TAIL = b"]}\n"
+
+# Grid points per field-kernel call in `evaluate_grid`.
+GRID_BLOCK = 4096
 
 CHECK_NAMES = ("pde", "cnls", "zero_curvature", "rh_symmetry", "scattering")
 
@@ -292,57 +301,67 @@ def serialize_config(cfg: RunConfig) -> str:
 
 # -- grid evaluation and export ----------------------------------------------
 
-def write_text(path, text: str, make_parent=False) -> Path:
-    """Write `text` to `path`; a failed write is a ConfigError (exit 2)."""
+def write_file(path, write, make_parent=False) -> Path:
+    """Open `path` for binary writing and pass the handle to `write`; a
+    failed write is a ConfigError (exit 2)."""
     path = Path(path)
     try:
         if make_parent:
             path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            write(fh)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 
+def write_text(path, text: str, make_parent=False) -> Path:
+    """Write `text` to `path` as UTF-8; a failed write is a ConfigError (exit 2)."""
+    return write_file(path, lambda fh: fh.write(text.encode("utf-8")), make_parent)
+
+
 def _fmt(v: float) -> str:
+    """The scalar reference of the CSV float format."""
     return f"{v:.17g}"
 
 
-def evaluate_grid(cfg: RunConfig) -> list[list[float]]:
-    """Field rows in t-major order, one batched evaluation per t-row."""
-    xs = cfg.grid.xs()
-    rows: list[list[float]] = []
-    for t in cfg.grid.ts():
-        u = eval_fields_array(cfg.spectrum, xs, t)
-        block = np.empty((xs.size, 11))
-        block[:, 0] = xs
-        block[:, 1] = t
+def evaluate_grid(cfg: RunConfig) -> np.ndarray:
+    """Field rows (P, 11) in t-major order, columns as CSV_HEADER; one
+    kernel call per block of GRID_BLOCK points."""
+    xs, ts = cfg.grid.xs(), cfg.grid.ts()
+    rows = np.empty((xs.size * ts.size, 11))
+    by_t = rows.reshape(ts.size, xs.size, 11)
+    by_t[:, :, 0] = xs
+    by_t[:, :, 1] = ts[:, None]
+    for start in range(0, len(rows), GRID_BLOCK):
+        block = rows[start:start + GRID_BLOCK]
+        u = eval_fields_array(cfg.spectrum, block[:, 0], block[:, 1])
         block[:, 2:8:2] = u.real
         block[:, 3:8:2] = u.imag
         # np.hypot rounds as Python's abs(complex) does; np.abs may not
         block[:, 8:] = np.hypot(u.real, u.imag)
-        rows.extend(block.tolist())
     return rows
 
 
-def render_rows_csv(rows: list[list[float]]) -> str:
-    """CSV text; each float printed as `_fmt` prints it."""
-    lines = [CSV_HEADER]
-    lines.extend(_CSV_ROW % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def render_rows_csv(rows, fh) -> None:
+    """Write CSV to the binary file `fh`; each float printed as `_fmt` prints it."""
+    fh.write(CSV_HEADER.encode() + b"\n")
+    floatfmt.write_rows(fh, rows, distinct=2)
 
 
-def render_rows_json(rows: list[list[float]]) -> str:
-    doc = {"columns": CSV_HEADER.split(","), "rows": rows}
-    return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True) + "\n"
+def render_rows_json(rows, fh) -> None:
+    """Write to `fh` what json.dumps writes for {"columns": CSV_HEADER
+    names, "rows": rows} with separators (",", ":") and sorted keys."""
+    fh.write(_JSON_HEAD)
+    floatfmt.write_rows(fh, rows, shortest=True, distinct=2)
+    fh.write(_JSON_TAIL)
 
 
 def export_grid(cfg: RunConfig, out_path=None) -> Path:
     """Write the sampled field grid; deterministic bytes for identical configs."""
     rows = evaluate_grid(cfg)
-    text = render_rows_csv(rows) if cfg.output.format == "csv" else render_rows_json(rows)
-    return write_text(cfg.output.path if out_path is None else out_path, text)
+    render = render_rows_csv if cfg.output.format == "csv" else render_rows_json
+    return write_file(cfg.output.path if out_path is None else out_path, partial(render, rows))
 
 
 # -- verification orchestration ----------------------------------------------
@@ -597,8 +616,8 @@ def run_figure(fig_id: int, out_dir) -> list[Path]:
     """
     cfg = figure_config(fig_id)
     out_dir = Path(out_dir)
-    csv_path = write_text(
-        out_dir / f"figure{fig_id}.csv", render_rows_csv(evaluate_grid(cfg)), make_parent=True
+    csv_path = write_file(
+        out_dir / f"figure{fig_id}.csv", partial(render_rows_csv, evaluate_grid(cfg)), make_parent=True
     )
     doc = config_to_json(cfg)
     sidecar = {
@@ -622,10 +641,15 @@ def run_lambda_sweep(cfg: RunConfig, lam_start: float, lam_stop: float, count: i
     fields = partial(eval_fields_array, cfg.spectrum)
     table = scattering.sample_potential(fields, sc.t, sc.x_min, sc.x_max, sc.n_steps)
     lams = np.linspace(lam_start, lam_stop, count)
-    rows = scattering.coupling_row_sweep(table, lams)
+    omega = scattering.coupling_row_sweep(table, lams)
+    rows = np.empty((count, 8))
+    rows[:, 0] = lams
+    # |Omega77| first, then |Omega17| .. |Omega67|; np.hypot rounds as abs does
+    rows[:, 1:] = np.hypot(omega.real, omega.imag)[:, [6, 0, 1, 2, 3, 4, 5]]
     header = "lambda,abs_omega77," + ",".join(f"abs_omega{k}7" for k in range(1, 7))
-    lines = [header]
-    for lam, row in zip(lams, rows):
-        entries = [lam, abs(row[6])] + [abs(row[k]) for k in range(6)]
-        lines.append(",".join(_fmt(float(v)) for v in entries))
-    return write_text(out_path, "\n".join(lines) + "\n")
+
+    def write(fh):
+        fh.write(header.encode() + b"\n")
+        floatfmt.write_rows(fh, rows)
+
+    return write_file(out_path, write)

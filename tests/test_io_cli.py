@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -12,7 +13,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tccss import cli
 from tccss.io_cli import (
+    CSV_HEADER,
+    GRID_BLOCK,
     ConfigError,
+    OutputSpec,
     RunConfig,
     _fmt,
     evaluate_grid,
@@ -22,12 +26,13 @@ from tccss.io_cli import (
     parse_config,
     parse_config_file,
     render_rows_csv,
+    render_rows_json,
     run_checks,
     run_figure,
     serialize_config,
 )
 from tccss.report import GridSpec
-from tccss.soliton import Family, eval_fields
+from tccss.soliton import Family, eval_fields, eval_fields_array
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -466,7 +471,7 @@ class TestExportGrid:
     @pytest.mark.parametrize("fig_id", [1, 2, 3, 4])
     def test_batched_grid_matches_pointwise(self, fig_id):
         cfg = RunConfig(figure_spectrum(fig_id), grid=GridSpec(-6.0, 6.0, 41, -1.0, 1.0, 5))
-        rows = evaluate_grid(cfg)
+        rows = evaluate_grid(cfg).tolist()
         assert len(rows) == 41 * 5
         worst = 0.0
         for row in rows:
@@ -502,6 +507,36 @@ class TestExportGrid:
         doc = json.loads(out.read_text())
         assert doc["columns"][0] == "x"
         assert len(doc["rows"]) == 2
+
+    def test_blocks_match_per_row_kernel_calls(self):
+        # blocks of GRID_BLOCK points across t-rows give the same bits as
+        # one kernel call per t-row
+        cfg = RunConfig(figure_spectrum(2), grid=GridSpec(-10.0, 10.0, 101, -3.0, 3.0, 45))
+        rows = evaluate_grid(cfg)
+        assert len(rows) > GRID_BLOCK
+        xs = cfg.grid.xs()
+        for i, t in enumerate(cfg.grid.ts()):
+            u = eval_fields_array(cfg.spectrum, xs, t)
+            block = rows[i * xs.size:(i + 1) * xs.size]
+            assert block[:, 0].tobytes() == xs.tobytes()
+            assert np.all(block[:, 1] == t)
+            assert block[:, 2:8].tobytes() == np.stack([u.real, u.imag], axis=2).reshape(-1, 6).tobytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fig_id", [1, 2, 3, 4, "boundary"])
+    def test_export_matches_stdlib_rendering(self, tmp_path, fig_id, fmt):
+        if fig_id == "boundary":  # spans a kernel block and many render chunks
+            cfg = RunConfig(figure_spectrum(4), grid=GridSpec(-20.0, 20.0, 101, -10.0, 10.0, 45))
+        else:
+            cfg = figure_config(fig_id)
+        cfg = RunConfig(cfg.spectrum, grid=cfg.grid, output=OutputSpec(f"grid.{fmt}", fmt))
+        rows = evaluate_grid(cfg).tolist()
+        if fmt == "csv":
+            expect = CSV_HEADER + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+        else:
+            doc = {"columns": CSV_HEADER.split(","), "rows": rows}
+            expect = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+        assert export_grid(cfg, tmp_path / f"grid.{fmt}").read_bytes() == expect.encode()
 
 
 class TestRunChecks:
@@ -586,20 +621,38 @@ class TestRunChecks:
         assert payload["checks"][0]["threshold"] == 1e-30
 
 
+def _rendered(render, rows) -> str:
+    fh = io.BytesIO()
+    render(rows, fh)
+    return fh.getvalue().decode()
+
+
+_ROWS = st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=11, max_size=11),
+    max_size=5,
+)
+_EDGE_ROW = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+             0.1, 1e-5, 1e16, 123456789012345678.0, -2.5, 0.0]
+
+
 class TestCsvRender:
-    @given(st.lists(
-        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=11, max_size=11),
-        max_size=5,
-    ))
+    @given(_ROWS)
     def test_row_format_matches_fmt(self, rows):
-        # one %-format per row must print every float exactly as _fmt does
-        rows += [[-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
-                  0.1, 1e-5, 1e16, 123456789012345678.0, -2.5, 0.0]]
+        # the array renderer must print every float exactly as _fmt does
+        rows += [_EDGE_ROW]
         expect = "\n".join(
             ["x,t,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3,abs_u1,abs_u2,abs_u3"]
             + [",".join(_fmt(v) for v in row) for row in rows]
         ) + "\n"
-        assert render_rows_csv(rows) == expect
+        assert _rendered(render_rows_csv, rows) == expect
+
+    @given(_ROWS)
+    def test_json_rows_match_dumps(self, rows):
+        # ... and the JSON renderer every float exactly as json.dumps does
+        rows += [_EDGE_ROW]
+        doc = {"columns": CSV_HEADER.split(","), "rows": rows}
+        expect = json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True) + "\n"
+        assert _rendered(render_rows_json, rows) == expect
 
 
 class TestReportTypes:
