@@ -32,7 +32,6 @@ from .scattering import (
 from .soliton import (
     DegenerateSeedError,
     Family,
-    KernelVectorSet,
     NearSingularError,
     NonFiniteFieldError,
     SpectrumConfig,
@@ -41,9 +40,6 @@ from .soliton import (
     TypeIISeed,
     breather_closed_form,
     breather_spectrum,
-    build_M,
-    build_vectors,
-    eval_fields,
     eval_fields_array,
     eval_jets_array,
     one_soliton_closed_form,

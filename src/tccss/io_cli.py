@@ -480,7 +480,8 @@ def _rh_lambda_samples(spectrum: SpectrumConfig) -> list[complex]:
         [spectrum.expanded_zeros(), np.conj(spectrum.expanded_zeros())]
     )
     # nudge the off-axis probe clear of any pole mirror
-    while np.min(np.abs(poles - probe)) < 1e-3 or np.min(np.abs(poles + np.conj(probe))) < 1e-3:
+    while (np.min(np.abs(poles - probe), initial=np.inf) < 1e-3
+           or np.min(np.abs(poles + np.conj(probe)), initial=np.inf) < 1e-3):
         probe += 0.1 + 0.05j
     samples.append(probe)
     return samples

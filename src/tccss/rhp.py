@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import ResidualReport, summarize
-from .soliton import Family, KernelVectorSet, SpectrumConfig, build_M, build_vectors, solve_M
+from .soliton import Family, SpectrumConfig, flow, solve_M
 from .structure import SIGMA, SIGMA3
 
 POLE_GUARD_RADIUS = 1e-8
@@ -44,9 +44,12 @@ class RHSolutionPair:
 
     Immutable after construction; the weight matrix W = M^-1 (in the scaled
     vector gauge) is shared by both factors and by the potential expansion.
+    `columns[j]` spans ker P1(lambda_j); the row vector vhat_j =
+    conj(columns[j]) spans the left kernel of P2 at the conjugate zero.
+    Both carry the stabilizing factor exp(-|Re theta_j|) of `flow`.
     """
 
-    vecs: KernelVectorSet     # kernel vectors at (vecs.x, vecs.t)
+    columns: np.ndarray       # (m, 7) kernel vectors v_j
     weights: np.ndarray       # (m, m) inverse of the stabilized M
     zeros: np.ndarray         # (m,) expanded zeros (poles of P2)
 
@@ -64,7 +67,7 @@ class RHSolutionPair:
             raise PoleError(int(j), complex(poles[j]), complex(lam.reshape(-1)[i]))
         shifts = sign / gaps
         scaled = self.weights * (shifts[:, :, None] if on_rows else shifts[:, None, :])
-        p = np.eye(7) + self.vecs.columns.T @ scaled @ self.vecs.rows
+        p = np.eye(7) + self.columns.T @ scaled @ np.conj(self.columns)
         return p.reshape(lam.shape + (7, 7))
 
     def evaluate_P1(self, lam) -> np.ndarray:
@@ -77,18 +80,22 @@ class RHSolutionPair:
 
     def first_order_term(self) -> np.ndarray:
         """Coefficient of 1/lam in the large-lambda expansion of P1."""
-        return -(self.vecs.columns.T @ self.weights @ self.vecs.rows)
+        return -(self.columns.T @ self.weights @ np.conj(self.columns))
 
 
 def build_rh_pair(cfg: SpectrumConfig, x: float, t: float) -> RHSolutionPair:
-    """Assemble both RH factors; M is factorized once per (x, t)."""
-    vecs = build_vectors(cfg, x, t)
-    if vecs.count == 0:
-        weights = np.zeros((0, 0), dtype=complex)
-    else:
-        m = build_M(vecs, cfg)
-        weights = solve_M(m[None], np.eye(len(m), dtype=complex)[None], [x], [t])[0]
-    return RHSolutionPair(vecs, weights, cfg.expanded_zeros())
+    """Assemble both RH factors; M is factorized once per (x, t).
+
+    M_kj = (vhat_k . v_j) / (lambda_j - conj(lambda_k)) over the kernel
+    vectors v_j of `flow` at the one point."""
+    seeds, e, f = flow(cfg, np.array([float(x)]), np.array([float(t)]))
+    lam = cfg.expanded_zeros()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # zeros near the double range overflow to inf or NaN; `solve_M` refuses that M
+        columns = np.concatenate([seeds[:, :6] * e[0, :, None], seeds[:, 6:] * f[0, :, None]], axis=1)
+        m = (np.conj(columns) @ columns.T) / (lam[None, :] - np.conj(lam)[:, None])
+    weights = solve_M(m[None], np.eye(len(lam), dtype=complex)[None], [x], [t])[0]
+    return RHSolutionPair(columns, weights, lam)
 
 
 def reconstruct_potential(cfg: SpectrumConfig, x: float, t: float) -> np.ndarray:
@@ -145,9 +152,9 @@ def symmetry_residuals(
         out["sigma"] = _worst(left - pair.evaluate_P1(lams))
     real = lams[lams.imag == 0.0]
     out["jump"] = _worst(pair.evaluate_P2(real) @ pair.evaluate_P1(real) - np.eye(7))
-    zeros, v, vhat = (a[~near_zero] for a in (pair.zeros, pair.vecs.columns, pair.vecs.rows))
+    zeros, v = pair.zeros[~near_zero], pair.columns[~near_zero]
     p1, p2 = pair.evaluate_P1(zeros), pair.evaluate_P2(np.conj(zeros))
-    out["kernel"] = max(_worst(p1 @ v[:, :, None]), _worst(vhat[:, None, :] @ p2))
+    out["kernel"] = max(_worst(p1 @ v[:, :, None]), _worst(np.conj(v)[:, None, :] @ p2))
     out["det_at_zeros"] = _worst(np.linalg.det(p1))
     return out
 

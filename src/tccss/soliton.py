@@ -12,11 +12,13 @@ assembled and inverted.  Two families are supported:
 * type II -- N simple pure-imaginary zeros with three-component seeds whose
   conjugate pairing is structural.
 
-The field kernels are pure functions of (config, x, t) giving complex arrays:
-(P, 3) from `eval_fields_array`, which evaluates many points in one
-vectorized pass, (5, P, 3) from `eval_jets_array`, the same pass with the
-exact jets (u, u_x, u_xx, u_xxx, u_t), and (3,) from `eval_fields`, the
-pointwise reference built from explicit kernel vectors.  All solve M through
+`flow` is the one place the seeds meet the flow: it gives the expanded
+seeds, the Type I mirror included, and the stabilized exponentials at many
+points.  The field kernels are pure functions of (config, x, t) built on it
+and giving complex arrays: (P, 3) from `eval_fields_array`, which evaluates
+many points in one vectorized pass, and (5, P, 3) from `eval_jets_array`,
+the same pass with the exact jets (u, u_x, u_xx, u_xxx, u_t); the RH factors
+of `rhp` form their kernel vectors from it too.  All solve M through
 `solve_M`, which refuses an M that is non-finite or too ill-conditioned;
 the closed forms invert nothing larger than 2x2, written out by hand.
 """
@@ -146,88 +148,37 @@ class SpectrumConfig:
         return base
 
 
-@dataclass(frozen=True)
-class KernelVectorSet:
-    """Kernel column vectors v_j and row vectors vhat_j at fixed (x, t).
-
-    `columns[j]` spans ker P1(lambda_j), `rows[j] = columns[j]^dagger` spans
-    the left kernel of P2 at the conjugate zero.  When stabilized, each
-    stored vector is the true one times exp(-log_scales[j]); every bilinear
-    formula downstream is invariant under that per-vector rescaling.
-    """
-
-    columns: np.ndarray   # (m, 7)
-    rows: np.ndarray      # (m, 7)
-    x: float
-    t: float
-    log_scales: np.ndarray  # (m,) real
-
-    @property
-    def count(self) -> int:
-        return self.columns.shape[0]
-
-
 def theta(lam: complex, x: float, t: float) -> complex:
     """Flow exponent i*lam*x + 4i*lam^3*t attached to a spectral zero."""
     lam = complex(lam)
     # lam * (lam * lam) is the product `lam ** 3` forms, but overflows to
-    # NaN, which `solve_M` refuses, instead of raising OverflowError
+    # inf or NaN instead of raising OverflowError
     return 1j * lam * x + 4j * (lam * (lam * lam)) * t
 
 
-def _flowed_seed(seed_full: np.ndarray, th: complex, stabilize: bool):
-    """Apply exp(theta*sigma3) to a seed, optionally pulling out exp(|Re theta|).
+def flow(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, stabilize: bool = True):
+    """Expanded seeds and flow exponentials at the points (x[p], t[p]):
+    (seeds (m, 7), e (P, m), f (P, m)) for the m expanded zeros.
 
-    Channels 1..6 pick up exp(theta), the auxiliary channel exp(-theta); the
-    extracted common scale keeps every stored component at most O(max seed).
+    The kernel vector of zero j at point p is the seed times e[p, j] =
+    exp(theta - s) on channels 1..6 and f[p, j] = exp(-theta - s) on
+    channel 7, theta = i lambda_j x + 4 i lambda_j^3 t.  The scale s =
+    |Re theta| (0 unless `stabilize`) keeps every component at most
+    O(max seed); every bilinear formula downstream is invariant under that
+    per-vector rescaling.  Overflowing exponents come out as inf or NaN,
+    which `solve_M` refuses.
     """
-    scale = abs(th.real) if stabilize else 0.0
-    v = np.empty(7, dtype=complex)
-    v[:6] = seed_full[:6] * np.exp(th - scale)
-    v[6] = seed_full[6] * np.exp(-th - scale)
-    return v, scale
-
-
-def build_vectors(
-    cfg: SpectrumConfig, x: float, t: float, stabilize: bool = True
-) -> KernelVectorSet:
-    """Kernel vectors of all zeros (2N for type I, N for type II) at (x, t)."""
-    if not cfg.zeros:
-        empty = np.zeros((0, 7), dtype=complex)
-        return KernelVectorSet(empty, empty.copy(), float(x), float(t), np.zeros(0))
-    thetas = [theta(z, x, t) for z in cfg.zeros]
-    cols = []
-    scales = []
-    for seed, th in zip(cfg.seeds, thetas):
-        v, s = _flowed_seed(seed.full(), th, stabilize)
-        cols.append(v)
-        scales.append(s)
-    if cfg.family is Family.TYPE_I:
-        # Mirrored zeros -conj(lambda_j) carry sigma @ conj(v_j); the real
-        # extracted scale is shared with the base vector.
-        for v, s in zip(list(cols), list(scales)):
-            cols.append(SIGMA @ np.conj(v))
-            scales.append(s)
-    columns = np.array(cols)
-    rows = np.conj(columns)
-    return KernelVectorSet(columns, rows, float(x), float(t), np.array(scales))
-
-
-def build_M(vecs: KernelVectorSet, cfg: SpectrumConfig) -> np.ndarray:
-    """Gram-like matrix M_kj = (vhat_k . v_j) / (lambda_j - conj(lambda_k)).
-
-    Consistent with the scaling of `vecs`: with stabilized vectors this is
-    D^-1 M D^-1 for D = diag(exp(log_scales)), which is what the paired
-    field formulas expect.
-    """
-    if vecs.count == 0:
-        raise SpectrumError("the vacuum spectrum has no M matrix")
-    lam = cfg.expanded_zeros()
+    seeds = np.array([s.full() for s in cfg.seeds], dtype=complex).reshape(-1, 7)
+    lam = np.array(cfg.zeros, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        # zeros near the double range overflow to inf; `solve_M` refuses that M
-        denom = lam[None, :] - np.conj(lam)[:, None]
-    gram = vecs.rows @ vecs.columns.T  # gram[k, j] = vhat_k . v_j
-    return gram / denom
+        th = 1j * lam * x[:, None] + 4j * lam ** 3 * t[:, None]
+        if cfg.family is Family.TYPE_I:
+            # the mirrored zero -conj(lambda_j) flows with conj(theta_j) and
+            # carries the seed sigma @ conj(seed_j)
+            th = np.concatenate([th, np.conj(th)], axis=1)
+            seeds = np.concatenate([seeds, np.conj(seeds) @ SIGMA])
+        scale = np.abs(th.real) if stabilize else 0.0
+        return seeds, np.exp(th - scale), np.exp(-th - scale)
 
 
 def _refuse_non_finite(a: np.ndarray, x, t) -> None:
@@ -290,11 +241,10 @@ def eval_jets_array(
     """Exact jets (u, u_x, u_xx, u_xxx, u_t) at the points: (5, P, 3).
 
     `x` and `t` broadcast against each other; with `derivatives=False` only
-    u is formed, (1, P, 3).  With thetas of shape (P, m), every kernel
-    vector is a seed times the exponentials e = exp(theta - s) on channels
-    1..6 and f = exp(-theta - s) on channel 7 (s = |Re theta| when
-    stabilized), so M is the constant seed pairings times outer products of
-    e and f; no (P, m, 7) vector array is formed.
+    u is formed, (1, P, 3).  Every kernel vector is a seed times the
+    exponentials of `flow`, e = exp(theta - s) on channels 1..6 and
+    f = exp(-theta - s) on channel 7, so M is the constant seed pairings
+    times outer products of e and f; no (P, m, 7) vector array is formed.
 
     The fields depend on (x, t) only through theta = i z x + 4 i z^3 t of
     each expanded zero z, and not on s, which is held fixed at each
@@ -313,18 +263,8 @@ def eval_jets_array(
     x, t = x.ravel(), t.ravel()
     if not cfg.zeros:
         return np.zeros((5 if derivatives else 1, x.size, 3), dtype=complex)
-    seeds = np.array([s.full() for s in cfg.seeds])
-    lam = np.array(cfg.zeros)
+    seeds, e, f = flow(cfg, x, t, stabilize)
     with np.errstate(over="ignore", invalid="ignore"):
-        th = 1j * lam * x[:, None] + 4j * lam ** 3 * t[:, None]
-        if cfg.family is Family.TYPE_I:
-            # the mirrored zero -conj(lambda_j) flows with conj(theta_j) and
-            # carries the seed sigma @ conj(seed_j)
-            th = np.concatenate([th, np.conj(th)], axis=1)
-            seeds = np.concatenate([seeds, np.conj(seeds) @ SIGMA])
-        scale = np.abs(th.real) if stabilize else 0.0
-        e = np.exp(th - scale)
-        f = np.exp(-th - scale)
         zeros = cfg.expanded_zeros()
         # M = (p6 + p7) / denom: the seed pairings times outer products of
         # e (channels 1..6) and f (channel 7)
@@ -355,27 +295,6 @@ def eval_jets_array(
     return jets
 
 
-def eval_fields(
-    cfg: SpectrumConfig, x: float, t: float, stabilize: bool = True
-) -> np.ndarray:
-    """Evaluate (u1, u2, u3) at one point from explicit kernel vectors: (3,).
-
-    u_m = 2i * sum_kj (v_k)_row (vhat_j)_7 (M^-1)_kj with row in {1, 3, 5}.
-    This is the single source of truth every closed form is checked against,
-    and the pointwise reference for `eval_fields_array`: it shares no
-    arithmetic with the batched kernel, so their agreement is a check.
-    """
-    if not cfg.zeros:
-        return np.zeros(3, dtype=complex)
-    vecs = build_vectors(cfg, x, t, stabilize=stabilize)
-    m = build_M(vecs, cfg)
-    y = solve_M(m[None], vecs.rows[None, :, 6:], [x], [t])[0, :, 0]
-    u = np.array([2j * np.dot(vecs.columns[:, i], y) for i in (0, 2, 4)])
-    if not np.isfinite(u).all():
-        _refuse_non_finite(u[None], [x], [t])
-    return u
-
-
 def _sech(z: float) -> float:
     # overflow-safe 1/cosh
     a = abs(z)
@@ -396,7 +315,7 @@ def one_soliton_closed_form(
     u_m = -(sqrt(2) c_m eta1 / sqrt(S)) sech(-2 eta1 x + 8 eta1^3 t + ln sqrt(2S))
     with c = (alpha1, gamma1, rho1) and S the squared seed norm.  The argument
     sign and the ln sqrt(2S) offset are fixed by requiring exact agreement
-    with eval_fields on the N = 1 construction.
+    with the field kernel on the N = 1 construction.
     """
     if eta1 == 0.0:
         raise ValueError("eta1 must be nonzero")
@@ -430,7 +349,7 @@ def breather_closed_form(
         Y1 =  2 xi1 (x + 4 (xi1^2 - 3 eta1^2) t).
 
     The eta1^2 weight in the denominator is required for agreement with
-    eval_fields; the denominator is then bounded below by xi1^2 > 0.
+    the field kernel; the denominator is then bounded below by xi1^2 > 0.
     """
     if xi1 == 0.0:
         raise ValueError("xi1 must be nonzero (zero xi1 is the bell-soliton limit)")

@@ -14,8 +14,6 @@ from tccss.soliton import (
     MAX_CONDITION,
     NearSingularError,
     NonFiniteFieldError,
-    build_M,
-    build_vectors,
     check_M,
     eval_fields_array,
     solve_M,
@@ -114,8 +112,7 @@ class TestDet:
 
 
 def figure_M_stacks(fig_id, monkeypatch):
-    """Every M of figure `fig_id`'s export grid as the batched kernel solves
-    it, and the pointwise `build_M` at every 61st point of that grid."""
+    """Every M of figure `fig_id`'s export grid as the batched kernel solves it."""
     seen = []
 
     def spy(m, rhs, x, t, **kwargs):
@@ -126,11 +123,7 @@ def figure_M_stacks(fig_id, monkeypatch):
     cfg = figure_config(fig_id)
     x, t = (a.ravel() for a in np.meshgrid(cfg.grid.xs(), cfg.grid.ts()))
     eval_fields_array(cfg.spectrum, x, t)
-    pointwise = np.array([
-        build_M(build_vectors(cfg.spectrum, x[p], t[p]), cfg.spectrum)
-        for p in range(0, x.size, 61)
-    ])
-    return np.concatenate(seen), pointwise
+    return np.concatenate(seen)
 
 
 def frobenius_bound(m):
@@ -157,16 +150,16 @@ class TestConditionScreen:
 
     @pytest.mark.parametrize("fig_id", [1, 2, 3, 4])
     def test_figure_stacks(self, fig_id, monkeypatch, cond_calls):
-        for m in figure_M_stacks(fig_id, monkeypatch):
-            # every M of the construction is anti-Hermitian, so its singular
-            # values are the moduli of the eigenvalues of the Hermitian iM
-            skew = np.max(np.abs(m + np.conj(np.swapaxes(m, 1, 2))), axis=(1, 2))
-            assert np.all(skew <= 1e-15 * np.max(np.abs(m), axis=(1, 2)))
-            w = np.abs(np.linalg.eigvalsh(1j * m))
-            s = np.linalg.svd(m, compute_uv=False)
-            assert np.allclose(w.max(axis=1) / w.min(axis=1), s[:, 0] / s[:, -1], rtol=1e-10, atol=0)
-            assert np.all(frobenius_bound(m) < 0.5 * MAX_CONDITION)
-            solve_M(m, np.ones(m.shape[:2] + (1,), dtype=complex), *at_points(len(m)))
+        m = figure_M_stacks(fig_id, monkeypatch)
+        # every M of the construction is anti-Hermitian, so its singular
+        # values are the moduli of the eigenvalues of the Hermitian iM
+        skew = np.max(np.abs(m + np.conj(np.swapaxes(m, 1, 2))), axis=(1, 2))
+        assert np.all(skew <= 1e-15 * np.max(np.abs(m), axis=(1, 2)))
+        w = np.abs(np.linalg.eigvalsh(1j * m))
+        s = np.linalg.svd(m, compute_uv=False)
+        assert np.allclose(w.max(axis=1) / w.min(axis=1), s[:, 0] / s[:, -1], rtol=1e-10, atol=0)
+        assert np.all(frobenius_bound(m) < 0.5 * MAX_CONDITION)
+        solve_M(m, np.ones(m.shape[:2] + (1,), dtype=complex), *at_points(len(m)))
         assert cond_calls == []  # neither the kernel nor solve_M fell back to the SVD
 
     def test_svd_decides_beyond_screen(self, cond_calls):

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tccss import cli
 from tccss.io_cli import (
+    CHECK_NAMES,
     CSV_HEADER,
     GRID_BLOCK,
     ConfigError,
@@ -32,7 +33,9 @@ from tccss.io_cli import (
     serialize_config,
 )
 from tccss.report import GridSpec
-from tccss.soliton import Family, eval_fields, eval_fields_array
+from tccss.soliton import Family, eval_fields_array
+
+from conftest import reference_array
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
@@ -355,6 +358,26 @@ class TestRhSymmetryNearAxis:
         assert notes[-len(left_out):] == left_out
 
 
+class TestVacuum:
+    """An empty spectrum is the vacuum: `verify` runs every check its family
+    allows and every residual is exactly 0."""
+
+    @pytest.mark.parametrize("family", ["TypeI", "TypeII"])
+    def test_verify_every_check(self, tmp_path, capsys, family):
+        checks = [c for c in CHECK_NAMES if family == "TypeII" or c != "scattering"]
+        doc = {"spectrum": {"family": family, "zeros": [], "seeds": []}, "checks": checks}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["verify", "--config", str(cfg_path), "--json", str(report)])
+        assert code == 0, capsys.readouterr().err
+        results = json.loads(report.read_text())["checks"]
+        assert len(results) == len(checks)
+        assert [r["max_abs"] for r in results] == [0.0] * len(checks)
+
+
 def _node_paths(node, path=()):
     yield path
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -469,13 +492,14 @@ class TestExportGrid:
         ]
 
     @pytest.mark.parametrize("fig_id", [1, 2, 3, 4])
-    def test_batched_grid_matches_pointwise(self, fig_id):
+    def test_batched_grid_matches_reference(self, fig_id):
+        # the exported grid against the 40-digit reference
         cfg = RunConfig(figure_spectrum(fig_id), grid=GridSpec(-6.0, 6.0, 41, -1.0, 1.0, 5))
         rows = evaluate_grid(cfg).tolist()
         assert len(rows) == 41 * 5
+        ref = reference_array(cfg.spectrum, [r[0] for r in rows], [r[1] for r in rows])
         worst = 0.0
-        for row in rows:
-            u = eval_fields(cfg.spectrum, row[0], row[1])
+        for row, u in zip(rows, ref):
             got = np.array(row[2:8:2]) + 1j * np.array(row[3:8:2])
             worst = max(worst, float(np.max(np.abs(got - u))))
             assert row[8:] == [abs(complex(v)) for v in got]

@@ -287,9 +287,9 @@ class TestGaugeTransform:
         jets, _ = figure_table(3, x, t)
         assert np.max(np.abs(gauge_transform_and_cnls_residual(jets, x, t))) < 1e-12
 
-    def test_gauge_factor_preserves_magnitude(self, one_soliton_field):
+    def test_gauge_factor_preserves_magnitude(self, one_soliton_fields):
         for (X, T) in ((0.4, 0.3), (-1.7, -0.8)):
-            u = one_soliton_field(X - T / 12.0, T)
+            u = one_soliton_fields([X - T / 12.0], [T])[0]
             q = u * np.exp(1j / 6.0 * (X - T / 18.0))
             assert np.allclose(np.abs(q), np.abs(u), atol=0)
 

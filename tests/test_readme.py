@@ -1,0 +1,22 @@
+"""The README's Python example runs as written, so the docs cannot name a
+function the package no longer has, and prints what its comments say."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_use_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    ns = {}
+    exec(compile(blocks[0], str(README), "exec"), ns)
+    residual, cross, zero = capsys.readouterr().out.split()
+    assert abs(ns["u"][0] - (-4 / 29)) < 1e-15
+    assert float(residual) < 1e-12
+    assert float(cross) < 1e-6
+    assert abs(complex(zero) - 1j) < 1e-6
+    assert ns["table"].shape == (5, np.size(ns["x"]), 3)
