@@ -25,7 +25,6 @@ from .rhp import (
 from .scattering import (
     DomainTooSmallError,
     HalfPlaneError,
-    JostSolution,
     ZeroSearchError,
     scattering_evolution_check,
 )

@@ -94,8 +94,9 @@ def build_rh_pair(cfg: SpectrumConfig, x: float, t: float) -> RHSolutionPair:
         # zeros near the double range overflow to inf or NaN; `solve_M` refuses that M
         columns = np.concatenate([seeds[:, :6] * e[0, :, None], seeds[:, 6:] * f[0, :, None]], axis=1)
         m = (np.conj(columns) @ columns.T) / (lam[None, :] - np.conj(lam)[:, None])
-    weights = solve_M(m[None], np.eye(len(lam), dtype=complex)[None], [x], [t])[0]
-    return RHSolutionPair(columns, weights, lam)
+    # the weights are M^-1 itself, which `solve_M` forms against no right-hand side
+    _, weights = solve_M(m[None], np.zeros((1, len(lam), 0), dtype=complex), [x], [t])
+    return RHSolutionPair(columns, weights[0], lam)
 
 
 def reconstruct_potential(cfg: SpectrumConfig, x: float, t: float) -> np.ndarray:

@@ -6,7 +6,7 @@ spectral problem
 
     Psi_x = Q Psi - i lam (Psi sigma3 - sigma3 Psi)
 
-with identity data at one end of a truncated line, forms the scattering
+with identity data at x_min of a truncated line, forms the scattering
 matrix on the real axis, and hunts zeros of its analytically-extendable
 (7,7) entry in the upper half-plane.  Every route reads a half-step table
 of the potential (`sample_potential`), sampled once and reused by a whole
@@ -21,24 +21,26 @@ columns 1-6.  The fixed basis change V (a unitary rotation scaled by
 P, makes Q real and, having power-of-two entries, rounds nothing on the
 way back.  A classical Runge-Kutta step of either class is then the 7x7
 matrix T_n(c) = sum_{k<=4} c^k T_n^(k) with real, lambda-independent
-T_n^(k) and T^(4) = h^4/24 P.  The table stores T^(0..3) of the forward
-column-7 class; the other class, backward marching and the table of
-n_steps / 2 steps (`halved`) build theirs per block from the samples.  A lambda batch gets its step matrices from one
-real GEMM of its powers of c against the coefficients, in blocks of at
-most BLOCK_MATRICES (lambda, step) pairs, so transient memory does not
-grow with n_steps or the number of lambdas, and multiplies them in real
-(re, im) pair arithmetic, or in real arithmetic alone where every c is real
-(lambda on the imaginary axis), by pairwise (tree) reduction, or by
-doubling prefix products for the whole path.  What reads only column 7
-(Omega77, the coupling sweep, the secant) propagates the column-7 class
-alone.
+T_n^(k) and T^(4) = h^4/24 P.  The table stores T^(0..3) of the column-7
+class; the class of columns 1-6 and the table of n_steps / 2 steps
+(`halved`) build theirs per block from the samples.  A lambda batch gets
+its step matrices from one real GEMM of its powers of c against the
+coefficients, in blocks of at most BLOCK_MATRICES (lambda, step) pairs,
+so transient memory does not grow with n_steps or the number of lambdas.
+`_end_product` multiplies them, the one product of step matrices here: in
+real (re, im) pair arithmetic, or in real arithmetic alone where every c
+is real (lambda on the imaginary axis), by pairwise (tree) reduction over
+a range of steps.  No Jost path is stored: the determinant drift reads the
+end products of consecutive segments.  What reads only column 7 (Omega77,
+the coupling sweep, the secant) propagates the column-7 class alone.  Real
+lambda beyond the RK4 stability bound |lambda| h <= sqrt(2) is refused.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -66,8 +68,6 @@ BOTH_CLASSES = (1.0, -1.0)
 
 _PAIR_EYE = np.stack([np.eye(7), np.zeros((7, 7))])
 
-Side = Literal["plus", "minus"]
-
 
 class DomainTooSmallError(Exception):
     """Potential has not decayed below tolerance at a domain endpoint."""
@@ -78,7 +78,7 @@ class HalfPlaneError(Exception):
 
 
 class NonFiniteScatteringError(Exception):
-    """A swept lambda lies beyond the RK4 step's stability bound, or its
+    """A real lambda lies beyond the RK4 step's stability bound, or its
     scattering entries are NaN/infinity."""
 
 
@@ -96,7 +96,7 @@ class PotentialTable:
     """Potential sampled on the half-step nodes of a fixed domain.
 
     `u` holds the field triple on the 2 n_steps + 1 half-step nodes; `coef`
-    the step coefficients T^(0..3) of the forward column-7 class,
+    the step coefficients T^(0..3) of the column-7 class,
     (4, n_steps, 7, 7) real, or None to build them per block from `u`.
     """
 
@@ -121,9 +121,6 @@ class PotentialTable:
     def q_half(self) -> np.ndarray:
         """Q on every half-step node, (2 n_steps + 1, 7, 7)."""
         return build_Q(self.u)
-
-    def x_nodes(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_steps + 1)
 
 
 def check_domain(x_min: float, x_max: float, n_steps: int) -> None:
@@ -150,7 +147,7 @@ def sample_potential(
     """Sample the field on the RK half-step grid, checking endpoint decay.
 
     `fields(x[], t)` gives the (P, 3) field triples at P points; the step
-    coefficients of the forward column-7 class are built from the samples once.
+    coefficients of the column-7 class are built from the samples once.
     """
     check_domain(x_min, x_max, n_steps)
     xs_half = np.linspace(x_min, x_max, 2 * n_steps + 1)
@@ -181,29 +178,6 @@ def halved(table: PotentialTable) -> PotentialTable:
     return replace(table, n_steps=table.n_steps // 2, u=table.u[::2], coef=None)
 
 
-@dataclass(frozen=True)
-class JostSolution:
-    """Dense-sampled matrix solution normalized to I at one end of the line."""
-
-    lam: complex
-    side: Side
-    x_nodes: np.ndarray     # ascending, length n_steps + 1
-    values: np.ndarray      # (n_steps + 1, 7, 7), values[i] at x_nodes[i]
-
-    @property
-    def at_x_max(self) -> np.ndarray:
-        return self.values[-1]
-
-    @property
-    def at_x_min(self) -> np.ndarray:
-        return self.values[0]
-
-    def det_deviation(self, stride: int = 20) -> float:
-        """max |det - 1| over a strided subsample of the trajectory and its last node."""
-        mats = np.concatenate([self.values[::stride], self.values[-1:]])
-        return float(np.max(np.abs(np.linalg.det(mats) - 1.0)))
-
-
 def _p_diagonal(s: float) -> slice:
     """The diagonal of P = diag(sigma3 != s) in a flattened 7x7 matrix."""
     return slice(0, 41, 8) if s == COLUMN7 else slice(48, 49)
@@ -212,8 +186,8 @@ def _p_diagonal(s: float) -> slice:
 def _coefficients(u: np.ndarray, h: float, s: float) -> np.ndarray:
     """Step coefficients T^(0..3) of class s, (4, n, 7, 7) real, in the basis V.
 
-    u holds the 2n + 1 half-step samples in marching order, h is the signed
-    step.  With A = Q' + c P at the start, midpoint and end of a step,
+    u holds the 2n + 1 half-step samples, h is the step.  With A = Q' + c P
+    at the start, midpoint and end of a step,
     T = I + h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = Am + h/2 Am A0,
     K3 = Am + h/2 Am K2, K4 = A1 + h A1 K3 (the classical scheme for
     y' = A y) is a polynomial in c; T^(4) = h^4/24 P is left implicit.
@@ -262,21 +236,17 @@ def _coefficients(u: np.ndarray, h: float, s: float) -> np.ndarray:
     return t
 
 
-def _step_blocks(
-    table: PotentialTable, lams, classes, forward: bool = True, start: int = 0, stop=None
-):
+def _step_blocks(table: PotentialTable, lams, classes, start: int = 0, stop=None):
     """RK4 step matrices in the basis V, in marching order, one block at a time.
 
-    Rows are (class, lambda) pairs, class-major; steps start..stop (marching
-    order) come as real pairs (2, rows, b, 7, 7) of real and imaginary
-    parts.  T(c) = sum_k c^k T^(k): one real GEMM of the powers c^0..c^3
-    against the coefficients, plus c^4 h^4/24 on the diagonal of P.
-    Marching down (forward=False) reads the samples backwards with step -h.
+    Rows are (class, lambda) pairs, class-major; steps start..stop come as
+    real pairs (2, rows, b, 7, 7) of real and imaginary parts.
+    T(c) = sum_k c^k T^(k): one real GEMM of the powers c^0..c^3 against
+    the coefficients, plus c^4 h^4/24 on the diagonal of P.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
     stop = table.n_steps if stop is None else min(stop, table.n_steps)
-    h = table.h if forward else -table.h
-    u = table.u if forward else table.u[::-1]
+    h = table.h
     n_rows = len(classes) * len(lams)
     b = max(1, BLOCK_MATRICES // n_rows)
     powers = []  # per class: (re, im) of c^0..c^3, and of c^4 h^4/24
@@ -288,10 +258,10 @@ def _step_blocks(
         k = min(j + b, stop)
         out = np.empty((2, n_rows, k - j, 49))
         for i, (s, (w, w4)) in enumerate(zip(classes, powers)):
-            if forward and s == COLUMN7 and table.coef is not None:
+            if s == COLUMN7 and table.coef is not None:
                 coef = table.coef[:, j:k]
             else:
-                coef = _coefficients(u[2 * j : 2 * k + 1], h, s)
+                coef = _coefficients(table.u[2 * j : 2 * k + 1], h, s)
             rows = slice(i * len(lams), (i + 1) * len(lams))
             np.matmul(w, coef.reshape(4, -1), out=out.reshape(2, n_rows, -1)[:, rows])
             out[:, rows, :, _p_diagonal(s)] += w4
@@ -315,15 +285,6 @@ def _reduce(t: np.ndarray) -> np.ndarray:
     return t[:, :, 0]
 
 
-def _prefix(t: np.ndarray) -> np.ndarray:
-    """Ordered prefix products p[:, :, k] = t[:, :, k] @ ... @ t[:, :, 0] by doubling."""
-    s = 1
-    while s < t.shape[2]:
-        t = np.concatenate([t[:, :, :s], _mul(t[:, :, s:], t[:, :, :-s])], axis=2)
-        s *= 2
-    return t
-
-
 def _end_product(
     table: PotentialTable, lams, classes=(COLUMN7,), start: int = 0, stop=None
 ) -> np.ndarray:
@@ -338,7 +299,7 @@ def _end_product(
     for i in range(0, len(lams), BLOCK_MATRICES):
         chunk = lams[i : i + BLOCK_MATRICES]
         p = _PAIR_EYE[:parts, None]
-        for t in _step_blocks(table, chunk, classes, True, start, stop):
+        for t in _step_blocks(table, chunk, classes, start, stop):
             p = _mul(_reduce(t[:parts]), p)
         z = p[0] + 1j * p[1] if parts == 2 else p[0]
         out[:, i : i + len(chunk)] = z.reshape(len(classes), -1, 7, 7)
@@ -367,41 +328,29 @@ def _assemble(p: np.ndarray) -> np.ndarray:
     return _from_basis(np.where(SIGMA3_DIAG < 0, p[1], p[0]))
 
 
-def integrate_from_table(
-    table: PotentialTable, lam: complex, side: Side = "minus"
-) -> JostSolution:
-    """Jost solution on every node, from prefix products of both column classes.
-
-    side "minus" starts from the identity at x_min and marches up; side
-    "plus" starts from the identity at x_max and marches down.  Local
-    truncation is O(h^5) (classical fourth-order scheme).
-    """
-    if side not in ("plus", "minus"):
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    forward, n = side == "minus", table.n_steps
-    path = np.empty((n + 1, 7, 7), dtype=complex)
-    path[0 if forward else n] = np.eye(7)
-    carry, k = _PAIR_EYE[:, None, None], 1
-    for t in _step_blocks(table, lam, BOTH_CLASSES, forward):
-        p = _mul(_prefix(t), carry)
-        rows = np.arange(k, k + p.shape[2])
-        path[rows if forward else n - rows] = _assemble(p[0] + 1j * p[1])
-        carry, k = p[:, :, -1:], k + p.shape[2]
-    return JostSolution(complex(lam), side, table.x_nodes(), path)
-
-
 def det_drift_from_table(table: PotentialTable, lam: complex, stride: int) -> float:
     """max |det Psi_- - 1| on every stride-th node and the last one.
 
     Carries the end products of consecutive stride-length segments of both
-    column classes, so no path is stored (`JostSolution.det_deviation` on
-    the same nodes).
+    column classes, so no path is stored.
     """
     carry, mats = np.eye(7), []
     for start in range(0, table.n_steps, stride):
         carry = _end_product(table, lam, BOTH_CLASSES, start, start + stride)[:, 0] @ carry
         mats.append(_assemble(carry))
     return float(np.max(np.abs(np.linalg.det(np.array(mats)) - 1.0)))
+
+
+def _refuse_unstable(table: PotentialTable, lams: np.ndarray) -> None:
+    """Raise NonFiniteScatteringError, naming the first such lambda, where a
+    real lambda of `lams` exceeds the RK4 stability bound of the table's step."""
+    # the step of a free wave e^{c x}, c = 2i lambda, grows once |c h| > 2 sqrt2
+    unstable = np.abs(lams) > np.sqrt(2.0) / table.h
+    if np.any(unstable):
+        raise NonFiniteScatteringError(
+            f"lambda = {lams[unstable][0].real:.6g} exceeds the RK4 stability "
+            f"bound |lambda| h <= sqrt(2) of the step h = {table.h:.3g}"
+        )
 
 
 def _conjugate_to_omega(psi_end: np.ndarray, lams, x_max: float) -> np.ndarray:
@@ -417,7 +366,8 @@ def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> np.ndar
     Full matrix for real lambda.  For lambda in the open upper half-plane
     only the (7,7) entry is analytic and meaningful; the remaining entries
     of the returned matrix are not to be trusted there.  The lower
-    half-plane is rejected outright.
+    half-plane is rejected outright, and a real lambda beyond the RK4
+    stability bound raises NonFiniteScatteringError.
     """
     lam = complex(lam)
     if lam.imag < 0.0:
@@ -425,6 +375,8 @@ def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> np.ndar
             f"lambda = {lam} lies in the lower half-plane; only real lambda "
             "and the (7,7) entry on the upper half-plane are supported"
         )
+    if lam.imag == 0.0:
+        _refuse_unstable(table, np.array([lam]))
     # off the real axis columns 1-6 may overflow; the (7,7) entry stays finite
     with np.errstate(over="ignore", invalid="ignore"):
         psi = _assemble(_end_product(table, lam, BOTH_CLASSES)[:, 0])
@@ -448,13 +400,7 @@ def coupling_row_sweep(table: PotentialTable, lams: np.ndarray) -> np.ndarray:
     lams = np.asarray(lams, dtype=complex)
     if np.any(lams.imag != 0.0):
         raise HalfPlaneError("row sweep is defined for real lambda only")
-    # the step of a free wave e^{c x}, c = 2i lambda, grows once |c h| > 2 sqrt2
-    unstable = np.abs(lams) > np.sqrt(2.0) / table.h
-    if np.any(unstable):
-        raise NonFiniteScatteringError(
-            f"lambda = {lams[unstable][0].real:.6g} exceeds the RK4 stability "
-            f"bound |lambda| h <= sqrt(2) of the step h = {table.h:.3g}"
-        )
+    _refuse_unstable(table, lams)
     with np.errstate(over="ignore", invalid="ignore"):
         psi = _from_basis(_end_product(table, lams)[0])
         rows = _conjugate_to_omega(psi, lams, table.x_max)[:, :, 6]
@@ -523,7 +469,8 @@ def scattering_evolution_check(
     entries obey Omega_k7(t1) = e^{8 i lam^3 (t1 - t0)} Omega_k7(t0) for
     k = 1..6; the (7,7) entry is time-invariant.  Entries already below 1e-8
     at t0 are flagged vacuous (a reflectionless potential has nothing to
-    evolve).
+    evolve).  A lambda beyond the RK4 stability bound raises
+    NonFiniteScatteringError.
     """
     domain = (table_t0.x_min, table_t0.x_max, table_t0.n_steps)
     other = (table_t1.x_min, table_t1.x_max, table_t1.n_steps)

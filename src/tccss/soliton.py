@@ -204,9 +204,9 @@ def check_M(m: np.ndarray, x, t) -> None:
         )
 
 
-def solve_M(m: np.ndarray, rhs: np.ndarray, x, t, inverse: bool = False):
-    """Solve the stacked systems M[p] y[p] = rhs[p], (P, m, m) by (P, m, k);
-    with `inverse`, return (y, X) with X = M^-1 as well.
+def solve_M(m: np.ndarray, rhs: np.ndarray, x, t):
+    """Solve the stacked systems M[p] y[p] = rhs[p], (P, m, m) by (P, m, k),
+    and return (y, X) with X = M^-1.
 
     One LAPACK solve against [rhs | I] also gives X, and cond(M) <=
     |M|_F |X|_F, at most m times too large: a stack whose products stay
@@ -224,7 +224,7 @@ def solve_M(m: np.ndarray, rhs: np.ndarray, x, t, inverse: bool = False):
         bound = (np.abs(m) ** 2).sum(axis=(1, 2)) * (np.abs(y[..., k:]) ** 2).sum(axis=(1, 2))
     if not np.all(bound < (0.5 * MAX_CONDITION) ** 2):
         check_M(m, x, t)
-    return (y[..., :k], y[..., k:]) if inverse else y[..., :k]
+    return y[..., :k], y[..., k:]
 
 
 def eval_fields_array(
@@ -274,7 +274,7 @@ def eval_jets_array(
         comps = seeds[:, 0:6:2]
         m = (p6 + p7) / denom
         b = np.conj(seeds[:, 6] * f)
-        y, inv = solve_M(m, b[:, :, None], x, t, inverse=True)
+        y, inv = solve_M(m, b[:, :, None], x, t)
         jets = [2j * (e * y[:, :, 0]) @ comps]
         if derivatives:
             # M^(i) = c^i (p6 + (-1)^i p7) / denom: c^i times m or m_odd

@@ -18,7 +18,7 @@ from tccss.report import GridSpec
 from tccss.rhp import symmetry_residuals
 from tccss.scattering import (
     coupling_row_sweep,
-    integrate_from_table,
+    det_drift_from_table,
     locate_zero_from_table,
     sample_potential,
     scattering_matrix_from_table,
@@ -186,7 +186,7 @@ def test_criterion_6_direct_scattering_round_trip():
         reflection = max(reflection, float(np.max(np.abs(rows[:, :6]))))
     assert reflection < 1e-6
 
-    drift = integrate_from_table(table3, 1.0, side="minus").det_deviation(stride=400)
+    drift = det_drift_from_table(table3, 1.0, 400)
     assert drift < 1e-8
     report(
         6,

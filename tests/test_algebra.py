@@ -53,17 +53,18 @@ class TestLuSolve:
     def test_identity_system(self):
         rng = np.random.default_rng(0)
         b = rand_matrix(rng, 4, 2)[None]
-        x = solve_M(np.eye(4, dtype=complex)[None], b, *at_points(1))
+        x, _ = solve_M(np.eye(4, dtype=complex)[None], b, *at_points(1))
         assert np.allclose(x, b, atol=0)
 
     def test_diagonal_inverse(self):
         a = np.diag([2j, -1j])[None]
-        x = solve_M(a, np.eye(2, dtype=complex)[None], *at_points(1))
+        x, inv = solve_M(a, np.eye(2, dtype=complex)[None], *at_points(1))
         assert np.allclose(x[0], np.diag([-0.5j, 1j]), atol=1e-15)
+        assert np.allclose(inv[0], np.diag([-0.5j, 1j]), atol=1e-15)
 
     def test_scalar_inverse_from_one_soliton_m11(self):
         # M11 = 29 / (2i) for the unit-seed (1, 2, 3) one-soliton at the origin
-        x = solve_M(np.array([[[29 / 2j]]]), np.array([[[1.0 + 0j]]]), *at_points(1))
+        x, _ = solve_M(np.array([[[29 / 2j]]]), np.array([[[1.0 + 0j]]]), *at_points(1))
         assert abs(x[0, 0, 0] - 2j / 29) < 1e-16
 
     def test_residual_contract(self):
@@ -71,7 +72,7 @@ class TestLuSolve:
         a = np.array([rand_matrix(rng, 6) for _ in range(20)])
         a = a[np.linalg.cond(a) <= 1e6]
         b = np.array([rand_matrix(rng, 6, 3) for _ in range(len(a))])
-        x = solve_M(a, b, *at_points(len(a)))
+        x, _ = solve_M(a, b, *at_points(len(a)))
         for ap, bp, xp in zip(a, b, x):
             resid = np.max(np.abs(ap @ xp - bp))
             assert resid <= 1e-12 * np.max(np.abs(ap)) * max(np.max(np.abs(xp)), 1.0)
@@ -80,8 +81,9 @@ class TestLuSolve:
         rng = np.random.default_rng(2)
         a = np.array([rand_matrix(rng, 7) for _ in range(20)])
         a = a[np.linalg.cond(a) <= 1e6]
-        eye = np.broadcast_to(np.eye(7, dtype=complex), a.shape)
-        inv = solve_M(a, eye, *at_points(len(a)))
+        # no right-hand side: the inverse alone, as `build_rh_pair` takes it
+        y, inv = solve_M(a, np.zeros(a.shape[:2] + (0,), dtype=complex), *at_points(len(a)))
+        assert y.shape == (len(a), 7, 0)
         assert np.max(np.abs(a @ inv - np.eye(7))) < 1e-10
 
     def test_singular_zero_matrix(self):
@@ -115,9 +117,9 @@ def figure_M_stacks(fig_id, monkeypatch):
     """Every M of figure `fig_id`'s export grid as the batched kernel solves it."""
     seen = []
 
-    def spy(m, rhs, x, t, **kwargs):
+    def spy(m, rhs, x, t):
         seen.append(m)
-        return solve_M(m, rhs, x, t, **kwargs)
+        return solve_M(m, rhs, x, t)
 
     monkeypatch.setattr(soliton, "solve_M", spy)
     cfg = figure_config(fig_id)
@@ -214,7 +216,7 @@ class TestScreenSoundness:
                 with pytest.raises(NearSingularError, match=r"\(x, t\) = \(0, 0.5\)"):
                     solve_M(m[None], b[None], *at_points(1))
                 continue
-            y = solve_M(m[None], b[None], *at_points(1))[0]
+            y = solve_M(m[None], b[None], *at_points(1))[0][0]
             resid = np.max(np.abs(m @ y - b))
             assert resid <= 1e-12 * np.max(np.abs(m)) * max(np.max(np.abs(y)), 1.0)
 
@@ -224,7 +226,7 @@ class TestScreenSoundness:
         m = scale * 1j * np.array([[[2.0, 1.0], [1.0, -3.0]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y = solve_M(m, np.ones((1, 2, 1)), *at_points(1))
+            y, _ = solve_M(m, np.ones((1, 2, 1)), *at_points(1))
         assert np.allclose(m[0] @ y[0], 1.0, rtol=1e-14, atol=0)
         assert len(cond_calls) == 1
 

@@ -14,7 +14,6 @@ from tccss.scattering import (
     ZeroSearchError,
     coupling_row_sweep,
     det_drift_from_table,
-    integrate_from_table,
     locate_zero_from_table,
     omega77_from_table,
     sample_potential,
@@ -33,34 +32,27 @@ def rk4_step(psi, q0, qm, q1, step, rhs):
     return psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_path(table, lam, forward=True):
-    """Step-by-step classical RK4 on the whole matrix Psi, ascending-x order."""
+def reference_path(table, lam):
+    """Step-by-step classical RK4 on the whole matrix Psi from I at x_min, on every node."""
 
     def rhs(psi, q):
         return q @ psi - 1j * lam * (psi * SIGMA3_DIAG[None, :] - SIGMA3_DIAG[:, None] * psi)
 
     n, q_half = table.n_steps, table.q_half
-    step = table.h if forward else -table.h
-    sgn = 1 if forward else -1
-    psi = np.eye(7, dtype=complex)
     path = np.empty((n + 1, 7, 7), dtype=complex)
-    idx = 0 if forward else n
-    path[idx] = psi
+    path[0] = psi = np.eye(7, dtype=complex)
     for i in range(n):
-        base = 2 * i if forward else 2 * (n - i)
-        psi = rk4_step(psi, q_half[base], q_half[base + sgn], q_half[base + 2 * sgn], step, rhs)
-        idx += sgn
-        path[idx] = psi
+        psi = rk4_step(psi, q_half[2 * i], q_half[2 * i + 1], q_half[2 * i + 2], table.h, rhs)
+        path[i + 1] = psi
     return path
 
 
-def reference_steps(table, lam, s, forward=True):
+def reference_steps(table, lam, s):
     """Direct RK4 step matrices of column class s (y' = (Q + diag(i lam (sigma3 - s))) y),
     all steps at once, in marching order."""
     d = (1j * lam * (SIGMA3_DIAG - s))[:, None]
-    q = table.q_half if forward else table.q_half[::-1]
-    step = table.h if forward else -table.h
-    return rk4_step(np.eye(7), q[:-1:2], q[1::2], q[2::2], step, lambda y, qq: qq @ y + d * y)
+    q = table.q_half
+    return rk4_step(np.eye(7), q[:-1:2], q[1::2], q[2::2], table.h, lambda y, qq: qq @ y + d * y)
 
 
 def reference_omega(table, lam):
@@ -97,28 +89,20 @@ class TestTransferMatrixKernel:
         row = coupling_row_sweep(figure_table, np.array([0.3, lam]))[1]
         assert rel_diff(row, want[:, 6]) <= 1e-12
 
-    @pytest.mark.parametrize("side", ["minus", "plus"])
-    def test_path_both_sides(self, figure_table, side):
-        want = reference_path(figure_table, 1.0, forward=(side == "minus"))
-        sol = integrate_from_table(figure_table, 1.0, side)
-        assert sol.values.shape == want.shape
-        assert rel_diff(sol.values, want) <= 1e-12
-        start = sol.at_x_min if side == "minus" else sol.at_x_max
-        assert np.array_equal(start, np.eye(7))
-
     @pytest.mark.parametrize("stride", [7, 100])
     def test_det_drift_matches_path(self, figure_table, stride):
-        want = integrate_from_table(figure_table, 1.0).det_deviation(stride)
+        path = reference_path(figure_table, 1.0)
+        nodes = np.concatenate([path[::stride], path[-1:]])
+        want = float(np.max(np.abs(np.linalg.det(nodes) - 1.0)))
         assert abs(det_drift_from_table(figure_table, 1.0, stride) - want) <= 1e-13
 
-    @pytest.mark.parametrize("forward", [True, False], ids=["up", "down"])
     @pytest.mark.parametrize("s", [1.0, -1.0], ids=["cols1-6", "col7"])
-    def test_step_coefficients_match_rk4_step(self, figure_table, s, forward):
+    def test_step_coefficients_match_rk4_step(self, figure_table, s):
         for lam in (0.35j, 0.5 + 0.5j, 0.7, 2 + 0.1j, 5j):
-            blocks = list(scattering._step_blocks(figure_table, lam, (s,), forward))
+            blocks = list(scattering._step_blocks(figure_table, lam, (s,)))
             pair = np.concatenate(blocks, axis=2)[:, 0]
             got = scattering._from_basis(pair[0] + 1j * pair[1])
-            assert rel_diff(got, reference_steps(figure_table, lam, s, forward)) <= 1e-13
+            assert rel_diff(got, reference_steps(figure_table, lam, s)) <= 1e-13
 
     @pytest.mark.parametrize("fig", [3, 4])
     def test_q_half_layout(self, fig, one_soliton_fields, two_soliton_fields):
@@ -177,36 +161,27 @@ class TestTransferMatrixKernel:
 
 class TestIntegrateJost:
     def test_zero_potential_identity(self, zero_fields):
+        # Psi_- stays I on every node, read off the end products of steps 0..stop
         table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
         for lam in (0.5, 1.3j, -2.0 + 0.4j):
-            sol = integrate_from_table(table, lam)
-            assert np.allclose(sol.values, np.eye(7), atol=0)
-            assert np.array_equal(sol.at_x_min, np.eye(7))
-
-    def test_plus_side_boundary(self, zero_fields):
-        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
-        sol = integrate_from_table(table, 0.7, side="plus")
-        assert np.array_equal(sol.at_x_max, np.eye(7))
+            for stop in (1, 77, 200):
+                p = scattering._end_product(table, lam, scattering.BOTH_CLASSES, 0, stop)
+                assert np.array_equal(scattering._assemble(p[:, 0]), np.eye(7))
 
     def test_det_preserved_along_path(self, one_soliton_fields):
         table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 12000)
-        sol = integrate_from_table(table, 1.0)
-        assert sol.det_deviation(stride=500) < 1e-8
+        assert det_drift_from_table(table, 1.0, 500) < 1e-8
 
     def test_column_norms_bounded(self, one_soliton_fields):
-        # crude integral bound: column growth is at most exp(int ||Q||_F dx)
+        # crude integral bound: column growth is at most exp(int ||Q||_F dx);
+        # Omega is Psi_-(x_max) conjugated by unit-modulus phases, column norms alike
         table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 12000)
-        sol = integrate_from_table(table, 1.0)
+        omega = scattering_matrix_from_table(table, 1.0)
         xs = np.linspace(-30, 30, 2001)
         qnorm = np.sqrt(2 * np.sum(np.abs(one_soliton_fields(xs, 0.0)) ** 2, axis=1) * 2)
         bound = float(np.exp(np.trapezoid(qnorm, xs)))
-        col_norms = np.linalg.norm(sol.at_x_max, axis=0)
+        col_norms = np.linalg.norm(omega, axis=0)
         assert np.max(col_norms) <= bound
-
-    def test_rejects_unknown_side(self, zero_fields):
-        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
-        with pytest.raises(ValueError, match="side"):
-            integrate_from_table(table, 1.0, side="Minus")
 
     def test_rejects_small_step_count(self, zero_fields):
         with pytest.raises(ValueError, match="n_steps"):
@@ -225,9 +200,8 @@ class TestIntegrateJost:
 
     def test_unitary_for_real_lambda(self, one_soliton_fields):
         table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 12000)
-        sol = integrate_from_table(table, 0.8)
-        psi = sol.at_x_max
-        assert np.max(np.abs(psi.conj().T @ psi - np.eye(7))) < 1e-7
+        omega = scattering_matrix_from_table(table, 0.8)
+        assert np.max(np.abs(omega.conj().T @ omega - np.eye(7))) < 1e-7
 
 
 class TestScatteringMatrix:
@@ -258,6 +232,16 @@ class TestScatteringMatrix:
                 coupling_row_sweep(table, np.array(lams))
         with pytest.raises(NonFiniteScatteringError, match="lambda = nan are not finite"):
             coupling_row_sweep(table, np.array([0.5, np.nan]))
+
+    def test_real_lambda_past_stability_bound(self, one_soliton_fields):
+        # sqrt(2) / h = 70.7 on this table; past it Omega and the evolution
+        # residual would come out non-finite
+        tables = [sample_potential(one_soliton_fields, t, -40.0, 40.0, 4000) for t in (0.0, 0.2)]
+        assert np.all(np.isfinite(scattering_matrix_from_table(tables[0], 70.0)))
+        with pytest.raises(NonFiniteScatteringError, match="lambda = 75 exceeds the RK4 stability"):
+            scattering_matrix_from_table(tables[0], 75.0)
+        with pytest.raises(NonFiniteScatteringError, match="lambda = 100 exceeds the RK4 stability"):
+            scattering_evolution_check(*tables, 100.0)
 
     def test_large_upper_lambda_keeps_omega77(self, one_soliton_fields):
         # columns 1-6 overflow at 5i, silently; the (7,7) entry must not pick that up

@@ -62,7 +62,7 @@ def rh_M(cfg, x, t, monkeypatch):
     """The M that `build_rh_pair` forms at (x, t), and its kernel vectors;
     M is taken from the call to `solve_M`, which is not run."""
     seen = []
-    monkeypatch.setattr(rhp, "solve_M", lambda m, rhs, *points: seen.append(m[0]) or rhs)
+    monkeypatch.setattr(rhp, "solve_M", lambda m, rhs, *points: seen.append(m[0]) or (rhs, m))
     columns = build_rh_pair(cfg, x, t).columns
     return seen[0], columns
 
