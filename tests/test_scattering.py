@@ -32,18 +32,19 @@ def rk4_step(psi, q0, qm, q1, step, rhs):
     return psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_path(table, lam):
-    """Step-by-step classical RK4 on the whole matrix Psi from I at x_min, on every node."""
+def reference_path(table, lam, start=0):
+    """Step-by-step classical RK4 on the whole matrix Psi from I at node `start`
+    (x_min by default), on that node and every later one."""
 
     def rhs(psi, q):
         return q @ psi - 1j * lam * (psi * SIGMA3_DIAG[None, :] - SIGMA3_DIAG[:, None] * psi)
 
     n, q_half = table.n_steps, table.q_half
-    path = np.empty((n + 1, 7, 7), dtype=complex)
+    path = np.empty((n - start + 1, 7, 7), dtype=complex)
     path[0] = psi = np.eye(7, dtype=complex)
-    for i in range(n):
+    for i in range(start, n):
         psi = rk4_step(psi, q_half[2 * i], q_half[2 * i + 1], q_half[2 * i + 2], table.h, rhs)
-        path[i + 1] = psi
+        path[i - start + 1] = psi
     return path
 
 
@@ -62,6 +63,11 @@ def reference_omega(table, lam):
 
 def rel_diff(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def segment(n, which):
+    """Steps (start, stop) of an interior segment, or of the last 250 steps to the end."""
+    return (n // 3, 2 * n // 3) if which == "interior" else (n - 250, None)
 
 
 @pytest.fixture(scope="module", params=[(3, 1001), (3, 4097), (4, 1001), (4, 4097)],
@@ -88,6 +94,43 @@ class TestTransferMatrixKernel:
         assert rel_diff(scattering_matrix_from_table(figure_table, lam), want) <= 1e-12
         row = coupling_row_sweep(figure_table, np.array([0.3, lam]))[1]
         assert rel_diff(row, want[:, 6]) <= 1e-12
+
+    def test_end_product_matches_path_on_nodes(self, figure_table):
+        # Psi_- on a node is the end product of the steps before it; lambda on
+        # the imaginary axis takes the real-arithmetic products.  Off the real
+        # axis only column 7 is bounded, so only column 7 is compared there.
+        n = figure_table.n_steps
+        for lam, cols in ((1.0, slice(None)), (0.35j, slice(6, 7))):
+            path = reference_path(figure_table, lam)
+            for stop in (1, 7, n // 2, n - 1, n):
+                p = scattering._end_product(figure_table, lam, scattering.BOTH_CLASSES, 0, stop)
+                got = scattering._assemble(p[:, 0])
+                assert rel_diff(got[:, cols], path[stop][:, cols]) <= 1e-12
+
+    @pytest.mark.parametrize("which", ["interior", "tail"])
+    def test_segment_product_matches_path_from_node(self, figure_table, which):
+        # the product of steps start..stop is Psi from I at node start, carried
+        # to node stop; column 7 alone off the real axis, as above
+        start, stop = segment(figure_table.n_steps, which)
+        for lam, cols in ((1.0, slice(None)), (0.35j, slice(6, 7)), (0.5 + 0.5j, slice(6, 7))):
+            want = reference_path(figure_table, lam, start)[-1 if stop is None else stop - start]
+            p = scattering._end_product(figure_table, lam, scattering.BOTH_CLASSES, start, stop)
+            got = scattering._assemble(p[:, 0])
+            assert rel_diff(got[:, cols], want[:, cols]) <= 1e-12
+
+    @pytest.mark.parametrize("which", ["interior", "tail"])
+    def test_step_blocks_of_a_segment(self, figure_table, which):
+        # rows are (class, lambda) pairs, class-major; the steps are those of the segment
+        start, stop = segment(figure_table.n_steps, which)
+        lams = (0.35j, 0.7, 2 + 0.1j)
+        blocks = list(scattering._step_blocks(figure_table, lams, scattering.BOTH_CLASSES, start, stop))
+        pair = np.concatenate(blocks, axis=2)
+        got = scattering._from_basis(pair[0] + 1j * pair[1])
+        for i, s in enumerate(scattering.BOTH_CLASSES):
+            for j, lam in enumerate(lams):
+                want = reference_steps(figure_table, lam, s)[start:stop]
+                assert got[i * len(lams) + j].shape == want.shape
+                assert rel_diff(got[i * len(lams) + j], want) <= 1e-13
 
     @pytest.mark.parametrize("stride", [7, 100])
     def test_det_drift_matches_path(self, figure_table, stride):
