@@ -491,22 +491,20 @@ def _scattering_report(cfg: RunConfig) -> ResidualReport:
     sc = cfg.scattering
     fields = partial(eval_fields_array, cfg.spectrum)
     table = scattering.sample_potential(fields, sc.t, sc.x_min, sc.x_max, sc.n_steps)
-    half = None if sc.n_steps % 2 else scattering.halved(table)
-    values = []
-    notes = []
+    values, notes, found, omega77 = [], [], [], []
     for j, z in enumerate(cfg.spectrum.zeros):
         trace = []
-        found = scattering.locate_zero_from_table(table, z + 0.05j, trace=trace)
-        err = abs(found - z)
-        values.append(err)
-        notes.append(f"zero {j + 1}: constructed {z:.6g}, recovered {found:.6g}, |diff| = {err:.3e}")
-        omega77 = trace[-1][1]
-        notes.append(f"secant for zero {j + 1}: {len(trace)} evaluations, final |Omega77| = {abs(omega77):.3e}")
-        if half is not None:
-            gap = abs(omega77 - scattering.omega77_from_table(half, found))
-            notes.append(f"RK4 step-halving at zero {j + 1}: |Omega77_n - Omega77_n/2| = {gap:.3e}")
-    if half is None:
+        found.append(scattering.locate_zero_from_table(table, z + 0.05j, trace=trace))
+        omega77.append(trace[-1][1])
+        values.append(abs(found[j] - z))
+        notes.append(f"zero {j + 1}: constructed {z:.6g}, recovered {found[j]:.6g}, |diff| = {values[j]:.3e}")
+        notes.append(f"secant for zero {j + 1}: {len(trace)} evaluations, final |Omega77| = {abs(omega77[j]):.3e}")
+    if sc.n_steps % 2:
         notes.append(f"RK4 step-halving estimate skipped: n_steps = {sc.n_steps} is odd")
+    else:  # one pass over the halved table for every zero; its note follows the zero's two
+        halved = scattering.omega77_from_table(scattering.halved(table), np.array(found))
+        for j, gap in enumerate(np.abs(np.array(omega77) - halved)):
+            notes.insert(3 * j + 2, f"RK4 step-halving at zero {j + 1}: |Omega77_n - Omega77_n/2| = {gap:.3e}")
     row = scattering.coupling_row_sweep(table, np.array([0.3, 1.0, 2.0]))
     reflection = float(np.max(np.abs(row[:, :6])))
     values.append(reflection)

@@ -25,15 +25,15 @@ T_n^(k) and T^(4) = h^4/24 P.  The table stores T^(0..3) of the column-7
 class; the class of columns 1-6 and the table of n_steps / 2 steps
 (`halved`) build theirs per block from the samples.  A lambda batch gets
 its step matrices from one real GEMM of its powers of c against the
-coefficients, in blocks of at most BLOCK_MATRICES (lambda, step) pairs,
-so transient memory does not grow with n_steps or the number of lambdas.
-`_end_product` multiplies them, the one product of step matrices here: in
-real (re, im) pair arithmetic, or in real arithmetic alone where every c
-is real (lambda on the imaginary axis), by pairwise (tree) reduction over
-a range of steps.  No Jost path is stored: the determinant drift reads the
-end products of consecutive segments.  What reads only column 7 (Omega77,
-the coupling sweep, the secant) propagates the column-7 class alone.  Real
-lambda beyond the RK4 stability bound |lambda| h <= sqrt(2) is refused.
+coefficients, in blocks of at most BLOCK_MATRICES (lambda, step) pairs, so
+transient memory does not grow with n_steps or the number of lambdas; where
+every c is real (imaginary lambda, as in the secant) only real parts are
+formed and multiplied.  `_end_product` multiplies by tree reduction over a
+range of steps.  No Jost path is stored: the determinant drift, in one pass,
+reduces the pieces of each block in a batch and carries segment products
+node to node.  What reads only column 7 (Omega77, of a lambda array in one
+pass; the coupling sweep; the secant) propagates the column-7 class alone.
+A NaN or infinite lambda, or a real one past the RK4 bound |lambda| h <= sqrt(2), is refused.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class HalfPlaneError(Exception):
 
 
 class NonFiniteScatteringError(Exception):
-    """A real lambda lies beyond the RK4 step's stability bound, or its
-    scattering entries are NaN/infinity."""
+    """A lambda has a NaN/infinite part or, real, lies beyond the RK4 step's
+    stability bound, or its scattering entries are NaN/infinity."""
 
 
 class ZeroSearchError(Exception):
@@ -170,8 +170,8 @@ def sample_potential(
 def halved(table: PotentialTable) -> PotentialTable:
     """The table of n_steps / 2 steps on the same domain (every other sample).
 
-    It stores no coefficients: the step-halving estimate uses it once per
-    zero, so its coefficients are built per block.
+    It stores no coefficients: the step-halving estimate makes one pass over
+    it for every zero, so its coefficients are built per block.
     """
     if table.n_steps % 2:
         raise ValueError(f"n_steps = {table.n_steps} is odd; it cannot be halved")
@@ -239,33 +239,38 @@ def _coefficients(u: np.ndarray, h: float, s: float) -> np.ndarray:
 def _step_blocks(table: PotentialTable, lams, classes, start: int = 0, stop=None):
     """RK4 step matrices in the basis V, in marching order, one block at a time.
 
-    Rows are (class, lambda) pairs, class-major; steps start..stop come as
-    real pairs (2, rows, b, 7, 7) of real and imaginary parts.
+    Rows are (class, lambda) pairs, class-major; steps start..stop come as real
+    pairs (2, rows, b, 7, 7) of real and imaginary parts, (1, ...) where c is real.
     T(c) = sum_k c^k T^(k): one real GEMM of the powers c^0..c^3 against
     the coefficients, plus c^4 h^4/24 on the diagonal of P.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
     stop = table.n_steps if stop is None else min(stop, table.n_steps)
-    h = table.h
+    h, parts = table.h, 2 if np.any(lams.real) else 1  # c = -2i lam s is real on the imaginary axis
     n_rows = len(classes) * len(lams)
     b = max(1, BLOCK_MATRICES // n_rows)
     powers = []  # per class: (re, im) of c^0..c^3, and of c^4 h^4/24
     for s in classes:
         w = (-2j * s * lams)[:, None] ** np.arange(5)
-        w = np.stack([w.real, w.imag])
+        w = np.stack([w.real, w.imag])[:parts]
         powers.append((np.ascontiguousarray(w[..., :4]), (h**4 / 24.0) * w[..., 4, None, None]))
     for j in range(start, stop, b):
         k = min(j + b, stop)
-        out = np.empty((2, n_rows, k - j, 49))
+        out = np.empty((parts, n_rows, k - j, 49))
         for i, (s, (w, w4)) in enumerate(zip(classes, powers)):
             if s == COLUMN7 and table.coef is not None:
                 coef = table.coef[:, j:k]
             else:
                 coef = _coefficients(table.u[2 * j : 2 * k + 1], h, s)
             rows = slice(i * len(lams), (i + 1) * len(lams))
-            np.matmul(w, coef.reshape(4, -1), out=out.reshape(2, n_rows, -1)[:, rows])
+            np.matmul(w, coef.reshape(4, -1), out=out.reshape(parts, n_rows, -1)[:, rows])
             out[:, rows, :, _p_diagonal(s)] += w4
-        yield out.reshape(2, n_rows, k - j, 7, 7)
+        yield out.reshape(parts, n_rows, k - j, 7, 7)
+
+
+def _to_complex(p: np.ndarray) -> np.ndarray:
+    """The complex array of an (re, im) pair (2, ...) or of a real (1, ...) array."""
+    return p[0] + 1j * p[1] if len(p) == 2 else p[0].astype(complex)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,11 +283,12 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _reduce(t: np.ndarray) -> np.ndarray:
-    """Ordered products t[:, :, -1] @ ... @ t[:, :, 0] by pairwise (tree) reduction."""
-    while t.shape[2] > 1:
-        m = t.shape[2] // 2 * 2
-        t = np.concatenate([_mul(t[:, :, 1:m:2], t[:, :, 0:m:2]), t[:, :, m:]], axis=2)
-    return t[:, :, 0]
+    """Ordered products of the steps t[..., -1, :, :] @ ... @ t[..., 0, :, :] by tree reduction."""
+    while t.shape[-3] > 1:
+        m = t.shape[-3] // 2 * 2
+        p = _mul(t[..., 1:m:2, :, :], t[..., 0:m:2, :, :])
+        t = p if m == t.shape[-3] else np.concatenate([p, t[..., m:, :, :]], axis=-3)
+    return t[..., 0, :, :]
 
 
 def _end_product(
@@ -293,16 +299,13 @@ def _end_product(
     Lambdas go in chunks of at most BLOCK_MATRICES.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
-    # c = -2i lam s is real on the imaginary lambda axis: real products only
-    parts = 2 if np.any(lams.real) else 1
     out = np.empty((len(classes), len(lams), 7, 7), dtype=complex)
     for i in range(0, len(lams), BLOCK_MATRICES):
         chunk = lams[i : i + BLOCK_MATRICES]
-        p = _PAIR_EYE[:parts, None]
+        p = None
         for t in _step_blocks(table, chunk, classes, start, stop):
-            p = _mul(_reduce(t[:parts]), p)
-        z = p[0] + 1j * p[1] if parts == 2 else p[0]
-        out[:, i : i + len(chunk)] = z.reshape(len(classes), -1, 7, 7)
+            p = _mul(_reduce(t), _PAIR_EYE[: len(t), None] if p is None else p)
+        out[:, i : i + len(chunk)] = _to_complex(p).reshape(len(classes), -1, 7, 7)
     return out
 
 
@@ -332,13 +335,32 @@ def det_drift_from_table(table: PotentialTable, lam: complex, stride: int) -> fl
     """max |det Psi_- - 1| on every stride-th node and the last one.
 
     Carries the end products of consecutive stride-length segments of both
-    column classes, so no path is stored.
+    column classes, formed as `_end_product` forms them (tree products of
+    pieces of at most BLOCK_MATRICES / 2 steps, chained from I); the
+    segments in one block of step matrices are reduced in one batch.
     """
-    carry, mats = np.eye(7), []
-    for start in range(0, table.n_steps, stride):
-        carry = _end_product(table, lam, BOTH_CLASSES, start, start + stride)[:, 0] @ carry
-        mats.append(_assemble(carry))
-    return float(np.max(np.abs(np.linalg.det(np.array(mats)) - 1.0)))
+    n, half = table.n_steps, BLOCK_MATRICES // len(BOTH_CLASSES)
+    # a call covers one block of whole segments, or one segment, or the part left over
+    full, span = n - n % stride, max(1, half // stride) * stride
+    calls = [(s, min(s + span, full)) for s in range(0, full, span)] + ([(full, n)] if full < n else [])
+    carry, nodes, at = np.eye(7), [], 0
+    for start, stop in calls:
+        for t in _step_blocks(table, [lam], BOTH_CLASSES, start, stop):
+            m = min(stride, t.shape[2])  # the block's pieces: segments, or part of one
+            for prod in np.moveaxis(_reduce(t.reshape(len(t), 2, -1, m, 7, 7)), 2, 0):
+                p = _mul(prod, _PAIR_EYE[: len(t), None] if at % stride == 0 else p)
+                at += m
+                if at % stride == 0 or at == n:
+                    carry = _to_complex(p) @ carry
+                    nodes.append(carry)
+    return float(np.max(np.abs(np.linalg.det(_assemble(np.stack(nodes, axis=1))) - 1.0)))
+
+
+def _finite(lam):
+    """lam, a number or an array, after refusing any NaN or infinite part."""
+    if not np.all(np.isfinite(lam)):
+        raise NonFiniteScatteringError(f"lambda = {np.asarray(lam)[~np.isfinite(lam)][0]} is not finite")
+    return lam
 
 
 def _refuse_unstable(table: PotentialTable, lams: np.ndarray) -> None:
@@ -369,7 +391,7 @@ def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> np.ndar
     half-plane is rejected outright, and a real lambda beyond the RK4
     stability bound raises NonFiniteScatteringError.
     """
-    lam = complex(lam)
+    lam = complex(_finite(lam))
     if lam.imag < 0.0:
         raise HalfPlaneError(
             f"lambda = {lam} lies in the lower half-plane; only real lambda "
@@ -383,10 +405,13 @@ def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> np.ndar
         return _conjugate_to_omega(psi[None], lam, table.x_max)[0]
 
 
-def omega77_from_table(table: PotentialTable, lam: complex) -> complex:
-    """The analytically-extendable (7,7) scattering entry (conjugation-invariant)."""
-    # V fixes e7, so the (7,7) entry is the same in either basis
-    return complex(_end_product(table, lam)[0, 0, 6, 6])
+def omega77_from_table(table: PotentialTable, lam):
+    """The analytically-extendable (7,7) scattering entry (conjugation-invariant):
+    a complex for one lambda, an (L,) array, from one pass, for L of them."""
+    # V fixes e7, so the (7,7) entry is the same in either basis; overflow reads inf/NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        o77 = _end_product(table, _finite(lam))[0, :, 6, 6]
+    return complex(o77[0]) if np.ndim(lam) == 0 else o77
 
 
 def coupling_row_sweep(table: PotentialTable, lams: np.ndarray) -> np.ndarray:
@@ -422,11 +447,11 @@ def locate_zero_from_table(
 
     Converged when |Omega77| < 1e-8 or the step shrinks below 1e-10; raises
     ZeroSearchError (with the iterate trace) on stagnation, escape from the
-    upper half-plane, or iteration exhaustion.  A given `trace` list
-    receives every evaluation (lambda, Omega77), the last one at the
-    returned zero.
+    upper half-plane, iteration exhaustion, or a non-finite Omega77.  A
+    given `trace` list receives every evaluation (lambda, Omega77), the last
+    one at the returned zero.
     """
-    seed = complex(seed)
+    seed = complex(_finite(seed))
     if seed.imag <= 0.0:
         raise HalfPlaneError(f"seed {seed} must lie in the open upper half-plane")
     trace = [] if trace is None else trace
@@ -434,6 +459,8 @@ def locate_zero_from_table(
     def g(lam: complex) -> complex:
         val = omega77_from_table(table, lam)
         trace.append((lam, val))
+        if not np.isfinite(val):
+            raise ZeroSearchError(f"Omega77 = {val} at lambda = {lam:.6g} is not finite", trace)
         return val
 
     lam0 = seed

@@ -4,14 +4,14 @@ import math
 import subprocess
 import sys
 import warnings
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tccss import cli
+from tccss import cli, scattering
 from tccss.io_cli import (
     CHECK_NAMES,
     CSV_HEADER,
@@ -302,6 +302,18 @@ class TestExitTwo:
         cfg_path.write_text(json.dumps(doc))
         err = cli_error(capsys, ["verify", "--config", str(cfg_path)])
         assert err.startswith(f"error: check {check!r} failed: non-finite field at (x, t) = ")
+
+    def test_verify_scattering_zero_past_rk4_stability(self, tmp_path, capsys):
+        # at lambda = 600i the step is unstable: the secant stops at its first
+        # non-finite Omega77, with one error line and no numpy warning
+        doc = json.loads((DOCS / "one_soliton.json").read_text())
+        doc["spectrum"]["zeros"] = [[0, 600]]
+        doc["checks"] = ["scattering"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        err = cli_error(capsys, ["verify", "--config", str(cfg_path)])
+        assert err.startswith("error: check 'scattering' failed: Omega77 = ")
+        assert "is not finite" in err and 1 <= err.count("lam=") <= 2
 
     def test_deep_nesting(self, tmp_path, capsys):
         cfg_path = tmp_path / "deep.json"
@@ -737,6 +749,25 @@ class TestScatteringCheck:
             assert not skipped and len(halving) == 1
             # fourth order: the n/2 error dominates and stays far below the check
             assert 0.0 < float(halving[0].rsplit("= ", 1)[1]) < 1e-6
+
+
+    def test_step_halving_one_pass_for_every_zero(self):
+        # the halving notes of a two-zero spectrum, read from one pass over the
+        # halved table, are those of one pass per zero; each follows its zero
+        doc = json.loads((DOCS / "two_soliton.json").read_text())
+        doc["checks"] = ["scattering"]
+        doc["scattering"] = {"x_min": -40.0, "x_max": 40.0, "n_steps": 4000, "t": 0.0}
+        cfg = parse_config(json.dumps(doc))
+        notes = run_checks(cfg).checks[0].report.notes
+        table = scattering.sample_potential(partial(eval_fields_array, cfg.spectrum), 0.0, -40.0, 40.0, 4000)
+        assert len(cfg.spectrum.zeros) == 2
+        for j, z in enumerate(cfg.spectrum.zeros):
+            trace = []
+            found = scattering.locate_zero_from_table(table, z + 0.05j, trace=trace)
+            gap = abs(trace[-1][1] - scattering.omega77_from_table(scattering.halved(table), found))
+            zero, secant, halving = notes[3 * j : 3 * j + 3]
+            assert zero.startswith(f"zero {j + 1}: ") and secant.startswith(f"secant for zero {j + 1}: ")
+            assert halving == f"RK4 step-halving at zero {j + 1}: |Omega77_n - Omega77_n/2| = {gap:.3e}"
 
 
 class TestFigures:

@@ -124,8 +124,7 @@ class TestTransferMatrixKernel:
         start, stop = segment(figure_table.n_steps, which)
         lams = (0.35j, 0.7, 2 + 0.1j)
         blocks = list(scattering._step_blocks(figure_table, lams, scattering.BOTH_CLASSES, start, stop))
-        pair = np.concatenate(blocks, axis=2)
-        got = scattering._from_basis(pair[0] + 1j * pair[1])
+        got = scattering._from_basis(scattering._to_complex(np.concatenate(blocks, axis=2)))
         for i, s in enumerate(scattering.BOTH_CLASSES):
             for j, lam in enumerate(lams):
                 want = reference_steps(figure_table, lam, s)[start:stop]
@@ -139,12 +138,31 @@ class TestTransferMatrixKernel:
         want = float(np.max(np.abs(np.linalg.det(nodes) - 1.0)))
         assert abs(det_drift_from_table(figure_table, 1.0, stride) - want) <= 1e-13
 
+    @pytest.mark.parametrize("figure_table", [(3, 4097), (4, 4097)], indirect=True,
+                             ids=["fig3-n4097", "fig4-n4097"])
+    def test_segmented_drift_matches_per_segment_products(self, figure_table):
+        # the per-segment loop the one-pass drift replaces: one end product per
+        # segment, carried node to node; the floats agree exactly for strides
+        # that divide n (1, n), do not (7, n // 100) or exceed it (2n), on and
+        # off the imaginary axis
+        n = figure_table.n_steps
+        for lam in (1.0, 0.5j):
+            for stride in (1, 7, n // 100, n, 2 * n):
+                carry, mats = np.eye(7), []
+                for start in range(0, n, stride):
+                    p = scattering._end_product(figure_table, lam, scattering.BOTH_CLASSES, start, start + stride)
+                    carry = p[:, 0] @ carry
+                    mats.append(scattering._assemble(carry))
+                want = float(np.max(np.abs(np.linalg.det(np.array(mats)) - 1.0)))
+                assert det_drift_from_table(figure_table, lam, stride) == want, (lam, stride)
+
     @pytest.mark.parametrize("s", [1.0, -1.0], ids=["cols1-6", "col7"])
     def test_step_coefficients_match_rk4_step(self, figure_table, s):
         for lam in (0.35j, 0.5 + 0.5j, 0.7, 2 + 0.1j, 5j):
             blocks = list(scattering._step_blocks(figure_table, lam, (s,)))
-            pair = np.concatenate(blocks, axis=2)[:, 0]
-            got = scattering._from_basis(pair[0] + 1j * pair[1])
+            # on the imaginary axis c is real: the real parts come alone
+            assert all(len(b) == (1 if lam.real == 0 else 2) for b in blocks)
+            got = scattering._from_basis(scattering._to_complex(np.concatenate(blocks, axis=2))[0])
             assert rel_diff(got, reference_steps(figure_table, lam, s)) <= 1e-13
 
     @pytest.mark.parametrize("fig", [3, 4])
@@ -295,6 +313,24 @@ class TestScatteringMatrix:
         assert not np.all(np.isfinite(omega))
         assert abs(omega[6, 6] - omega77_from_table(table, 5j)) <= 1e-12
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0, np.nan)], ids=["nan", "inf", "nanj"])
+    def test_non_finite_lambda_refused(self, one_soliton_fields, lam):
+        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 1000)
+        for entry in (scattering_matrix_from_table, omega77_from_table, locate_zero_from_table):
+            with pytest.raises(NonFiniteScatteringError, match="is not finite"):
+                entry(table, lam)
+        with pytest.raises(NonFiniteScatteringError, match="is not finite"):
+            omega77_from_table(table, np.array([0.5j, lam]))
+
+    def test_omega77_of_an_array(self, one_soliton_fields):
+        # one pass for every lambda of an array, as one call per lambda
+        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 1000)
+        lams = np.array([0.35j, 1j, 0.5 + 0.5j])
+        got = omega77_from_table(table, lams)
+        assert got.shape == (3,)
+        for value, lam in zip(got, lams):
+            assert abs(value - omega77_from_table(table, lam)) <= 1e-13
+
     def test_lower_half_plane_rejected(self, zero_fields):
         table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
         with pytest.raises(HalfPlaneError):
@@ -343,6 +379,16 @@ class TestLocateSpectralZero:
         found = locate_zero_from_table(table, 0.8j, trace=trace)
         assert len(trace) >= 2
         assert trace[-1] == (found, omega77_from_table(table, found))
+
+    def test_stops_at_first_non_finite_omega77(self, one_soliton_fields):
+        # |lambda| h = 12, far outside the RK4 stability region: Omega77 is NaN,
+        # and the search stops there without a numpy warning
+        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 4000)
+        trace = []
+        with pytest.raises(ZeroSearchError, match="is not finite") as info:
+            locate_zero_from_table(table, 600.05j, trace=trace)
+        assert len(trace) <= 2 and not np.isfinite(trace[-1][1])
+        assert len(info.value.trace) == len(trace)
 
     def test_seed_must_be_upper(self, zero_fields):
         table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
