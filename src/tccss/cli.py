@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 a verification threshold failed, 2 usage or
 configuration errors, including spectra whose M is near-singular or whose
-fields overflow, and `scatter` sweeps whose scattering entries overflow or
-whose potential has not decayed at the ends of the scattering domain.
+fields overflow, `scatter` sweeps whose scattering entries overflow or
+whose potential has not decayed at the ends of the scattering domain, and
+grids or sweeps too large to allocate.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
 
     except (
         ConfigError, SpectrumError, ValueError, NearSingularError, NonFiniteFieldError,
-        NonFiniteScatteringError, DomainTooSmallError, VerifyError,
+        NonFiniteScatteringError, DomainTooSmallError, VerifyError, MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -129,10 +129,6 @@ class RunConfig:
                 raise ConfigError(
                     f"unknown check {c!r}; supported: {', '.join(CHECK_NAMES)}"
                 )
-        if "scattering" in self.checks and self.spectrum.family is Family.TYPE_I:
-            raise ConfigError(
-                "the scattering round-trip check supports TypeII spectra only"
-            )
         for k, v in self.thresholds.items():
             if k not in CHECK_NAMES:
                 raise ConfigError(f"thresholds.{k}: unknown check name")
@@ -488,32 +484,36 @@ def _rh_lambda_samples(spectrum: SpectrumConfig) -> list[complex]:
 
 
 def _scattering_report(cfg: RunConfig) -> ResidualReport:
-    sc = cfg.scattering
+    """Omega77 of the sampled field against the Blaschke product
+    B = prod_j (lam - z_j) / (lam - conj z_j) of the expanded zeros, which it
+    equals for a reflectionless potential: |Omega77 - B| at 9 real and 3
+    complex lambda, |Omega77(z) / B'(z)| (a Newton step to the zero of
+    Omega77 near z) at each zero z, and the largest real-axis reflection."""
+    sc, z = cfg.scattering, cfg.spectrum.expanded_zeros()
     fields = partial(eval_fields_array, cfg.spectrum)
     table = scattering.sample_potential(fields, sc.t, sc.x_min, sc.x_max, sc.n_steps)
-    values, notes, found, omega77 = [], [], [], []
-    for j, z in enumerate(cfg.spectrum.zeros):
-        trace = []
-        found.append(scattering.locate_zero_from_table(table, z + 0.05j, trace=trace))
-        omega77.append(trace[-1][1])
-        values.append(abs(found[j] - z))
-        notes.append(f"zero {j + 1}: constructed {z:.6g}, recovered {found[j]:.6g}, |diff| = {values[j]:.3e}")
-        notes.append(f"secant for zero {j + 1}: {len(trace)} evaluations, final |Omega77| = {abs(omega77[j]):.3e}")
-    if sc.n_steps % 2:
-        notes.append(f"RK4 step-halving estimate skipped: n_steps = {sc.n_steps} is odd")
-    else:  # one pass over the halved table for every zero; its note follows the zero's two
-        halved = scattering.omega77_from_table(scattering.halved(table), np.array(found))
-        for j, gap in enumerate(np.abs(np.array(omega77) - halved)):
-            notes.insert(3 * j + 2, f"RK4 step-halving at zero {j + 1}: |Omega77_n - Omega77_n/2| = {gap:.3e}")
-    row = scattering.coupling_row_sweep(table, np.array([0.3, 1.0, 2.0]))
-    reflection = float(np.max(np.abs(row[:, :6])))
-    values.append(reflection)
-    notes.append(f"max reflection entry over real lambda in (0.3, 1, 2): {reflection:.3e}")
-    drift = scattering.det_drift_from_table(table, 1.0, stride=max(1, sc.n_steps // 100))
-    notes.append(f"max |det - 1| along path at lambda = 1: {drift:.3e}")
+    real, off = np.linspace(-2.0, 2.0, 9), np.array([0.3 + 0.4j, -1.0 + 0.8j, 1.5 + 1.5j, *z])
+    rows = scattering.coupling_row_sweep(table, real)
+    omega77 = np.concatenate([rows[:, 6], scattering.omega77_from_table(table, off)])
+    for lam, val in zip(off, omega77[9:]):
+        if not np.isfinite(val):
+            raise scattering.NonFiniteScatteringError(f"Omega77 = {val} at lambda = {lam:.6g} is not finite")
+    lam = np.concatenate([real, off])[:, None]
+    ratio = (lam - z) / (lam - np.conj(z))
+    # B'(z_k): the factor of B(z_k) that vanishes becomes 1 / (z_k - conj z_k)
+    ratio[12 + np.arange(len(z)), np.arange(len(z))] = 1.0 / (z - np.conj(z))
+    residual = np.abs(omega77[:12] - np.prod(ratio[:12], axis=1))
+    newton = omega77[12:] / np.prod(ratio[12:], axis=1)
+    reflection = float(np.max(np.abs(rows[:, :6])))
+    n = len(cfg.spectrum.zeros)
+    found = [f"{z[k]:.6g}, recovered {z[k] - newton[k]:.6g}, |diff| = {abs(newton[k]):.3e}" for k in range(len(z))]
+    notes = [f"zero {j + 1}: constructed " + "; mirror ".join(found[j::n]) for j in range(n)]
+    notes.append(f"max |Omega77 - B|: {residual[:9].max():.3e} over 9 real lambda in [-2, 2], "
+                 f"{residual[9:].max():.3e} at lambda = 0.3+0.4j, -1+0.8j, 1.5+1.5j")
+    notes.append(f"max reflection entry over the 9 real lambda: {reflection:.3e}")
     return summarize(
         "scattering",
-        values,
+        [*residual, *np.abs(newton), reflection],
         grid=f"[{sc.x_min}, {sc.x_max}] x {sc.n_steps} steps, t = {sc.t}",
         notes=notes,
     )

@@ -6,11 +6,13 @@ spectral problem
 
     Psi_x = Q Psi - i lam (Psi sigma3 - sigma3 Psi)
 
-with identity data at x_min of a truncated line, forms the scattering
-matrix on the real axis, and hunts zeros of its analytically-extendable
-(7,7) entry in the upper half-plane.  Every route reads a half-step table
-of the potential (`sample_potential`), sampled once and reused by a whole
-lambda sweep or secant search.
+with identity data at x_min of a truncated line and forms the scattering
+matrix on the real axis and its analytically-extendable (7,7) entry in the
+upper half-plane.  For a reflectionless potential that entry is the
+Blaschke product of the zeros (the `scattering` check of `verify` compares
+the two); `locate_zero_from_table` hunts its zeros directly.  Every route
+reads a half-step table of the potential (`sample_potential`), sampled once
+and reused by a whole lambda sweep or zero search.
 
 Column j of Psi obeys y' = (Q + c P) y, with c = -2 i lam s and
 P = diag(sigma3 != s) for the column class s = sigma3_j: c = 2 i lam and
@@ -22,24 +24,24 @@ P, makes Q real and, having power-of-two entries, rounds nothing on the
 way back.  A classical Runge-Kutta step of either class is then the 7x7
 matrix T_n(c) = sum_{k<=4} c^k T_n^(k) with real, lambda-independent
 T_n^(k) and T^(4) = h^4/24 P.  The table stores T^(0..3) of the column-7
-class; the class of columns 1-6 and the table of n_steps / 2 steps
-(`halved`) build theirs per block from the samples.  A lambda batch gets
-its step matrices from one real GEMM of its powers of c against the
-coefficients, in blocks of at most BLOCK_MATRICES (lambda, step) pairs, so
-transient memory does not grow with n_steps or the number of lambdas; where
-every c is real (imaginary lambda, as in the secant) only real parts are
-formed and multiplied.  `_end_product` multiplies by tree reduction over a
-range of steps.  No Jost path is stored: the determinant drift, in one pass,
-reduces the pieces of each block in a batch and carries segment products
-node to node.  What reads only column 7 (Omega77, of a lambda array in one
-pass; the coupling sweep; the secant) propagates the column-7 class alone.
-A NaN or infinite lambda, or a real one past the RK4 bound |lambda| h <= sqrt(2), is refused.
+class; the class of columns 1-6 builds its own per block from the samples.
+A lambda batch gets its step matrices from one real GEMM of its powers of c
+against the coefficients, in blocks of at most BLOCK_MATRICES (lambda, step)
+pairs, so transient memory does not grow with n_steps or the number of
+lambdas; where every c is real (imaginary lambda) only real parts are formed
+and multiplied.  `_end_product` multiplies by tree reduction over a range of
+steps.  No Jost path is stored: the determinant drift, in one pass, reduces
+the pieces of each block in a batch and carries segment products node to
+node.  What reads only column 7 (Omega77, of a lambda array in one pass; the
+coupling sweep; the secant) propagates the column-7 class alone.  A NaN or
+infinite lambda, or a real one past the RK4 bound |lambda| h <= sqrt(2), is
+refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -96,8 +98,8 @@ class PotentialTable:
     """Potential sampled on the half-step nodes of a fixed domain.
 
     `u` holds the field triple on the 2 n_steps + 1 half-step nodes; `coef`
-    the step coefficients T^(0..3) of the column-7 class,
-    (4, n_steps, 7, 7) real, or None to build them per block from `u`.
+    the step coefficients T^(0..3) of the column-7 class, (4, n_steps, 7, 7)
+    real, which every pass of a column-7 lambda batch reads.
     """
 
     t: float
@@ -105,13 +107,13 @@ class PotentialTable:
     x_max: float
     n_steps: int
     u: np.ndarray  # (2 n_steps + 1, 3)
-    coef: np.ndarray | None
+    coef: np.ndarray
 
     def __post_init__(self):
         if self.u.shape != (2 * self.n_steps + 1, 3):
             raise ValueError(f"u has shape {self.u.shape}, need ({2 * self.n_steps + 1}, 3)")
-        if self.coef is not None and self.coef.shape != (4, self.n_steps, 7, 7):
-            raise ValueError(f"coef has shape {self.coef.shape}, need (4, {self.n_steps}, 7, 7)")
+        if np.shape(self.coef) != (4, self.n_steps, 7, 7):
+            raise ValueError(f"coef has shape {np.shape(self.coef)}, need (4, {self.n_steps}, 7, 7)")
 
     @property
     def h(self) -> float:
@@ -165,17 +167,6 @@ def sample_potential(
             )
     coef = _coefficients(u, (float(x_max) - float(x_min)) / n_steps, COLUMN7)
     return PotentialTable(float(t), float(x_min), float(x_max), int(n_steps), u, coef)
-
-
-def halved(table: PotentialTable) -> PotentialTable:
-    """The table of n_steps / 2 steps on the same domain (every other sample).
-
-    It stores no coefficients: the step-halving estimate makes one pass over
-    it for every zero, so its coefficients are built per block.
-    """
-    if table.n_steps % 2:
-        raise ValueError(f"n_steps = {table.n_steps} is odd; it cannot be halved")
-    return replace(table, n_steps=table.n_steps // 2, u=table.u[::2], coef=None)
 
 
 def _p_diagonal(s: float) -> slice:
@@ -258,7 +249,7 @@ def _step_blocks(table: PotentialTable, lams, classes, start: int = 0, stop=None
         k = min(j + b, stop)
         out = np.empty((parts, n_rows, k - j, 49))
         for i, (s, (w, w4)) in enumerate(zip(classes, powers)):
-            if s == COLUMN7 and table.coef is not None:
+            if s == COLUMN7:
                 coef = table.coef[:, j:k]
             else:
                 coef = _coefficients(table.u[2 * j : 2 * k + 1], h, s)
@@ -378,8 +369,10 @@ def _refuse_unstable(table: PotentialTable, lams: np.ndarray) -> None:
 def _conjugate_to_omega(psi_end: np.ndarray, lams, x_max: float) -> np.ndarray:
     # Omega = e^{-i lam sigma3 x} Psi_-(x) e^{i lam sigma3 x} at x = x_max,
     # using Psi_+(x_max) = I; psi_end is (L, 7, 7), one matrix per lambda.
-    phase = np.exp(1j * np.reshape(lams, (-1, 1)) * SIGMA3_DIAG * x_max)
-    return (1.0 / phase)[:, :, None] * psi_end * phase[:, None, :]
+    # Entry (i, j) takes e^{i lam (sigma_j - sigma_i) x}, exactly 1 where
+    # sigma_i = sigma_j, so (7,7) is the product's own entry.
+    shift = (SIGMA3_DIAG - SIGMA3_DIAG[:, None]) * x_max
+    return psi_end * np.exp(1j * np.reshape(lams, (-1, 1, 1)) * shift)
 
 
 def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tccss import cli, scattering
+from tccss import cli, io_cli, scattering
 from tccss.io_cli import (
     CHECK_NAMES,
     CSV_HEADER,
@@ -19,6 +20,7 @@ from tccss.io_cli import (
     ConfigError,
     OutputSpec,
     RunConfig,
+    ScatteringSpec,
     _fmt,
     evaluate_grid,
     figure_config,
@@ -117,20 +119,6 @@ class TestParseConfig:
         assert cli.main(["verify", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: thresholds.pde: ") and err.count("\n") == 1
-
-    def test_scattering_check_needs_type2(self):
-        doc = json.loads(MINIMAL)
-        doc["spectrum"] = {
-            "family": "TypeI",
-            "zeros": [[0.5, 0.5]],
-            "seeds": [{
-                "alpha": [1, 0], "beta": [1, 0], "gamma": [1, 0],
-                "mu": [1, 0], "rho": [1, 0], "delta": [0, 0],
-            }],
-        }
-        doc["checks"] = ["scattering"]
-        with pytest.raises(ConfigError, match="TypeII"):
-            parse_config(json.dumps(doc))
 
     def test_unexpected_seed_field(self):
         text = MINIMAL.replace('"rho": [3, 0]', '"rho": [3, 0], "delta": [0, 0]')
@@ -304,8 +292,8 @@ class TestExitTwo:
         assert err.startswith(f"error: check {check!r} failed: non-finite field at (x, t) = ")
 
     def test_verify_scattering_zero_past_rk4_stability(self, tmp_path, capsys):
-        # at lambda = 600i the step is unstable: the secant stops at its first
-        # non-finite Omega77, with one error line and no numpy warning
+        # at lambda = 600i the step is unstable: Omega77 at the zero overflows,
+        # and the check names that lambda in one error line, with no numpy warning
         doc = json.loads((DOCS / "one_soliton.json").read_text())
         doc["spectrum"]["zeros"] = [[0, 600]]
         doc["checks"] = ["scattering"]
@@ -313,7 +301,22 @@ class TestExitTwo:
         cfg_path.write_text(json.dumps(doc))
         err = cli_error(capsys, ["verify", "--config", str(cfg_path)])
         assert err.startswith("error: check 'scattering' failed: Omega77 = ")
-        assert "is not finite" in err and 1 <= err.count("lam=") <= 2
+        assert err.endswith(" at lambda = 0+600j is not finite\n")
+
+    @pytest.mark.parametrize("argv, grid", [
+        # 10**15 lambdas, or 10**14 grid times, ask for more than any address space
+        (["scatter", "--lambda-re", "0:1:1000000000000000", "--out"], None),
+        (["generate", "--out"], {"x_min": -1.0, "x_max": 1.0, "nx": 2, "t_min": 0.0, "t_max": 1.0,
+                                 "nt": 10**14}),
+    ])
+    def test_unallocatable_size(self, tmp_path, capsys, argv, grid):
+        doc = _full_with("grid", "nt", 1) if grid is None else _full_with(None, "grid", grid)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out_path = tmp_path / "x.out"
+        err = cli_error(capsys, [argv[0], "--config", str(cfg_path), *argv[1:], str(out_path)])
+        assert err.startswith("error: Unable to allocate ")
+        assert not out_path.exists()
 
     def test_deep_nesting(self, tmp_path, capsys):
         cfg_path = tmp_path / "deep.json"
@@ -371,12 +374,12 @@ class TestRhSymmetryNearAxis:
 
 
 class TestVacuum:
-    """An empty spectrum is the vacuum: `verify` runs every check its family
-    allows and every residual is exactly 0."""
+    """An empty spectrum is the vacuum: `verify` runs every check and every
+    residual is exactly 0."""
 
     @pytest.mark.parametrize("family", ["TypeI", "TypeII"])
     def test_verify_every_check(self, tmp_path, capsys, family):
-        checks = [c for c in CHECK_NAMES if family == "TypeII" or c != "scattering"]
+        checks = list(CHECK_NAMES)
         doc = {"spectrum": {"family": family, "zeros": [], "seeds": []}, "checks": checks}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -728,46 +731,64 @@ class TestScatteringCheck:
         assert any("recovered" in n for n in check.report.notes)
         assert any("reflection" in n for n in check.report.notes)
 
-    @pytest.mark.parametrize("n_steps", [3000, 3001])
-    def test_secant_and_step_halving_notes(self, n_steps):
-        doc = json.loads(MINIMAL)
-        doc["checks"] = ["scattering"]
-        doc["scattering"] = {"x_min": -30.0, "x_max": 30.0, "n_steps": n_steps, "t": 0.0}
-        notes = run_checks(parse_config(json.dumps(doc))).checks[0].report.notes
-        # one "zero " line per zero: the recovered-zero lines others parse
-        assert sum(n.startswith("zero ") for n in notes) == 1
-        secant = [n for n in notes if n.startswith("secant for zero 1: ")]
-        assert len(secant) == 1
-        evals = int(secant[0].split(": ")[1].split(" evaluations")[0])
-        assert 2 <= evals <= 52
-        assert float(secant[0].rsplit("= ", 1)[1]) < 1e-6
-        halving = [n for n in notes if n.startswith("RK4 step-halving at zero 1: ")]
-        skipped = [n for n in notes if n.startswith("RK4 step-halving estimate skipped")]
-        if n_steps % 2:
-            assert not halving and len(skipped) == 1 and str(n_steps) in skipped[0]
-        else:
-            assert not skipped and len(halving) == 1
-            # fourth order: the n/2 error dominates and stays far below the check
-            assert 0.0 < float(halving[0].rsplit("= ", 1)[1]) < 1e-6
+    @staticmethod
+    def scattering_cfg(spectrum):
+        return RunConfig(spectrum, checks=("scattering",), scattering=ScatteringSpec(-40.0, 40.0, 4000))
 
+    @pytest.mark.parametrize("fig", [1, 2, 3, 4])
+    def test_zero_notes_as_parsed(self, fig):
+        # one "zero j" note per configured zero, read as bench/oracle.py reads it;
+        # a Type I note carries its mirror -conj z in the same line
+        cfg = self.scattering_cfg(figure_spectrum(fig))
+        outcome = run_checks(cfg)
+        assert outcome.passed, outcome.checks[0].report
+        notes = outcome.checks[0].report.notes
+        zero_notes = [n for n in notes if n.startswith("zero ")]
+        assert len(zero_notes) == len(cfg.spectrum.zeros)
+        for j, (note, z) in enumerate(zip(zero_notes, cfg.spectrum.zeros)):
+            assert note.startswith(f"zero {j + 1}: constructed {z:.6g}, recovered ")
+            recovered = complex(note.split("recovered ")[1].split(",")[0].replace(" ", ""))
+            assert abs(recovered - z) < 1e-6
+            assert ("; mirror " in note) == (cfg.spectrum.family is Family.TYPE_I)
+            if "; mirror " in note:
+                assert note.split("; mirror ")[1].startswith(f"{-z.conjugate():.6g}, recovered ")
+        assert outcome.checks[0].report.max_abs < 1e-6
 
-    def test_step_halving_one_pass_for_every_zero(self):
-        # the halving notes of a two-zero spectrum, read from one pass over the
-        # halved table, are those of one pass per zero; each follows its zero
-        doc = json.loads((DOCS / "two_soliton.json").read_text())
-        doc["checks"] = ["scattering"]
-        doc["scattering"] = {"x_min": -40.0, "x_max": 40.0, "n_steps": 4000, "t": 0.0}
-        cfg = parse_config(json.dumps(doc))
-        notes = run_checks(cfg).checks[0].report.notes
+    def test_newton_step_against_closed_form(self):
+        # |diff| is |Omega77(z) / B'(z)|; B' here by central difference of B
+        cfg = self.scattering_cfg(figure_spectrum(4))
+        zeros = cfg.spectrum.expanded_zeros()
         table = scattering.sample_potential(partial(eval_fields_array, cfg.spectrum), 0.0, -40.0, 40.0, 4000)
-        assert len(cfg.spectrum.zeros) == 2
-        for j, z in enumerate(cfg.spectrum.zeros):
-            trace = []
-            found = scattering.locate_zero_from_table(table, z + 0.05j, trace=trace)
-            gap = abs(trace[-1][1] - scattering.omega77_from_table(scattering.halved(table), found))
-            zero, secant, halving = notes[3 * j : 3 * j + 3]
-            assert zero.startswith(f"zero {j + 1}: ") and secant.startswith(f"secant for zero {j + 1}: ")
-            assert halving == f"RK4 step-halving at zero {j + 1}: |Omega77_n - Omega77_n/2| = {gap:.3e}"
+
+        def blaschke(lam):
+            return np.prod((lam - zeros) / (lam - np.conj(zeros)))
+
+        notes = run_checks(cfg).checks[0].report.notes
+        for j, z in enumerate(zeros):
+            d = (blaschke(z + 1e-6) - blaschke(z - 1e-6)) / 2e-6
+            diff = abs(scattering.omega77_from_table(table, z) / d)
+            assert notes[j].endswith(f"|diff| = {diff:.3e}")
+
+    @pytest.mark.parametrize("fig", [2, 4])
+    def test_moved_zeros_fail(self, monkeypatch, fig):
+        # negative control: the field of one spectrum, checked against its
+        # zeros moved by 1e-4, fails; unmoved, it passes
+        spectrum = figure_spectrum(fig)
+        moved = dataclasses.replace(spectrum, zeros=(spectrum.zeros[0] + 1e-4j, *spectrum.zeros[1:]))
+        monkeypatch.setattr(io_cli, "eval_fields_array", lambda _, x, t: eval_fields_array(spectrum, x, t))
+        assert run_checks(self.scattering_cfg(spectrum)).passed
+        report = run_checks(self.scattering_cfg(moved)).checks[0].report
+        assert report.max_abs > 5e-5
+
+    def test_zero_seed_fails_with_residual_two(self):
+        # a zero seed gives the vacuum, Omega77 = 1, against B of one zero: residual 2
+        doc = json.loads(MINIMAL)
+        doc["spectrum"]["seeds"] = [{"alpha": [0, 0], "gamma": [0, 0], "rho": [0, 0]}]
+        doc["checks"] = ["scattering"]
+        doc["scattering"] = {"x_min": -30.0, "x_max": 30.0, "n_steps": 3000, "t": 0.0}
+        outcome = run_checks(parse_config(json.dumps(doc)))
+        assert not outcome.passed
+        assert outcome.checks[0].report.max_abs == pytest.approx(2.0, abs=1e-12)
 
 
 class TestFigures:

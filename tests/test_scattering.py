@@ -186,23 +186,15 @@ class TestTransferMatrixKernel:
         q_half_bytes = (2 * n + 1) * 7 * 7 * np.dtype(complex).itemsize
         assert stored <= q_half_bytes + table.u.nbytes
 
-    @pytest.mark.parametrize("fig", [3, 4])
-    def test_halved_table(self, fig, one_soliton_fields, two_soliton_fields):
-        table = sample_potential(
-            one_soliton_fields if fig == 3 else two_soliton_fields, 0.0, -40.0, 40.0, 2000
-        )
-        half = scattering.halved(table)
-        assert half.n_steps == 1000 and half.coef is None
-        assert np.array_equal(half.u, table.u[::2])
-        # the per-block coefficients of the halved table step on every other sample
-        for lam in (0.35j, 0.7):
-            want = reference_omega(half, lam)[6, 6]
-            assert abs(omega77_from_table(half, lam) - want) <= 1e-12 * abs(want)
-        with pytest.raises(ValueError, match="odd"):
-            scattering.halved(sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 1001))
-        # the full table's coefficients do not fit the halved samples
+    def test_table_coefficients_fit_samples(self, one_soliton_fields):
+        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 2000)
+        assert table.coef.shape == (4, 2000, 7, 7)
+        assert np.array_equal(table.coef, scattering._coefficients(table.u, table.h, scattering.COLUMN7))
+        # the coefficients do not fit other samples
         with pytest.raises(ValueError, match="coef has shape"):
             dataclasses.replace(table, n_steps=1000, u=table.u[::2])
+        with pytest.raises(ValueError, match=r"coef has shape \(\)"):
+            dataclasses.replace(table, coef=None)
 
     def test_sweep_memory_bounded_in_steps(self, two_soliton_fields):
         # transient memory is a fixed number of blocks, not (lambdas x steps)
