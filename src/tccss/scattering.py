@@ -1,4 +1,4 @@
-"""Direct scattering: Jost integration, scattering matrix, spectral zeros.
+"""Direct scattering: Jost integration, scattering data of column 7, spectral zeros.
 
 This is the verification route that never touches the kernel-vector
 construction: given only samples of the field, it integrates the conjugated
@@ -6,36 +6,32 @@ spectral problem
 
     Psi_x = Q Psi - i lam (Psi sigma3 - sigma3 Psi)
 
-with identity data at x_min of a truncated line and forms the scattering
-matrix on the real axis and its analytically-extendable (7,7) entry in the
-upper half-plane.  For a reflectionless potential that entry is the
-Blaschke product of the zeros (the `scattering` check of `verify` compares
-the two); `locate_zero_from_table` hunts its zeros directly.  Every route
-reads a half-step table of the potential (`sample_potential`), sampled once
-and reused by a whole lambda sweep or zero search.
+with identity data at x_min of a truncated line and forms column 7 of the
+scattering matrix: the couplings Omega_k7 on the real axis and the
+analytically-extendable (7,7) entry, Omega77, in the closed upper
+half-plane.  For a reflectionless potential the couplings vanish and Omega77
+is the Blaschke product of the zeros (the `scattering` check of `verify`
+compares the two); `locate_zero_from_table` hunts its zeros directly.  Every
+route reads a half-step table of the potential (`sample_potential`), sampled
+once and reused by a whole lambda sweep or zero search.
 
-Column j of Psi obeys y' = (Q + c P) y, with c = -2 i lam s and
-P = diag(sigma3 != s) for the column class s = sigma3_j: c = 2 i lam and
-P = diag(1, ..., 1, 0) for column 7, c = -2 i lam and P = e7 e7^T for
-columns 1-6.  The fixed basis change V (a unitary rotation scaled by
-1/sqrt2 on each channel pair, entries 1/2 and +-i/2) turns each pair
-(u_m, conj u_m) into (Re u_m, Im u_m); it fixes e7 and commutes with both
-P, makes Q real and, having power-of-two entries, rounds nothing on the
-way back.  A classical Runge-Kutta step of either class is then the 7x7
-matrix T_n(c) = sum_{k<=4} c^k T_n^(k) with real, lambda-independent
-T_n^(k) and T^(4) = h^4/24 P.  The table stores T^(0..3) of the column-7
-class; the class of columns 1-6 builds its own per block from the samples.
-A lambda batch gets its step matrices from one real GEMM of its powers of c
-against the coefficients, in blocks of at most BLOCK_MATRICES (lambda, step)
-pairs, so transient memory does not grow with n_steps or the number of
-lambdas; where every c is real (imaginary lambda) only real parts are formed
-and multiplied.  `_end_product` multiplies by tree reduction over a range of
-steps.  No Jost path is stored: the determinant drift, in one pass, reduces
-the pieces of each block in a batch and carries segment products node to
-node.  What reads only column 7 (Omega77, of a lambda array in one pass; the
-coupling sweep; the secant) propagates the column-7 class alone.  A NaN or
-infinite lambda, or a real one past the RK4 bound |lambda| h <= sqrt(2), is
-refused.
+Column 7 of Psi obeys y' = (Q + c P) y, with c = 2 i lam and
+P = diag(1, ..., 1, 0).  The fixed basis change V (a unitary rotation scaled
+by 1/sqrt2 on each channel pair, entries 1/2 and +-i/2) turns each pair
+(u_m, conj u_m) into (Re u_m, Im u_m); it fixes e7 and commutes with P,
+makes Q real and, having power-of-two entries, rounds nothing on the way
+back.  A classical Runge-Kutta step is then the 7x7 matrix
+T_n(c) = sum_{k<=4} c^k T_n^(k) with real, lambda-independent T_n^(k) and
+T^(4) = h^4/24 P; the table stores T^(0..3).  A lambda batch gets its step
+matrices from one real GEMM of its powers of c against the coefficients, in
+blocks of at most BLOCK_MATRICES (lambda, step) pairs, so transient memory
+does not grow with n_steps or the number of lambdas; where every c is real
+(imaginary lambda) only real parts are formed and multiplied.
+`_end_product` multiplies by tree reduction over a range of steps; no Jost
+path is stored.  For real lambda Q + c P is anti-Hermitian, so the norm of
+column 7 is conserved; `norm_drift_from_table` measures the departure from
+it.  A NaN or infinite lambda, one in the lower half-plane, or a real one
+past the RK4 bound |lambda| h <= sqrt(2), is refused.
 """
 
 from __future__ import annotations
@@ -63,10 +59,8 @@ ENDPOINT_DECAY = 1e-9
 # (lambda, step) pairs per block of the transfer-matrix kernel; every
 # transient array holds a small fixed multiple of this many 7x7 matrices.
 BLOCK_MATRICES = 256
-# Column class s = sigma3_j: column 7, and the classes (columns 1-6,
-# column 7) that assemble the whole Psi.
-COLUMN7 = -1.0
-BOTH_CLASSES = (1.0, -1.0)
+# The diagonal of P = diag(1, ..., 1, 0) in a flattened 7x7 matrix.
+_P_DIAG = slice(0, 41, 8)
 
 _PAIR_EYE = np.stack([np.eye(7), np.zeros((7, 7))])
 
@@ -98,8 +92,8 @@ class PotentialTable:
     """Potential sampled on the half-step nodes of a fixed domain.
 
     `u` holds the field triple on the 2 n_steps + 1 half-step nodes; `coef`
-    the step coefficients T^(0..3) of the column-7 class, (4, n_steps, 7, 7)
-    real, which every pass of a column-7 lambda batch reads.
+    the step coefficients T^(0..3), (4, n_steps, 7, 7) real, which every
+    pass of a lambda batch reads.
     """
 
     t: float
@@ -149,7 +143,7 @@ def sample_potential(
     """Sample the field on the RK half-step grid, checking endpoint decay.
 
     `fields(x[], t)` gives the (P, 3) field triples at P points; the step
-    coefficients of the column-7 class are built from the samples once.
+    coefficients are built from the samples once.
     """
     check_domain(x_min, x_max, n_steps)
     xs_half = np.linspace(x_min, x_max, 2 * n_steps + 1)
@@ -165,17 +159,12 @@ def sample_potential(
                 f"potential magnitude {mag:.3e} at x = {x} exceeds "
                 f"{ENDPOINT_DECAY}; enlarge the domain"
             )
-    coef = _coefficients(u, (float(x_max) - float(x_min)) / n_steps, COLUMN7)
+    coef = _coefficients(u, (float(x_max) - float(x_min)) / n_steps)
     return PotentialTable(float(t), float(x_min), float(x_max), int(n_steps), u, coef)
 
 
-def _p_diagonal(s: float) -> slice:
-    """The diagonal of P = diag(sigma3 != s) in a flattened 7x7 matrix."""
-    return slice(0, 41, 8) if s == COLUMN7 else slice(48, 49)
-
-
-def _coefficients(u: np.ndarray, h: float, s: float) -> np.ndarray:
-    """Step coefficients T^(0..3) of class s, (4, n, 7, 7) real, in the basis V.
+def _coefficients(u: np.ndarray, h: float) -> np.ndarray:
+    """Step coefficients T^(0..3), (4, n, 7, 7) real, in the basis V.
 
     u holds the 2n + 1 half-step samples, h is the step.  With A = Q' + c P
     at the start, midpoint and end of a step,
@@ -185,7 +174,6 @@ def _coefficients(u: np.ndarray, h: float, s: float) -> np.ndarray:
     Built BLOCK_MATRICES steps at a time: a build holds 17 matrices per step.
     """
     n = len(u) // 2
-    diag = _p_diagonal(s)
     v = np.stack([u.real, u.imag], axis=-1).reshape(-1, 6)
 
     def step(a, x, w):
@@ -194,13 +182,10 @@ def _coefficients(u: np.ndarray, h: float, s: float) -> np.ndarray:
         out = np.empty((len(x) + 1, b, 7, 7))
         np.matmul(a, x, out=out[:-1])
         out[-1] = 0.0
-        # P x: every row but the 7th (column-7 class), or the 7th alone
-        if s == COLUMN7:
-            out[1:] += x
-        out[1:, :, 6] += s * x[:, :, 6]
+        out[1:, :, :6] += x[:, :, :6]  # P x: every row but the 7th
         out *= w
         out[0] += a
-        out[1].reshape(b, 49)[:, diag] += 1.0
+        out[1].reshape(b, 49)[:, _P_DIAG] += 1.0
         return out
 
     t = np.empty((4, n, 7, 7))
@@ -212,7 +197,7 @@ def _coefficients(u: np.ndarray, h: float, s: float) -> np.ndarray:
         q[..., 6, :6] = -2.0 * q[..., :6, 6]
         a_poly = np.zeros((2, b, 7, 7))
         a_poly[0] = a0
-        a_poly[1].reshape(b, 49)[:, diag] = 1.0
+        a_poly[1].reshape(b, 49)[:, _P_DIAG] = 1.0
         k2 = step(am, a_poly, 0.5 * h)
         k3 = step(am, k2, 0.5 * h)
         tb = t[:, j : j + b]
@@ -227,36 +212,27 @@ def _coefficients(u: np.ndarray, h: float, s: float) -> np.ndarray:
     return t
 
 
-def _step_blocks(table: PotentialTable, lams, classes, start: int = 0, stop=None):
+def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
     """RK4 step matrices in the basis V, in marching order, one block at a time.
 
-    Rows are (class, lambda) pairs, class-major; steps start..stop come as real
-    pairs (2, rows, b, 7, 7) of real and imaginary parts, (1, ...) where c is real.
+    Steps start..stop of every lambda come as real pairs (2, L, b, 7, 7) of
+    real and imaginary parts, (1, ...) where c is real.
     T(c) = sum_k c^k T^(k): one real GEMM of the powers c^0..c^3 against
     the coefficients, plus c^4 h^4/24 on the diagonal of P.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
     stop = table.n_steps if stop is None else min(stop, table.n_steps)
-    h, parts = table.h, 2 if np.any(lams.real) else 1  # c = -2i lam s is real on the imaginary axis
-    n_rows = len(classes) * len(lams)
-    b = max(1, BLOCK_MATRICES // n_rows)
-    powers = []  # per class: (re, im) of c^0..c^3, and of c^4 h^4/24
-    for s in classes:
-        w = (-2j * s * lams)[:, None] ** np.arange(5)
-        w = np.stack([w.real, w.imag])[:parts]
-        powers.append((np.ascontiguousarray(w[..., :4]), (h**4 / 24.0) * w[..., 4, None, None]))
+    parts = 2 if np.any(lams.real) else 1  # c = 2i lam is real on the imaginary axis
+    w = (2j * lams)[:, None] ** np.arange(5)
+    w = np.stack([w.real, w.imag])[:parts]
+    w4 = (table.h**4 / 24.0) * w[..., 4, None, None]
+    w = np.ascontiguousarray(w[..., :4])
+    b = max(1, BLOCK_MATRICES // len(lams))
     for j in range(start, stop, b):
         k = min(j + b, stop)
-        out = np.empty((parts, n_rows, k - j, 49))
-        for i, (s, (w, w4)) in enumerate(zip(classes, powers)):
-            if s == COLUMN7:
-                coef = table.coef[:, j:k]
-            else:
-                coef = _coefficients(table.u[2 * j : 2 * k + 1], h, s)
-            rows = slice(i * len(lams), (i + 1) * len(lams))
-            np.matmul(w, coef.reshape(4, -1), out=out.reshape(parts, n_rows, -1)[:, rows])
-            out[:, rows, :, _p_diagonal(s)] += w4
-        yield out.reshape(parts, n_rows, k - j, 7, 7)
+        out = np.matmul(w, table.coef[:, j:k].reshape(4, -1)).reshape(parts, len(lams), k - j, 49)
+        out[..., _P_DIAG] += w4
+        yield out.reshape(parts, len(lams), k - j, 7, 7)
 
 
 def _to_complex(p: np.ndarray) -> np.ndarray:
@@ -282,69 +258,34 @@ def _reduce(t: np.ndarray) -> np.ndarray:
     return t[..., 0, :, :]
 
 
-def _end_product(
-    table: PotentialTable, lams, classes=(COLUMN7,), start: int = 0, stop=None
-) -> np.ndarray:
-    """Psi'_- (basis V) at the end of steps start..stop, (classes, L, 7, 7) complex.
+def _end_product(table: PotentialTable, lams, start: int = 0, stop=None) -> np.ndarray:
+    """The product of the RK4 steps start..stop (basis V), (L, 7, 7) complex;
+    its column 7 carries column 7 of Psi from node start to node stop.
 
     Lambdas go in chunks of at most BLOCK_MATRICES.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
-    out = np.empty((len(classes), len(lams), 7, 7), dtype=complex)
+    out = np.empty((len(lams), 7, 7), dtype=complex)
     for i in range(0, len(lams), BLOCK_MATRICES):
         chunk = lams[i : i + BLOCK_MATRICES]
         p = None
-        for t in _step_blocks(table, chunk, classes, start, stop):
+        for t in _step_blocks(table, chunk, start, stop):
             p = _mul(_reduce(t), _PAIR_EYE[: len(t), None] if p is None else p)
-        out[:, i : i + len(chunk)] = _to_complex(p).reshape(len(classes), -1, 7, 7)
+        out[i : i + len(chunk)] = _to_complex(p)
     return out
 
 
-def _from_basis(x: np.ndarray) -> np.ndarray:
-    """V^-1 x V for a stack (..., 7, 7), as pair sums rather than products.
+def _from_basis(y: np.ndarray) -> np.ndarray:
+    """V^-1 y for column vectors (..., 7), as pair sums rather than products.
 
     V maps each channel pair (y_a, y_b) to ((y_a + y_b)/2, -i (y_a - y_b)/2)
-    and fixes e7; Psi = V^-1 Psi' V for the solution Psi' in that basis.  No
-    entry of the channel pairs enters row or column 7, so where columns 1-6
-    overflow (large Im lambda) the (7,7) entry stays finite.
+    and fixes e7; V^-1 maps (a, b) back to (a + i b, a - i b).  Column 7 of
+    Psi is V^-1 applied to column 7 of the solution in that basis.
     """
-    y = np.array(x, dtype=complex)
-    e, o = x[..., 0:6:2, :], x[..., 1:6:2, :]
-    y[..., 0:6:2, :], y[..., 1:6:2, :] = e + 1j * o, e - 1j * o
-    e, o = y[..., 0:6:2].copy(), y[..., 1:6:2].copy()
-    y[..., 0:6:2], y[..., 1:6:2] = 0.5 * (e - 1j * o), 0.5 * (e + 1j * o)
-    return y
-
-
-def _assemble(p: np.ndarray) -> np.ndarray:
-    """Psi from the products of both classes (rows of BOTH_CLASSES) in the basis V."""
-    # columns 1-6 from the first class, column 7 from the second; V keeps the split
-    return _from_basis(np.where(SIGMA3_DIAG < 0, p[1], p[0]))
-
-
-def det_drift_from_table(table: PotentialTable, lam: complex, stride: int) -> float:
-    """max |det Psi_- - 1| on every stride-th node and the last one.
-
-    Carries the end products of consecutive stride-length segments of both
-    column classes, formed as `_end_product` forms them (tree products of
-    pieces of at most BLOCK_MATRICES / 2 steps, chained from I); the
-    segments in one block of step matrices are reduced in one batch.
-    """
-    n, half = table.n_steps, BLOCK_MATRICES // len(BOTH_CLASSES)
-    # a call covers one block of whole segments, or one segment, or the part left over
-    full, span = n - n % stride, max(1, half // stride) * stride
-    calls = [(s, min(s + span, full)) for s in range(0, full, span)] + ([(full, n)] if full < n else [])
-    carry, nodes, at = np.eye(7), [], 0
-    for start, stop in calls:
-        for t in _step_blocks(table, [lam], BOTH_CLASSES, start, stop):
-            m = min(stride, t.shape[2])  # the block's pieces: segments, or part of one
-            for prod in np.moveaxis(_reduce(t.reshape(len(t), 2, -1, m, 7, 7)), 2, 0):
-                p = _mul(prod, _PAIR_EYE[: len(t), None] if at % stride == 0 else p)
-                at += m
-                if at % stride == 0 or at == n:
-                    carry = _to_complex(p) @ carry
-                    nodes.append(carry)
-    return float(np.max(np.abs(np.linalg.det(_assemble(np.stack(nodes, axis=1))) - 1.0)))
+    out = np.array(y, dtype=complex)
+    e, o = y[..., 0:6:2], y[..., 1:6:2]
+    out[..., 0:6:2], out[..., 1:6:2] = e + 1j * o, e - 1j * o
+    return out
 
 
 def _finite(lam):
@@ -366,62 +307,64 @@ def _refuse_unstable(table: PotentialTable, lams: np.ndarray) -> None:
         )
 
 
-def _conjugate_to_omega(psi_end: np.ndarray, lams, x_max: float) -> np.ndarray:
-    # Omega = e^{-i lam sigma3 x} Psi_-(x) e^{i lam sigma3 x} at x = x_max,
-    # using Psi_+(x_max) = I; psi_end is (L, 7, 7), one matrix per lambda.
-    # Entry (i, j) takes e^{i lam (sigma_j - sigma_i) x}, exactly 1 where
-    # sigma_i = sigma_j, so (7,7) is the product's own entry.
-    shift = (SIGMA3_DIAG - SIGMA3_DIAG[:, None]) * x_max
-    return psi_end * np.exp(1j * np.reshape(lams, (-1, 1, 1)) * shift)
+def norm_drift_from_table(table: PotentialTable, lam: float, stride: int) -> float:
+    """max | |Psi_-[:, 7]|^2 - 1 | on every stride-th node and the last one.
 
-
-def scattering_matrix_from_table(table: PotentialTable, lam: complex) -> np.ndarray:
-    """Scattering matrix Omega(lambda) relating the two Jost solutions.
-
-    Full matrix for real lambda.  For lambda in the open upper half-plane
-    only the (7,7) entry is analytic and meaningful; the remaining entries
-    of the returned matrix are not to be trusted there.  The lower
-    half-plane is rejected outright, and a real lambda beyond the RK4
-    stability bound raises NonFiniteScatteringError.
+    For real lambda the norm of column 7 is conserved, so this is how far the
+    integration departs from that invariant; column 7 is carried from node to
+    node by one end product per stride-length segment.  A complex lambda
+    raises HalfPlaneError, a real one past the RK4 stability bound
+    NonFiniteScatteringError.
     """
     lam = complex(_finite(lam))
-    if lam.imag < 0.0:
-        raise HalfPlaneError(
-            f"lambda = {lam} lies in the lower half-plane; only real lambda "
-            "and the (7,7) entry on the upper half-plane are supported"
-        )
-    if lam.imag == 0.0:
-        _refuse_unstable(table, np.array([lam]))
-    # off the real axis columns 1-6 may overflow; the (7,7) entry stays finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = _assemble(_end_product(table, lam, BOTH_CLASSES)[:, 0])
-        return _conjugate_to_omega(psi[None], lam, table.x_max)[0]
+    if lam.imag != 0.0:
+        raise HalfPlaneError(f"the norm drift is defined for real lambda only, got {lam}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    _refuse_unstable(table, np.array([lam]))
+    col, drift = np.eye(7)[6], 0.0
+    for start in range(0, table.n_steps, stride):
+        col = _end_product(table, lam, start, start + stride)[0] @ col
+        drift = max(drift, abs(np.linalg.norm(_from_basis(col)) ** 2 - 1.0))
+    return float(drift)
 
 
 def omega77_from_table(table: PotentialTable, lam):
     """The analytically-extendable (7,7) scattering entry (conjugation-invariant):
-    a complex for one lambda, an (L,) array, from one pass, for L of them."""
-    # V fixes e7, so the (7,7) entry is the same in either basis; overflow reads inf/NaN
+    a complex for one lambda, an (L,) array, from one pass, for L of them.
+
+    Refuses, naming the first such lambda, one in the lower half-plane with
+    HalfPlaneError, and a real one past the RK4 stability bound with
+    NonFiniteScatteringError.  Far up the imaginary axis the step product
+    overflows and the entry reads inf or NaN, without a warning.
+    """
+    lams = np.reshape(np.asarray(_finite(lam), dtype=complex), -1)
+    if np.any(lams.imag < 0.0):
+        raise HalfPlaneError(f"lambda = {lams[lams.imag < 0.0][0]:.6g} lies in the lower half-plane")
+    _refuse_unstable(table, lams[lams.imag == 0.0])
+    # V fixes e7, so the (7,7) entry is the same in either basis
     with np.errstate(over="ignore", invalid="ignore"):
-        o77 = _end_product(table, _finite(lam))[0, :, 6, 6]
+        o77 = _end_product(table, lams)[:, 6, 6]
     return complex(o77[0]) if np.ndim(lam) == 0 else o77
 
 
 def coupling_row_sweep(table: PotentialTable, lams: np.ndarray) -> np.ndarray:
     """Entries Omega_17..Omega_67, Omega_77 for a batch of real lambdas.
 
-    Returns (L, 7) complex, column 7 of each Omega; only the column-7 class
-    is propagated, all lambdas in one pass over the potential table.  Raises
-    NonFiniteScatteringError, naming the first such lambda, where
-    |lambda| h exceeds the RK4 stability bound or an entry is not finite.
+    Returns (L, 7) complex, column 7 of each Omega, all lambdas in one pass
+    over the potential table.  Raises NonFiniteScatteringError, naming the
+    first such lambda, where |lambda| h exceeds the RK4 stability bound or an
+    entry is not finite.
     """
     lams = np.asarray(lams, dtype=complex)
     if np.any(lams.imag != 0.0):
         raise HalfPlaneError("row sweep is defined for real lambda only")
     _refuse_unstable(table, lams)
+    # Omega = e^{-i lam sigma3 x} Psi_-(x) e^{i lam sigma3 x} at x = x_max, using
+    # Psi_+(x_max) = I: entry (k, 7) takes e^{i lam (sigma_7 - sigma_k) x_max}
+    shift = (SIGMA3_DIAG[6] - SIGMA3_DIAG) * table.x_max
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = _from_basis(_end_product(table, lams)[0])
-        rows = _conjugate_to_omega(psi, lams, table.x_max)[:, :, 6]
+        rows = _from_basis(_end_product(table, lams)[:, :, 6]) * np.exp(1j * lams[:, None] * shift)
     bad = ~np.all(np.isfinite(rows), axis=1)
     if np.any(bad):
         raise NonFiniteScatteringError(
@@ -498,16 +441,16 @@ def scattering_evolution_check(
         raise ValueError(f"tables differ in domain or step count: {domain} and {other}")
     x_min, x_max, n_steps = domain
     lam, t0, t1 = float(lam), table_t0.t, table_t1.t
-    w0 = scattering_matrix_from_table(table_t0, lam)
-    w1 = scattering_matrix_from_table(table_t1, lam)
+    w0 = coupling_row_sweep(table_t0, [lam])[0]
+    w1 = coupling_row_sweep(table_t1, [lam])[0]
     phase = np.exp(8j * lam ** 3 * (t1 - t0))
     residuals = []
     notes = []
     for k in range(6):
-        residuals.append(abs(w1[k, 6] - phase * w0[k, 6]))
-        if abs(w0[k, 6]) < 1e-8:
-            notes.append(f"entry ({k + 1},7) vacuous: |value| = {abs(w0[k, 6]):.3e}")
-    diag = abs(w1[6, 6] - w0[6, 6])
+        residuals.append(abs(w1[k] - phase * w0[k]))
+        if abs(w0[k]) < 1e-8:
+            notes.append(f"entry ({k + 1},7) vacuous: |value| = {abs(w0[k]):.3e}")
+    diag = abs(w1[6] - w0[6])
     residuals.append(diag)
     notes.append(f"(7,7) invariance residual: {diag:.3e}")
     return summarize(

@@ -18,10 +18,10 @@ from tccss.report import GridSpec
 from tccss.rhp import symmetry_residuals
 from tccss.scattering import (
     coupling_row_sweep,
-    det_drift_from_table,
     locate_zero_from_table,
+    norm_drift_from_table,
+    omega77_from_table,
     sample_potential,
-    scattering_matrix_from_table,
 )
 from tccss.soliton import (
     SpectrumError,
@@ -186,23 +186,19 @@ def test_criterion_6_direct_scattering_round_trip():
         reflection = max(reflection, float(np.max(np.abs(rows[:, :6]))))
     assert reflection < 1e-6
 
-    drift = det_drift_from_table(table3, 1.0, 400)
+    drift = norm_drift_from_table(table3, 1.0, 400)
     assert drift < 1e-8
     report(
         6,
         f"zeros recovered to {max(abs(z3 - 1j), abs(z_a - 0.3j), abs(z_b - 0.5j)):.2e}; "
-        f"reflection {reflection:.2e}; det drift {drift:.2e}",
+        f"reflection {reflection:.2e}; column-7 norm drift {drift:.2e}",
     )
 
 
 def test_criterion_7_isospectrality():
     f3 = partial(eval_fields_array, figure_spectrum(3))
-    omega_t0 = scattering_matrix_from_table(
-        sample_potential(f3, 0.0, -40.0, 40.0, 12000), 0.8
-    )[6, 6]
-    omega_t1 = scattering_matrix_from_table(
-        sample_potential(f3, 0.2, -40.0, 40.0, 12000), 0.8
-    )[6, 6]
+    omega_t0 = omega77_from_table(sample_potential(f3, 0.0, -40.0, 40.0, 12000), 0.8)
+    omega_t1 = omega77_from_table(sample_potential(f3, 0.2, -40.0, 40.0, 12000), 0.8)
     diff = abs(omega_t1 - omega_t0)
     assert diff < 1e-6
     report(7, f"|Omega77(0.8; t=0.2) - Omega77(0.8; t=0)| = {diff:.2e} < 1e-6")

@@ -13,12 +13,11 @@ from tccss.scattering import (
     NonFiniteScatteringError,
     ZeroSearchError,
     coupling_row_sweep,
-    det_drift_from_table,
     locate_zero_from_table,
+    norm_drift_from_table,
     omega77_from_table,
     sample_potential,
     scattering_evolution_check,
-    scattering_matrix_from_table,
 )
 from tccss.structure import SIGMA3_DIAG
 
@@ -48,12 +47,31 @@ def reference_path(table, lam, start=0):
     return path
 
 
-def reference_steps(table, lam, s):
-    """Direct RK4 step matrices of column class s (y' = (Q + diag(i lam (sigma3 - s))) y),
+def reference_steps(table, lam):
+    """Direct RK4 step matrices of column 7 (y' = (Q + diag(i lam (sigma3 + 1))) y),
     all steps at once, in marching order."""
-    d = (1j * lam * (SIGMA3_DIAG - s))[:, None]
+    d = (1j * lam * (SIGMA3_DIAG + 1.0))[:, None]
     q = table.q_half
     return rk4_step(np.eye(7), q[:-1:2], q[1::2], q[2::2], table.h, lambda y, qq: qq @ y + d * y)
+
+
+# The basis change V: each channel pair (y_a, y_b) goes to
+# ((y_a + y_b)/2, -i (y_a - y_b)/2), and e7 is fixed.
+V = np.eye(7, dtype=complex)
+for _a in (0, 2, 4):
+    V[_a : _a + 2, _a : _a + 2] = [[0.5, 0.5], [-0.5j, 0.5j]]
+V_INV = np.linalg.inv(V)
+
+
+def column7(table, lam, start=0, stop=None):
+    """Column 7 of Psi from e7 at node `start`, carried to node `stop`, by the kernel."""
+    return scattering._from_basis(scattering._end_product(table, lam, start, stop)[:, :, 6])[0]
+
+
+def step_matrices(table, lams, start=0, stop=None):
+    """The kernel's step matrices, (L, steps, 7, 7), back in the basis of Psi."""
+    blocks = list(scattering._step_blocks(table, lams, start, stop))
+    return V_INV @ scattering._to_complex(np.concatenate(blocks, axis=2)) @ V
 
 
 def reference_omega(table, lam):
@@ -83,87 +101,58 @@ class TestTransferMatrixKernel:
 
     def test_column7_upper_half_plane(self, figure_table):
         for lam in (0.35j, 0.5 + 0.5j):
-            want = reference_omega(figure_table, lam)[:, 6]
-            got = scattering_matrix_from_table(figure_table, lam)[:, 6]
-            assert rel_diff(got, want) <= 1e-12
+            want = reference_path(figure_table, lam)[-1][:, 6]
+            assert rel_diff(column7(figure_table, lam), want) <= 1e-12
             assert abs(omega77_from_table(figure_table, lam) - want[6]) <= 1e-12 * np.max(np.abs(want))
 
     def test_full_omega_real_lambda(self, figure_table):
         lam = 0.7
-        want = reference_omega(figure_table, lam)
-        assert rel_diff(scattering_matrix_from_table(figure_table, lam), want) <= 1e-12
+        want = reference_omega(figure_table, lam)[:, 6]
         row = coupling_row_sweep(figure_table, np.array([0.3, lam]))[1]
-        assert rel_diff(row, want[:, 6]) <= 1e-12
+        assert rel_diff(row, want) <= 1e-12
 
     def test_end_product_matches_path_on_nodes(self, figure_table):
-        # Psi_- on a node is the end product of the steps before it; lambda on
-        # the imaginary axis takes the real-arithmetic products.  Off the real
-        # axis only column 7 is bounded, so only column 7 is compared there.
+        # column 7 of Psi_- on a node is carried by the end product of the steps
+        # before it; lambda on the imaginary axis takes the real-arithmetic products
         n = figure_table.n_steps
-        for lam, cols in ((1.0, slice(None)), (0.35j, slice(6, 7))):
+        for lam in (1.0, 0.35j):
             path = reference_path(figure_table, lam)
             for stop in (1, 7, n // 2, n - 1, n):
-                p = scattering._end_product(figure_table, lam, scattering.BOTH_CLASSES, 0, stop)
-                got = scattering._assemble(p[:, 0])
-                assert rel_diff(got[:, cols], path[stop][:, cols]) <= 1e-12
+                assert rel_diff(column7(figure_table, lam, 0, stop), path[stop][:, 6]) <= 1e-12
 
     @pytest.mark.parametrize("which", ["interior", "tail"])
     def test_segment_product_matches_path_from_node(self, figure_table, which):
-        # the product of steps start..stop is Psi from I at node start, carried
-        # to node stop; column 7 alone off the real axis, as above
+        # the product of steps start..stop carries e7 at node start to node stop
         start, stop = segment(figure_table.n_steps, which)
-        for lam, cols in ((1.0, slice(None)), (0.35j, slice(6, 7)), (0.5 + 0.5j, slice(6, 7))):
+        for lam in (1.0, 0.35j, 0.5 + 0.5j):
             want = reference_path(figure_table, lam, start)[-1 if stop is None else stop - start]
-            p = scattering._end_product(figure_table, lam, scattering.BOTH_CLASSES, start, stop)
-            got = scattering._assemble(p[:, 0])
-            assert rel_diff(got[:, cols], want[:, cols]) <= 1e-12
+            assert rel_diff(column7(figure_table, lam, start, stop), want[:, 6]) <= 1e-12
 
     @pytest.mark.parametrize("which", ["interior", "tail"])
     def test_step_blocks_of_a_segment(self, figure_table, which):
-        # rows are (class, lambda) pairs, class-major; the steps are those of the segment
+        # rows are lambdas; the steps are those of the segment
         start, stop = segment(figure_table.n_steps, which)
         lams = (0.35j, 0.7, 2 + 0.1j)
-        blocks = list(scattering._step_blocks(figure_table, lams, scattering.BOTH_CLASSES, start, stop))
-        got = scattering._from_basis(scattering._to_complex(np.concatenate(blocks, axis=2)))
-        for i, s in enumerate(scattering.BOTH_CLASSES):
-            for j, lam in enumerate(lams):
-                want = reference_steps(figure_table, lam, s)[start:stop]
-                assert got[i * len(lams) + j].shape == want.shape
-                assert rel_diff(got[i * len(lams) + j], want) <= 1e-13
+        got = step_matrices(figure_table, lams, start, stop)
+        for j, lam in enumerate(lams):
+            want = reference_steps(figure_table, lam)[start:stop]
+            assert got[j].shape == want.shape
+            assert rel_diff(got[j], want) <= 1e-13
 
-    @pytest.mark.parametrize("stride", [7, 100])
-    def test_det_drift_matches_path(self, figure_table, stride):
-        path = reference_path(figure_table, 1.0)
+    @pytest.mark.parametrize("stride", [7, 100, 5000])
+    def test_norm_drift_matches_path(self, figure_table, stride):
+        # a stride past n_steps leaves one segment, ending on the last node
+        path = reference_path(figure_table, 1.0)[:, :, 6]
         nodes = np.concatenate([path[::stride], path[-1:]])
-        want = float(np.max(np.abs(np.linalg.det(nodes) - 1.0)))
-        assert abs(det_drift_from_table(figure_table, 1.0, stride) - want) <= 1e-13
+        want = float(np.max(np.abs(np.linalg.norm(nodes, axis=1) ** 2 - 1.0)))
+        assert abs(norm_drift_from_table(figure_table, 1.0, stride) - want) <= 1e-13
 
-    @pytest.mark.parametrize("figure_table", [(3, 4097), (4, 4097)], indirect=True,
-                             ids=["fig3-n4097", "fig4-n4097"])
-    def test_segmented_drift_matches_per_segment_products(self, figure_table):
-        # the per-segment loop the one-pass drift replaces: one end product per
-        # segment, carried node to node; the floats agree exactly for strides
-        # that divide n (1, n), do not (7, n // 100) or exceed it (2n), on and
-        # off the imaginary axis
-        n = figure_table.n_steps
-        for lam in (1.0, 0.5j):
-            for stride in (1, 7, n // 100, n, 2 * n):
-                carry, mats = np.eye(7), []
-                for start in range(0, n, stride):
-                    p = scattering._end_product(figure_table, lam, scattering.BOTH_CLASSES, start, start + stride)
-                    carry = p[:, 0] @ carry
-                    mats.append(scattering._assemble(carry))
-                want = float(np.max(np.abs(np.linalg.det(np.array(mats)) - 1.0)))
-                assert det_drift_from_table(figure_table, lam, stride) == want, (lam, stride)
-
-    @pytest.mark.parametrize("s", [1.0, -1.0], ids=["cols1-6", "col7"])
-    def test_step_coefficients_match_rk4_step(self, figure_table, s):
+    def test_step_coefficients_match_rk4_step(self, figure_table):
         for lam in (0.35j, 0.5 + 0.5j, 0.7, 2 + 0.1j, 5j):
-            blocks = list(scattering._step_blocks(figure_table, lam, (s,)))
+            blocks = list(scattering._step_blocks(figure_table, lam))
             # on the imaginary axis c is real: the real parts come alone
             assert all(len(b) == (1 if lam.real == 0 else 2) for b in blocks)
-            got = scattering._from_basis(scattering._to_complex(np.concatenate(blocks, axis=2))[0])
-            assert rel_diff(got, reference_steps(figure_table, lam, s)) <= 1e-13
+            assert rel_diff(step_matrices(figure_table, lam)[0], reference_steps(figure_table, lam)) <= 1e-13
 
     @pytest.mark.parametrize("fig", [3, 4])
     def test_q_half_layout(self, fig, one_soliton_fields, two_soliton_fields):
@@ -189,7 +178,7 @@ class TestTransferMatrixKernel:
     def test_table_coefficients_fit_samples(self, one_soliton_fields):
         table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 2000)
         assert table.coef.shape == (4, 2000, 7, 7)
-        assert np.array_equal(table.coef, scattering._coefficients(table.u, table.h, scattering.COLUMN7))
+        assert np.array_equal(table.coef, scattering._coefficients(table.u, table.h))
         # the coefficients do not fit other samples
         with pytest.raises(ValueError, match="coef has shape"):
             dataclasses.replace(table, n_steps=1000, u=table.u[::2])
@@ -214,27 +203,36 @@ class TestTransferMatrixKernel:
 
 class TestIntegrateJost:
     def test_zero_potential_identity(self, zero_fields):
-        # Psi_- stays I on every node, read off the end products of steps 0..stop
+        # column 7 of Psi_- stays e7 on every node, read off the end products of steps 0..stop
         table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
         for lam in (0.5, 1.3j, -2.0 + 0.4j):
             for stop in (1, 77, 200):
-                p = scattering._end_product(table, lam, scattering.BOTH_CLASSES, 0, stop)
-                assert np.array_equal(scattering._assemble(p[:, 0]), np.eye(7))
+                assert np.array_equal(column7(table, lam, 0, stop), np.eye(7)[6])
 
-    def test_det_preserved_along_path(self, one_soliton_fields):
+    def test_norm_preserved_along_path(self, one_soliton_fields):
         table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 12000)
-        assert det_drift_from_table(table, 1.0, 500) < 1e-8
+        assert norm_drift_from_table(table, 1.0, 500) < 1e-8
+
+    @pytest.mark.parametrize("fig, x_max, n", [(3, 30.0, 375), (4, 40.0, 500)])
+    def test_norm_drift_falls_as_h5(self, fig, x_max, n, one_soliton_fields, two_soliton_fields):
+        # the RK4 local error, O(h^5), breaks the norm: halving h divides the drift by ~32
+        fields = one_soliton_fields if fig == 3 else two_soliton_fields
+        drift = [
+            norm_drift_from_table(sample_potential(fields, 0.0, -x_max, x_max, m), 1.0, m // 20)
+            for m in (n, 2 * n, 4 * n)
+        ]
+        for coarse, fine in zip(drift, drift[1:]):
+            assert 25.0 < coarse / fine < 40.0
 
     def test_column_norms_bounded(self, one_soliton_fields):
         # crude integral bound: column growth is at most exp(int ||Q||_F dx);
-        # Omega is Psi_-(x_max) conjugated by unit-modulus phases, column norms alike
+        # column 7 of Omega is that of Psi_-(x_max) times unit-modulus phases
         table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 12000)
-        omega = scattering_matrix_from_table(table, 1.0)
+        column = coupling_row_sweep(table, np.array([1.0]))[0]
         xs = np.linspace(-30, 30, 2001)
         qnorm = np.sqrt(2 * np.sum(np.abs(one_soliton_fields(xs, 0.0)) ** 2, axis=1) * 2)
         bound = float(np.exp(np.trapezoid(qnorm, xs)))
-        col_norms = np.linalg.norm(omega, axis=0)
-        assert np.max(col_norms) <= bound
+        assert np.linalg.norm(column) <= bound
 
     def test_rejects_small_step_count(self, zero_fields):
         with pytest.raises(ValueError, match="n_steps"):
@@ -252,23 +250,21 @@ class TestIntegrateJost:
             sample_potential(one_soliton_fields, 0.0, -3.0, 3.0, 500)
 
     def test_unitary_for_real_lambda(self, one_soliton_fields):
+        # column 7 of a unitary Omega has norm 1
         table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 12000)
-        omega = scattering_matrix_from_table(table, 0.8)
-        assert np.max(np.abs(omega.conj().T @ omega - np.eye(7))) < 1e-7
+        column = coupling_row_sweep(table, np.array([0.8]))[0]
+        assert abs(np.linalg.norm(column) ** 2 - 1.0) < 1e-7
 
 
 class TestScatteringMatrix:
     def test_zero_potential_identity(self, zero_fields):
         table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
-        for lam in (0.3, 1.0, 2.0):
-            omega = scattering_matrix_from_table(table, lam)
-            assert np.allclose(omega, np.eye(7), atol=0)
+        rows = coupling_row_sweep(table, np.array([0.3, 1.0, 2.0]))
+        assert np.array_equal(rows, np.tile(np.eye(7)[6], (3, 1)))
 
-    def test_unit_determinant_and_bounded_entry(self, one_soliton_fields):
+    def test_bounded_entry(self, one_soliton_fields):
         table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 8000)
-        omega = scattering_matrix_from_table(table, 0.5)
-        assert abs(np.linalg.det(omega) - 1.0) < 1e-7
-        assert abs(omega[6, 6]) <= 1.0 + 1e-9
+        assert abs(omega77_from_table(table, 0.5)) <= 1.0 + 1e-9
 
     def test_reflectionless(self, one_soliton_fields):
         table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 8000)
@@ -287,30 +283,33 @@ class TestScatteringMatrix:
             coupling_row_sweep(table, np.array([0.5, np.nan]))
 
     def test_real_lambda_past_stability_bound(self, one_soliton_fields):
-        # sqrt(2) / h = 70.7 on this table; past it Omega and the evolution
+        # sqrt(2) / h = 70.7 on this table; past it Omega77 and the evolution
         # residual would come out non-finite
         tables = [sample_potential(one_soliton_fields, t, -40.0, 40.0, 4000) for t in (0.0, 0.2)]
-        assert np.all(np.isfinite(scattering_matrix_from_table(tables[0], 70.0)))
+        assert np.isfinite(omega77_from_table(tables[0], 70.0))
+        for lam in (75.0, np.array([0.5j, -75.0])):
+            with pytest.raises(NonFiniteScatteringError, match="lambda = -?75 exceeds the RK4 stability"):
+                omega77_from_table(tables[0], lam)
         with pytest.raises(NonFiniteScatteringError, match="lambda = 75 exceeds the RK4 stability"):
-            scattering_matrix_from_table(tables[0], 75.0)
+            norm_drift_from_table(tables[0], 75.0, 100)
         with pytest.raises(NonFiniteScatteringError, match="lambda = 100 exceeds the RK4 stability"):
             scattering_evolution_check(*tables, 100.0)
 
     def test_large_upper_lambda_keeps_omega77(self, one_soliton_fields):
-        # columns 1-6 overflow at 5i, silently; the (7,7) entry must not pick that up
+        # far up the imaginary axis Omega77 stays finite, with no warning
         table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 1001)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            omega = scattering_matrix_from_table(table, 5j)
-        assert not np.all(np.isfinite(omega))
-        assert abs(omega[6, 6] - omega77_from_table(table, 5j)) <= 1e-12
+            assert np.isfinite(omega77_from_table(table, 5j))
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0, np.nan)], ids=["nan", "inf", "nanj"])
     def test_non_finite_lambda_refused(self, one_soliton_fields, lam):
         table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 1000)
-        for entry in (scattering_matrix_from_table, omega77_from_table, locate_zero_from_table):
+        for entry in (omega77_from_table, locate_zero_from_table):
             with pytest.raises(NonFiniteScatteringError, match="is not finite"):
                 entry(table, lam)
+        with pytest.raises(NonFiniteScatteringError, match="is not finite"):
+            norm_drift_from_table(table, lam, 100)
         with pytest.raises(NonFiniteScatteringError, match="is not finite"):
             omega77_from_table(table, np.array([0.5j, lam]))
 
@@ -323,18 +322,21 @@ class TestScatteringMatrix:
         for value, lam in zip(got, lams):
             assert abs(value - omega77_from_table(table, lam)) <= 1e-13
 
-    def test_lower_half_plane_rejected(self, zero_fields):
-        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
-        with pytest.raises(HalfPlaneError):
-            scattering_matrix_from_table(table, -0.5j)
+    def test_lower_half_plane_rejected(self, one_soliton_fields):
+        # unrefused, -3i would read -4.7e138 here, where the Blaschke factor is 2
+        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 4000)
+        for lam in (-3j, np.array([0.5j, 0.5 - 0.5j])):
+            with pytest.raises(HalfPlaneError, match="lies in the lower half-plane"):
+                omega77_from_table(table, lam)
+        with pytest.raises(HalfPlaneError, match="real lambda only"):
+            norm_drift_from_table(table, 0.5 + 0.5j, 100)
 
     def test_omega77_is_blaschke_factor(self, one_soliton_fields):
         # analytic prediction for a reflectionless potential with one zero at i
         table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 8000)
         for lam in (0.8j, 0.5 + 0.5j):
-            omega = scattering_matrix_from_table(table, lam)
             expect = (lam - 1j) / (lam + 1j)
-            assert abs(omega[6, 6] - expect) < 1e-6
+            assert abs(omega77_from_table(table, lam) - expect) < 1e-6
 
     def test_step_halving_fourth_order(self, one_soliton_fields):
         # quadruple the step to lift truncation above the tail-cutoff floor
@@ -342,7 +344,7 @@ class TestScatteringMatrix:
 
         def err(n):
             table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, n)
-            return abs(scattering_matrix_from_table(table, 0.7 + 0.0j)[6, 6] - exact)
+            return abs(omega77_from_table(table, 0.7 + 0.0j) - exact)
 
         ratio = err(375) / err(750)
         assert 10.0 < ratio < 22.0
