@@ -22,11 +22,14 @@ by 1/sqrt2 on each channel pair, entries 1/2 and +-i/2) turns each pair
 makes Q real and, having power-of-two entries, rounds nothing on the way
 back.  A classical Runge-Kutta step is then the 7x7 matrix
 T_n(c) = sum_{k<=4} c^k T_n^(k) with real, lambda-independent T_n^(k) and
-T^(4) = h^4/24 P; the table stores T^(0..3).  A lambda batch gets its step
-matrices from one real GEMM of its powers of c against the coefficients, in
-blocks of at most BLOCK_MATRICES (lambda, step) pairs, so transient memory
-does not grow with n_steps or the number of lambdas; where every c is real
-(imaginary lambda) only real parts are formed and multiplied.
+T^(4) = h^4/24 P.  The table folds each pair of steps into one polynomial,
+T_{2k+1}(c) T_{2k}(c) = sum_{m<=8} c^m F_k^(m), and stores F^(0..7);
+F^(8) = (h^4/24)^2 P.  A lambda batch gets its pair matrices from one real
+GEMM of its powers of c against the coefficients, in blocks of at most
+BLOCK_MATRICES (lambda, pair) matrices, so transient memory does not grow
+with n_steps or the number of lambdas; where every c is real (imaginary
+lambda) only real parts are formed and multiplied.  A step left unpaired at
+either end of a range is built alone from its three samples.
 `_end_product` multiplies by tree reduction over a range of steps; no Jost
 path is stored.  For real lambda Q + c P is anti-Hermitian, so the norm of
 column 7 is conserved; `norm_drift_from_table` measures the departure from
@@ -62,9 +65,6 @@ BLOCK_MATRICES = 256
 # The diagonal of P = diag(1, ..., 1, 0) in a flattened 7x7 matrix.
 _P_DIAG = slice(0, 41, 8)
 
-_PAIR_EYE = np.stack([np.eye(7), np.zeros((7, 7))])
-
-
 class DomainTooSmallError(Exception):
     """Potential has not decayed below tolerance at a domain endpoint."""
 
@@ -92,8 +92,9 @@ class PotentialTable:
     """Potential sampled on the half-step nodes of a fixed domain.
 
     `u` holds the field triple on the 2 n_steps + 1 half-step nodes; `coef`
-    the step coefficients T^(0..3), (4, n_steps, 7, 7) real, which every
-    pass of a lambda batch reads.
+    the coefficients F^(0..7) of the step pairs (2k, 2k+1),
+    (8, n_steps // 2, 7, 7) real, which every pass of a lambda batch reads.
+    An odd last step has no pair; it is built from `u` when a pass needs it.
     """
 
     t: float
@@ -106,8 +107,8 @@ class PotentialTable:
     def __post_init__(self):
         if self.u.shape != (2 * self.n_steps + 1, 3):
             raise ValueError(f"u has shape {self.u.shape}, need ({2 * self.n_steps + 1}, 3)")
-        if np.shape(self.coef) != (4, self.n_steps, 7, 7):
-            raise ValueError(f"coef has shape {np.shape(self.coef)}, need (4, {self.n_steps}, 7, 7)")
+        if np.shape(self.coef) != (8, self.n_steps // 2, 7, 7):
+            raise ValueError(f"coef has shape {np.shape(self.coef)}, need (8, {self.n_steps // 2}, 7, 7)")
 
     @property
     def h(self) -> float:
@@ -159,80 +160,118 @@ def sample_potential(
                 f"potential magnitude {mag:.3e} at x = {x} exceeds "
                 f"{ENDPOINT_DECAY}; enlarge the domain"
             )
-    coef = _coefficients(u, (float(x_max) - float(x_min)) / n_steps)
+    coef = _pair_coefficients(u, (float(x_max) - float(x_min)) / n_steps)
     return PotentialTable(float(t), float(x_min), float(x_max), int(n_steps), u, coef)
 
 
 def _coefficients(u: np.ndarray, h: float) -> np.ndarray:
-    """Step coefficients T^(0..3), (4, n, 7, 7) real, in the basis V.
+    """Step coefficients T^(0..3), (4, n, 7, 7) real, in the basis V, of the
+    n = len(u) // 2 steps over the half-step samples u.
 
-    u holds the 2n + 1 half-step samples, h is the step.  With A = Q' + c P
-    at the start, midpoint and end of a step,
+    h is the step.  With A = Q' + c P at the start, midpoint and end of a step,
     T = I + h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = Am + h/2 Am A0,
     K3 = Am + h/2 Am K2, K4 = A1 + h A1 K3 (the classical scheme for
     y' = A y) is a polynomial in c; T^(4) = h^4/24 P is left implicit.
-    Built BLOCK_MATRICES steps at a time: a build holds 17 matrices per step.
+    A build holds 17 matrices per step; callers pass a block of steps at most.
     """
     n = len(u) // 2
     v = np.stack([u.real, u.imag], axis=-1).reshape(-1, 6)
 
     def step(a, x, w):
         # a + c P + w (a + c P) x, coefficients of c^0 .. c^len(x)
-        b = len(a)
-        out = np.empty((len(x) + 1, b, 7, 7))
+        out = np.empty((len(x) + 1, n, 7, 7))
         np.matmul(a, x, out=out[:-1])
         out[-1] = 0.0
         out[1:, :, :6] += x[:, :, :6]  # P x: every row but the 7th
         out *= w
         out[0] += a
-        out[1].reshape(b, 49)[:, _P_DIAG] += 1.0
+        out[1].reshape(n, 49)[:, _P_DIAG] += 1.0
         return out
 
-    t = np.empty((4, n, 7, 7))
-    for j in range(0, n, BLOCK_MATRICES):
-        b = min(BLOCK_MATRICES, n - j)
-        # Q' at the start, midpoint and end node of every step, each contiguous
-        a0, am, a1 = q = np.zeros((3, b, 7, 7))
-        q[..., :6, 6] = v[2 * np.arange(j, j + b) + np.arange(3)[:, None]]
-        q[..., 6, :6] = -2.0 * q[..., :6, 6]
-        a_poly = np.zeros((2, b, 7, 7))
-        a_poly[0] = a0
-        a_poly[1].reshape(b, 49)[:, _P_DIAG] = 1.0
-        k2 = step(am, a_poly, 0.5 * h)
-        k3 = step(am, k2, 0.5 * h)
-        tb = t[:, j : j + b]
-        tb[...] = step(a1, k3, h)[:4]
-        k3 *= 2.0
-        tb += k3
-        k2 *= 2.0
-        tb[:3] += k2
-        tb[:2] += a_poly
+    # Q' at the start, midpoint and end node of every step, each contiguous
+    a0, am, a1 = q = np.zeros((3, n, 7, 7))
+    q[..., :6, 6] = v[2 * np.arange(n) + np.arange(3)[:, None]]
+    q[..., 6, :6] = -2.0 * q[..., :6, 6]
+    a_poly = np.zeros((2, n, 7, 7))
+    a_poly[0] = a0
+    a_poly[1].reshape(n, 49)[:, _P_DIAG] = 1.0
+    k2 = step(am, a_poly, 0.5 * h)
+    k3 = step(am, k2, 0.5 * h)
+    t = step(a1, k3, h)[:4]
+    k3 *= 2.0
+    t += k3
+    k2 *= 2.0
+    t[:3] += k2
+    t[:2] += a_poly
     t *= h / 6.0
     t[0].reshape(n, 49)[:, ::8] += 1.0
     return t
 
 
+def _pair_coefficients(u: np.ndarray, h: float) -> np.ndarray:
+    """Coefficients F^(0..7), (8, n // 2, 7, 7) real, of the step pairs of the
+    n = len(u) // 2 steps over the half-step samples u.
+
+    Pair k is T_{2k+1}(c) T_{2k}(c) = sum_{m<=8} c^m F_k^(m), with
+    F^(m) = sum_{i+j=m} T_{2k+1}^(i) T_{2k}^(j); F^(8) = (h^4/24)^2 P is left
+    implicit.  Folded from `_coefficients` BLOCK_MATRICES steps at a time, so
+    no single-step table is held; an odd last step is left out.
+    """
+    s = h**4 / 24.0
+
+    def fold(fb, t):
+        # adds to fb the pairs of the steps t; returning frees t before the next build
+        late, early = t[:, 1::2], t[:, 0::2]
+        products = late[:, None] @ early[None]  # T_{2k+1}^(i) T_{2k}^(j) at [i, j]
+        for i in range(4):
+            fb[i : i + 4] += products[i]
+        # the implicit h^4/24 P of either step: P T zeroes row 7, T P column 7
+        fb[4:, :, :6] += s * early[:, :, :6]
+        fb[4:, ..., :6] += s * late[..., :6]
+
+    f = np.zeros((8, len(u) // 4, 7, 7))
+    for j in range(0, f.shape[1], BLOCK_MATRICES // 2):
+        fb = f[:, j : j + BLOCK_MATRICES // 2]
+        fold(fb, _coefficients(u[4 * j : 4 * (j + fb.shape[1]) + 1], h))
+    return f
+
+
 def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
     """RK4 step matrices in the basis V, in marching order, one block at a time.
 
-    Steps start..stop of every lambda come as real pairs (2, L, b, 7, 7) of
-    real and imaginary parts, (1, ...) where c is real.
-    T(c) = sum_k c^k T^(k): one real GEMM of the powers c^0..c^3 against
-    the coefficients, plus c^4 h^4/24 on the diagonal of P.
+    Steps start..stop of every lambda come as real arrays (2, L, b, 7, 7) of
+    real and imaginary parts, (1, ...) where c is real.  Each matrix is a
+    step pair T_{2k+1} T_{2k}, read from the table's coefficients, but for an
+    unpaired first step at an odd `start` and last step before an odd `stop`:
+    those come alone, from `_coefficients` on their three samples.  A
+    polynomial sum_{m<=d} c^m C^(m) is one real GEMM of the powers
+    c^0..c^(d-1) against its stored coefficients, plus the implicit
+    c^d C^(d), a multiple of P, on the diagonal of P.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
     stop = table.n_steps if stop is None else min(stop, table.n_steps)
     parts = 2 if np.any(lams.real) else 1  # c = 2i lam is real on the imaginary axis
-    w = (2j * lams)[:, None] ** np.arange(5)
+    w = (2j * lams)[:, None] ** np.arange(9)
     w = np.stack([w.real, w.imag])[:parts]
-    w4 = (table.h**4 / 24.0) * w[..., 4, None, None]
-    w = np.ascontiguousarray(w[..., :4])
+    s = table.h**4 / 24.0
+
+    def evaluate(coef, lead):
+        d, m = coef.shape[:2]
+        out = np.matmul(w[..., :d], coef.reshape(d, -1)).reshape(parts, len(lams), m, 49)
+        out[..., _P_DIAG] += lead * w[..., d, None, None]
+        return out.reshape(parts, len(lams), m, 7, 7)
+
+    def single(i):
+        return evaluate(_coefficients(table.u[2 * i : 2 * i + 3], table.h), s)
+
+    if start % 2 and start < stop:
+        yield single(start)
+        start += 1
     b = max(1, BLOCK_MATRICES // len(lams))
-    for j in range(start, stop, b):
-        k = min(j + b, stop)
-        out = np.matmul(w, table.coef[:, j:k].reshape(4, -1)).reshape(parts, len(lams), k - j, 49)
-        out[..., _P_DIAG] += w4
-        yield out.reshape(parts, len(lams), k - j, 7, 7)
+    for j in range(start // 2, stop // 2, b):
+        yield evaluate(table.coef[:, j : min(j + b, stop // 2)], s * s)
+    if stop % 2 and start < stop:
+        yield single(stop - 1)
 
 
 def _to_complex(p: np.ndarray) -> np.ndarray:
@@ -241,12 +280,16 @@ def _to_complex(p: np.ndarray) -> np.ndarray:
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product a @ b of (re, im) pairs (2, ..., 7, 7), or of real (1, ..., 7, 7) arrays."""
-    p = a[:, None] @ b[None]
+    """Product a @ b of (re, im) pairs (2, ..., 7, 7), or of real (1, ..., 7, 7) arrays.
+
+    The result is an array of its own: no discarded partial product outlives the call.
+    """
+    p = a @ b
     if len(p) == 2:
-        p[0, 0] -= p[1, 1]
-        p[0, 1] += p[1, 0]
-    return p[0]
+        cross = a @ b[::-1]
+        p[0] -= p[1]
+        np.add(cross[0], cross[1], out=p[1])
+    return p
 
 
 def _reduce(t: np.ndarray) -> np.ndarray:
@@ -254,7 +297,9 @@ def _reduce(t: np.ndarray) -> np.ndarray:
     while t.shape[-3] > 1:
         m = t.shape[-3] // 2 * 2
         p = _mul(t[..., 1:m:2, :, :], t[..., 0:m:2, :, :])
-        t = p if m == t.shape[-3] else np.concatenate([p, t[..., m:, :, :]], axis=-3)
+        if m < t.shape[-3]:  # an odd last matrix joins the last product
+            p[..., -1:, :, :] = _mul(t[..., m:, :, :], p[..., -1:, :, :])
+        t = p
     return t[..., 0, :, :]
 
 
@@ -262,15 +307,16 @@ def _end_product(table: PotentialTable, lams, start: int = 0, stop=None) -> np.n
     """The product of the RK4 steps start..stop (basis V), (L, 7, 7) complex;
     its column 7 carries column 7 of Psi from node start to node stop.
 
-    Lambdas go in chunks of at most BLOCK_MATRICES.
+    Lambdas go in chunks of at most BLOCK_MATRICES; a block of steps is
+    released as soon as its reduction has made the first products.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
     out = np.empty((len(lams), 7, 7), dtype=complex)
     for i in range(0, len(lams), BLOCK_MATRICES):
         chunk = lams[i : i + BLOCK_MATRICES]
         p = None
-        for t in _step_blocks(table, chunk, start, stop):
-            p = _mul(_reduce(t), _PAIR_EYE[: len(t), None] if p is None else p)
+        for r in map(_reduce, _step_blocks(table, chunk, start, stop)):
+            p = r if p is None else _mul(r, p)
         out[i : i + len(chunk)] = _to_complex(p)
     return out
 
@@ -356,7 +402,7 @@ def coupling_row_sweep(table: PotentialTable, lams: np.ndarray) -> np.ndarray:
     first such lambda, where |lambda| h exceeds the RK4 stability bound or an
     entry is not finite.
     """
-    lams = np.asarray(lams, dtype=complex)
+    lams = np.asarray(_finite(lams), dtype=complex)
     if np.any(lams.imag != 0.0):
         raise HalfPlaneError("row sweep is defined for real lambda only")
     _refuse_unstable(table, lams)

@@ -63,6 +63,17 @@ for _a in (0, 2, 4):
 V_INV = np.linalg.inv(V)
 
 
+def reference_pairs(table, lam, start=0, stop=None):
+    """The kernel's matrices of steps start..stop from direct RK4 steps: the
+    products of the step pairs (2k, 2k+1), and an unpaired step after an odd
+    `start` or before an odd `stop` alone."""
+    steps = reference_steps(table, lam)
+    stop = table.n_steps if stop is None else stop
+    head, tail = steps[start : start + start % 2], steps[stop - stop % 2 : stop]
+    paired = steps[start + start % 2 : stop - stop % 2]
+    return np.concatenate([head, paired[1::2] @ paired[0::2], tail])
+
+
 def column7(table, lam, start=0, stop=None):
     """Column 7 of Psi from e7 at node `start`, carried to node `stop`, by the kernel."""
     return scattering._from_basis(scattering._end_product(table, lam, start, stop)[:, :, 6])[0]
@@ -83,9 +94,15 @@ def rel_diff(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+SEGMENTS = ["interior", "tail", "odd step", "even step"]
+
+
 def segment(n, which):
-    """Steps (start, stop) of an interior segment, or of the last 250 steps to the end."""
-    return (n // 3, 2 * n // 3) if which == "interior" else (n - 250, None)
+    """Steps (start, stop) of an interior segment, of the last 250 steps to the
+    end, or of the one step after an odd or an even node."""
+    odd = n // 3 | 1
+    return {"interior": (n // 3, 2 * n // 3), "tail": (n - 250, None),
+            "odd step": (odd, odd + 1), "even step": (odd + 1, odd + 2)}[which]
 
 
 @pytest.fixture(scope="module", params=[(3, 1001), (3, 4097), (4, 1001), (4, 4097)],
@@ -120,7 +137,7 @@ class TestTransferMatrixKernel:
             for stop in (1, 7, n // 2, n - 1, n):
                 assert rel_diff(column7(figure_table, lam, 0, stop), path[stop][:, 6]) <= 1e-12
 
-    @pytest.mark.parametrize("which", ["interior", "tail"])
+    @pytest.mark.parametrize("which", SEGMENTS)
     def test_segment_product_matches_path_from_node(self, figure_table, which):
         # the product of steps start..stop carries e7 at node start to node stop
         start, stop = segment(figure_table.n_steps, which)
@@ -128,14 +145,15 @@ class TestTransferMatrixKernel:
             want = reference_path(figure_table, lam, start)[-1 if stop is None else stop - start]
             assert rel_diff(column7(figure_table, lam, start, stop), want[:, 6]) <= 1e-12
 
-    @pytest.mark.parametrize("which", ["interior", "tail"])
+    @pytest.mark.parametrize("which", SEGMENTS)
     def test_step_blocks_of_a_segment(self, figure_table, which):
-        # rows are lambdas; the steps are those of the segment
+        # rows are lambdas; the matrices are the step pairs of the segment and
+        # its unpaired first or last step
         start, stop = segment(figure_table.n_steps, which)
         lams = (0.35j, 0.7, 2 + 0.1j)
         got = step_matrices(figure_table, lams, start, stop)
         for j, lam in enumerate(lams):
-            want = reference_steps(figure_table, lam)[start:stop]
+            want = reference_pairs(figure_table, lam, start, stop)
             assert got[j].shape == want.shape
             assert rel_diff(got[j], want) <= 1e-13
 
@@ -148,11 +166,22 @@ class TestTransferMatrixKernel:
         assert abs(norm_drift_from_table(figure_table, 1.0, stride) - want) <= 1e-13
 
     def test_step_coefficients_match_rk4_step(self, figure_table):
+        # step pairs, and the unpaired last step of an odd step count
         for lam in (0.35j, 0.5 + 0.5j, 0.7, 2 + 0.1j, 5j):
             blocks = list(scattering._step_blocks(figure_table, lam))
             # on the imaginary axis c is real: the real parts come alone
             assert all(len(b) == (1 if lam.real == 0 else 2) for b in blocks)
-            assert rel_diff(step_matrices(figure_table, lam)[0], reference_steps(figure_table, lam)) <= 1e-13
+            assert rel_diff(step_matrices(figure_table, lam)[0], reference_pairs(figure_table, lam)) <= 1e-13
+
+    def test_folded_pair_at_the_stability_edge(self, figure_table):
+        # the pair polynomial, condition ~ e^{2 |c h|}, against products of two
+        # RK4 steps across the core, at |lambda| h = 0.999 sqrt(2) and at 5j
+        start = figure_table.n_steps // 2 - 100 & ~1
+        for lam in (0.999 * np.sqrt(2.0) / figure_table.h, 5j):
+            steps = reference_steps(figure_table, lam)[start : start + 200]
+            got = step_matrices(figure_table, lam, start, start + 200)[0]
+            assert got.shape == (100, 7, 7)
+            assert rel_diff(got, steps[1::2] @ steps[0::2]) <= 1e-13
 
     @pytest.mark.parametrize("fig", [3, 4])
     def test_q_half_layout(self, fig, one_soliton_fields, two_soliton_fields):
@@ -176,9 +205,16 @@ class TestTransferMatrixKernel:
         assert stored <= q_half_bytes + table.u.nbytes
 
     def test_table_coefficients_fit_samples(self, one_soliton_fields):
+        # sum_{m<=8} c^m F^(m), F^(8) = (h^4/24)^2 P, is the product of the step pair
+        assert sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 2001).coef.shape == (8, 1000, 7, 7)
         table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 2000)
-        assert table.coef.shape == (4, 2000, 7, 7)
-        assert np.array_equal(table.coef, scattering._coefficients(table.u, table.h))
+        assert table.coef.shape == (8, 1000, 7, 7)
+        for lam in (0.35j, 0.7, 2 + 0.1j):
+            c = 2j * lam
+            pairs = np.tensordot(c ** np.arange(8), table.coef, axes=1)
+            pairs[:, range(6), range(6)] += c**8 * (table.h**4 / 24.0) ** 2
+            steps = reference_steps(table, lam)
+            assert rel_diff(V_INV @ pairs @ V, steps[1::2] @ steps[0::2]) <= 1e-13
         # the coefficients do not fit other samples
         with pytest.raises(ValueError, match="coef has shape"):
             dataclasses.replace(table, n_steps=1000, u=table.u[::2])
@@ -279,7 +315,7 @@ class TestScatteringMatrix:
         for lams in ([0.5, 1.001 * bound], [-1.001 * bound], [1e300]):
             with pytest.raises(NonFiniteScatteringError, match="stability bound"):
                 coupling_row_sweep(table, np.array(lams))
-        with pytest.raises(NonFiniteScatteringError, match="lambda = nan are not finite"):
+        with pytest.raises(NonFiniteScatteringError, match="lambda = nan is not finite"):
             coupling_row_sweep(table, np.array([0.5, np.nan]))
 
     def test_real_lambda_past_stability_bound(self, one_soliton_fields):
