@@ -27,14 +27,14 @@ T_{2k+1}(c) T_{2k}(c) = sum_{m<=8} c^m F_k^(m), and stores F^(0..7);
 F^(8) = (h^4/24)^2 P.  A lambda batch gets its pair matrices from one real
 GEMM of its powers of c against the coefficients, in blocks of at most
 BLOCK_MATRICES (lambda, pair) matrices, so transient memory does not grow
-with n_steps or the number of lambdas; where every c is real (imaginary
-lambda) only real parts are formed and multiplied.  A step left unpaired at
-either end of a range is built alone from its three samples.
-`_end_product` multiplies by tree reduction over a range of steps; no Jost
-path is stored.  For real lambda Q + c P is anti-Hermitian, so the norm of
-column 7 is conserved; `norm_drift_from_table` measures the departure from
-it.  A NaN or infinite lambda, one in the lower half-plane, or a real one
-past the RK4 bound |lambda| h <= sqrt(2), is refused.
+with n_steps or the number of lambdas.  A step left unpaired at either end
+of a range is built alone from its three samples.  `_end_product`
+multiplies by tree reduction over a range of steps, on (real, imaginary)
+pairs of real arrays; no Jost path is stored.  For real lambda Q + c P is
+anti-Hermitian, so the norm of column 7 is conserved;
+`norm_drift_from_table` measures the departure from it.  Every entry
+checks its lambdas in one gate, `_lambdas`, and reads column 7 through one
+pass, `_column7`, which refuses a product that overflowed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from typing import Callable
 
 import numpy as np
 
-from .lax import build_Q
 from .report import ResidualReport, summarize
 from .structure import SIGMA3_DIAG
 
@@ -79,7 +78,8 @@ class NonFiniteScatteringError(Exception):
 
 
 class ZeroSearchError(Exception):
-    """Secant hunt for a spectral zero failed; carries the iterate trace."""
+    """Secant hunt for a spectral zero stalled, left the upper half-plane or ran
+    out of iterations; carries the iterate trace."""
 
     def __init__(self, message: str, trace: list[tuple[complex, complex]]):
         self.trace = [(lam, abs(val)) for lam, val in trace]
@@ -113,11 +113,6 @@ class PotentialTable:
     @property
     def h(self) -> float:
         return (self.x_max - self.x_min) / self.n_steps
-
-    @property
-    def q_half(self) -> np.ndarray:
-        """Q on every half-step node, (2 n_steps + 1, 7, 7)."""
-        return build_Q(self.u)
 
 
 def check_domain(x_min: float, x_max: float, n_steps: int) -> None:
@@ -240,7 +235,7 @@ def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
     """RK4 step matrices in the basis V, in marching order, one block at a time.
 
     Steps start..stop of every lambda come as real arrays (2, L, b, 7, 7) of
-    real and imaginary parts, (1, ...) where c is real.  Each matrix is a
+    real and imaginary parts.  Each matrix is a
     step pair T_{2k+1} T_{2k}, read from the table's coefficients, but for an
     unpaired first step at an odd `start` and last step before an odd `stop`:
     those come alone, from `_coefficients` on their three samples.  A
@@ -250,16 +245,15 @@ def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
     stop = table.n_steps if stop is None else min(stop, table.n_steps)
-    parts = 2 if np.any(lams.real) else 1  # c = 2i lam is real on the imaginary axis
     w = (2j * lams)[:, None] ** np.arange(9)
-    w = np.stack([w.real, w.imag])[:parts]
+    w = np.stack([w.real, w.imag])
     s = table.h**4 / 24.0
 
     def evaluate(coef, lead):
         d, m = coef.shape[:2]
-        out = np.matmul(w[..., :d], coef.reshape(d, -1)).reshape(parts, len(lams), m, 49)
+        out = np.matmul(w[..., :d], coef.reshape(d, -1)).reshape(2, len(lams), m, 49)
         out[..., _P_DIAG] += lead * w[..., d, None, None]
-        return out.reshape(parts, len(lams), m, 7, 7)
+        return out.reshape(2, len(lams), m, 7, 7)
 
     def single(i):
         return evaluate(_coefficients(table.u[2 * i : 2 * i + 3], table.h), s)
@@ -274,21 +268,15 @@ def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
         yield single(stop - 1)
 
 
-def _to_complex(p: np.ndarray) -> np.ndarray:
-    """The complex array of an (re, im) pair (2, ...) or of a real (1, ...) array."""
-    return p[0] + 1j * p[1] if len(p) == 2 else p[0].astype(complex)
-
-
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product a @ b of (re, im) pairs (2, ..., 7, 7), or of real (1, ..., 7, 7) arrays.
+    """Product a @ b of (re, im) pairs (2, ..., 7, 7): four real products.
 
     The result is an array of its own: no discarded partial product outlives the call.
     """
     p = a @ b
-    if len(p) == 2:
-        cross = a @ b[::-1]
-        p[0] -= p[1]
-        np.add(cross[0], cross[1], out=p[1])
+    cross = a @ b[::-1]
+    p[0] -= p[1]
+    np.add(cross[0], cross[1], out=p[1])
     return p
 
 
@@ -317,7 +305,7 @@ def _end_product(table: PotentialTable, lams, start: int = 0, stop=None) -> np.n
         p = None
         for r in map(_reduce, _step_blocks(table, chunk, start, stop)):
             p = r if p is None else _mul(r, p)
-        out[i : i + len(chunk)] = _to_complex(p)
+        out[i : i + len(chunk)] = p[0] + 1j * p[1]
     return out
 
 
@@ -334,23 +322,50 @@ def _from_basis(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(lam):
-    """lam, a number or an array, after refusing any NaN or infinite part."""
-    if not np.all(np.isfinite(lam)):
-        raise NonFiniteScatteringError(f"lambda = {np.asarray(lam)[~np.isfinite(lam)][0]} is not finite")
-    return lam
+def _show(lam: complex) -> str:
+    """A lambda for a message: a real one as real."""
+    return f"{lam.real:.6g}" if lam.imag == 0.0 else f"{lam:.6g}"
 
 
-def _refuse_unstable(table: PotentialTable, lams: np.ndarray) -> None:
-    """Raise NonFiniteScatteringError, naming the first such lambda, where a
-    real lambda of `lams` exceeds the RK4 stability bound of the table's step."""
+def _lambdas(table: PotentialTable, lam, real: bool = False) -> np.ndarray:
+    """lam, a number or an array, as a 1-D complex array.  Refuses, naming the
+    first such lambda, a NaN or infinite part and a real lambda past the RK4
+    stability bound |lambda| h <= sqrt(2) (NonFiniteScatteringError), and a
+    complex lambda where `real` or one in the lower half-plane (HalfPlaneError)."""
+    lams = np.reshape(np.asarray(lam, dtype=complex), -1)
+    bad = ~np.isfinite(lams)
+    if np.any(bad):
+        raise NonFiniteScatteringError(f"lambda = {_show(lams[bad][0])} is not finite")
+    bad = lams.imag != 0.0 if real else lams.imag < 0.0
+    if np.any(bad):
+        where = ": this entry is defined for real lambda only" if real else " lies in the lower half-plane"
+        raise HalfPlaneError(f"lambda = {_show(lams[bad][0])}{where}")
     # the step of a free wave e^{c x}, c = 2i lambda, grows once |c h| > 2 sqrt2
-    unstable = np.abs(lams) > np.sqrt(2.0) / table.h
-    if np.any(unstable):
+    bad = (lams.imag == 0.0) & (np.abs(lams) > np.sqrt(2.0) / table.h)
+    if np.any(bad):
         raise NonFiniteScatteringError(
-            f"lambda = {lams[unstable][0].real:.6g} exceeds the RK4 stability "
+            f"lambda = {_show(lams[bad][0])} exceeds the RK4 stability "
             f"bound |lambda| h <= sqrt(2) of the step h = {table.h:.3g}"
         )
+    return lams
+
+
+def _column7(table: PotentialTable, lams: np.ndarray) -> np.ndarray:
+    """Column 7 of Psi_-(x_max), (L, 7), from one pass over the table.
+
+    Raises NonFiniteScatteringError, naming the first lambda and entry (the
+    (7,7) one first), where the step product has overflowed.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = _from_basis(_end_product(table, lams)[:, :, 6])
+    bad = ~np.isfinite(cols)
+    if np.any(bad):
+        i = int(np.flatnonzero(np.any(bad, axis=1))[0])
+        k = 6 if bad[i, 6] else int(np.argmax(bad[i]))
+        raise NonFiniteScatteringError(
+            f"Omega{k + 1}7 = {cols[i, k]} at lambda = {_show(lams[i])} is not finite"
+        )
+    return cols
 
 
 def norm_drift_from_table(table: PotentialTable, lam: float, stride: int) -> float:
@@ -362,15 +377,12 @@ def norm_drift_from_table(table: PotentialTable, lam: float, stride: int) -> flo
     raises HalfPlaneError, a real one past the RK4 stability bound
     NonFiniteScatteringError.
     """
-    lam = complex(_finite(lam))
-    if lam.imag != 0.0:
-        raise HalfPlaneError(f"the norm drift is defined for real lambda only, got {lam}")
+    lams = _lambdas(table, lam, real=True)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    _refuse_unstable(table, np.array([lam]))
     col, drift = np.eye(7)[6], 0.0
     for start in range(0, table.n_steps, stride):
-        col = _end_product(table, lam, start, start + stride)[0] @ col
+        col = _end_product(table, lams, start, start + stride)[0] @ col
         drift = max(drift, abs(np.linalg.norm(_from_basis(col)) ** 2 - 1.0))
     return float(drift)
 
@@ -380,17 +392,11 @@ def omega77_from_table(table: PotentialTable, lam):
     a complex for one lambda, an (L,) array, from one pass, for L of them.
 
     Refuses, naming the first such lambda, one in the lower half-plane with
-    HalfPlaneError, and a real one past the RK4 stability bound with
-    NonFiniteScatteringError.  Far up the imaginary axis the step product
-    overflows and the entry reads inf or NaN, without a warning.
+    HalfPlaneError, and a real one past the RK4 stability bound, or one far
+    up the imaginary axis where the step product overflows, with
+    NonFiniteScatteringError.
     """
-    lams = np.reshape(np.asarray(_finite(lam), dtype=complex), -1)
-    if np.any(lams.imag < 0.0):
-        raise HalfPlaneError(f"lambda = {lams[lams.imag < 0.0][0]:.6g} lies in the lower half-plane")
-    _refuse_unstable(table, lams[lams.imag == 0.0])
-    # V fixes e7, so the (7,7) entry is the same in either basis
-    with np.errstate(over="ignore", invalid="ignore"):
-        o77 = _end_product(table, lams)[:, 6, 6]
+    o77 = _column7(table, _lambdas(table, lam))[:, 6]
     return complex(o77[0]) if np.ndim(lam) == 0 else o77
 
 
@@ -398,25 +404,15 @@ def coupling_row_sweep(table: PotentialTable, lams: np.ndarray) -> np.ndarray:
     """Entries Omega_17..Omega_67, Omega_77 for a batch of real lambdas.
 
     Returns (L, 7) complex, column 7 of each Omega, all lambdas in one pass
-    over the potential table.  Raises NonFiniteScatteringError, naming the
-    first such lambda, where |lambda| h exceeds the RK4 stability bound or an
-    entry is not finite.
+    over the potential table.  A complex lambda raises HalfPlaneError; one
+    past the RK4 stability bound, or one whose entries are not finite,
+    NonFiniteScatteringError, naming the first such lambda.
     """
-    lams = np.asarray(_finite(lams), dtype=complex)
-    if np.any(lams.imag != 0.0):
-        raise HalfPlaneError("row sweep is defined for real lambda only")
-    _refuse_unstable(table, lams)
+    lams = _lambdas(table, lams, real=True)
     # Omega = e^{-i lam sigma3 x} Psi_-(x) e^{i lam sigma3 x} at x = x_max, using
     # Psi_+(x_max) = I: entry (k, 7) takes e^{i lam (sigma_7 - sigma_k) x_max}
     shift = (SIGMA3_DIAG[6] - SIGMA3_DIAG) * table.x_max
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _from_basis(_end_product(table, lams)[:, :, 6]) * np.exp(1j * lams[:, None] * shift)
-    bad = ~np.all(np.isfinite(rows), axis=1)
-    if np.any(bad):
-        raise NonFiniteScatteringError(
-            f"scattering entries at lambda = {lams[bad][0].real:.6g} are not finite"
-        )
-    return rows
+    return _column7(table, lams) * np.exp(1j * lams[:, None] * shift)
 
 
 def locate_zero_from_table(
@@ -429,11 +425,12 @@ def locate_zero_from_table(
 
     Converged when |Omega77| < 1e-8 or the step shrinks below 1e-10; raises
     ZeroSearchError (with the iterate trace) on stagnation, escape from the
-    upper half-plane, iteration exhaustion, or a non-finite Omega77.  A
-    given `trace` list receives every evaluation (lambda, Omega77), the last
-    one at the returned zero.
+    upper half-plane or iteration exhaustion; an iterate that
+    `omega77_from_table` refuses raises its error.  A given `trace` list
+    receives every evaluation (lambda, Omega77), the last one at the returned zero.
     """
-    seed = complex(_finite(seed))
+    seed = complex(seed)
+    _lambdas(table, seed)
     if seed.imag <= 0.0:
         raise HalfPlaneError(f"seed {seed} must lie in the open upper half-plane")
     trace = [] if trace is None else trace
@@ -441,8 +438,6 @@ def locate_zero_from_table(
     def g(lam: complex) -> complex:
         val = omega77_from_table(table, lam)
         trace.append((lam, val))
-        if not np.isfinite(val):
-            raise ZeroSearchError(f"Omega77 = {val} at lambda = {lam:.6g} is not finite", trace)
         return val
 
     lam0 = seed
@@ -478,17 +473,17 @@ def scattering_evolution_check(
     entries obey Omega_k7(t1) = e^{8 i lam^3 (t1 - t0)} Omega_k7(t0) for
     k = 1..6; the (7,7) entry is time-invariant.  Entries already below 1e-8
     at t0 are flagged vacuous (a reflectionless potential has nothing to
-    evolve).  A lambda beyond the RK4 stability bound raises
-    NonFiniteScatteringError.
+    evolve).  A lambda that `coupling_row_sweep` refuses (complex, non-finite,
+    or past the RK4 stability bound) raises its error.
     """
     domain = (table_t0.x_min, table_t0.x_max, table_t0.n_steps)
     other = (table_t1.x_min, table_t1.x_max, table_t1.n_steps)
     if domain != other:
         raise ValueError(f"tables differ in domain or step count: {domain} and {other}")
     x_min, x_max, n_steps = domain
-    lam, t0, t1 = float(lam), table_t0.t, table_t1.t
     w0 = coupling_row_sweep(table_t0, [lam])[0]
     w1 = coupling_row_sweep(table_t1, [lam])[0]
+    lam, t0, t1 = float(lam), table_t0.t, table_t1.t
     phase = np.exp(8j * lam ** 3 * (t1 - t0))
     residuals = []
     notes = []

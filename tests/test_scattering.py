@@ -38,7 +38,7 @@ def reference_path(table, lam, start=0):
     def rhs(psi, q):
         return q @ psi - 1j * lam * (psi * SIGMA3_DIAG[None, :] - SIGMA3_DIAG[:, None] * psi)
 
-    n, q_half = table.n_steps, table.q_half
+    n, q_half = table.n_steps, build_Q(table.u)
     path = np.empty((n - start + 1, 7, 7), dtype=complex)
     path[0] = psi = np.eye(7, dtype=complex)
     for i in range(start, n):
@@ -51,7 +51,7 @@ def reference_steps(table, lam):
     """Direct RK4 step matrices of column 7 (y' = (Q + diag(i lam (sigma3 + 1))) y),
     all steps at once, in marching order."""
     d = (1j * lam * (SIGMA3_DIAG + 1.0))[:, None]
-    q = table.q_half
+    q = build_Q(table.u)
     return rk4_step(np.eye(7), q[:-1:2], q[1::2], q[2::2], table.h, lambda y, qq: qq @ y + d * y)
 
 
@@ -81,8 +81,8 @@ def column7(table, lam, start=0, stop=None):
 
 def step_matrices(table, lams, start=0, stop=None):
     """The kernel's step matrices, (L, steps, 7, 7), back in the basis of Psi."""
-    blocks = list(scattering._step_blocks(table, lams, start, stop))
-    return V_INV @ scattering._to_complex(np.concatenate(blocks, axis=2)) @ V
+    re, im = np.concatenate(list(scattering._step_blocks(table, lams, start, stop)), axis=2)
+    return V_INV @ (re + 1j * im) @ V
 
 
 def reference_omega(table, lam):
@@ -113,6 +113,44 @@ def figure_table(request, one_soliton_fields, two_soliton_fields):
     return sample_potential(fields, 0.0, -40.0, 40.0, n)
 
 
+# Every public entry, called with the lambda under test; the array forms put an
+# accepted lambda first, so the refusal must name the second.
+ENTRIES = {
+    "omega77": lambda tables, lam: omega77_from_table(tables[0], lam),
+    "omega77_array": lambda tables, lam: omega77_from_table(tables[0], np.array([0.5j, lam])),
+    "sweep": lambda tables, lam: coupling_row_sweep(tables[0], np.array([0.5, lam])),
+    "norm_drift": lambda tables, lam: norm_drift_from_table(tables[0], lam, 100),
+    "zero_search": lambda tables, lam: locate_zero_from_table(tables[0], lam),
+    "evolution": lambda tables, lam: scattering_evolution_check(*tables, lam),
+}
+# (entries that take the kind of lambda, lambda, error, message); on the
+# 4000-step tables sqrt(2) / h = 70.7, past which Omega77 and the evolution
+# residual would come out non-finite, and unrefused, -3i would read -4.7e138
+# where the Blaschke factor is 2
+_REFUSED = [
+    (list(ENTRIES), np.nan, NonFiniteScatteringError, "^lambda = nan is not finite$"),
+    (list(ENTRIES), np.inf, NonFiniteScatteringError, "^lambda = inf is not finite$"),
+    (list(ENTRIES), complex(0, np.nan), NonFiniteScatteringError, r"^lambda = 0\+nanj is not finite$"),
+    (["omega77", "omega77_array", "zero_search"], -3j, HalfPlaneError, "^lambda = -0-3j lies in the lower half-plane$"),
+    (["omega77", "omega77_array"], 0.5 - 0.5j, HalfPlaneError, "lies in the lower half-plane"),
+    (["zero_search"], 0.5, HalfPlaneError, "must lie in the open upper half-plane"),
+    (["sweep", "norm_drift", "evolution"], 0.5 + 0.5j, HalfPlaneError, "real lambda only"),
+    (["sweep", "norm_drift"], -3j, HalfPlaneError, "real lambda only"),
+    (list(ENTRIES), 75.0, NonFiniteScatteringError, "^lambda = 75 exceeds the RK4 stability"),
+    (["omega77", "omega77_array", "sweep"], -75.0, NonFiniteScatteringError, "^lambda = -75 exceeds the RK4 stability"),
+    (["evolution"], 100.0, NonFiniteScatteringError, "^lambda = 100 exceeds the RK4 stability"),
+]
+REFUSALS = [
+    pytest.param(entry, lam, error, match, id=f"{entry}-{lam}")
+    for entries, lam, error, match in _REFUSED for entry in entries
+]
+
+
+@pytest.fixture(scope="module")
+def refusal_tables(one_soliton_fields):
+    return [sample_potential(one_soliton_fields, t, -40.0, 40.0, 4000) for t in (0.0, 0.2)]
+
+
 class TestTransferMatrixKernel:
     """The batched step-matrix products against the step-by-step loop."""
 
@@ -129,8 +167,7 @@ class TestTransferMatrixKernel:
         assert rel_diff(row, want) <= 1e-12
 
     def test_end_product_matches_path_on_nodes(self, figure_table):
-        # column 7 of Psi_- on a node is carried by the end product of the steps
-        # before it; lambda on the imaginary axis takes the real-arithmetic products
+        # column 7 of Psi_- on a node is carried by the end product of the steps before it
         n = figure_table.n_steps
         for lam in (1.0, 0.35j):
             path = reference_path(figure_table, lam)
@@ -168,9 +205,6 @@ class TestTransferMatrixKernel:
     def test_step_coefficients_match_rk4_step(self, figure_table):
         # step pairs, and the unpaired last step of an odd step count
         for lam in (0.35j, 0.5 + 0.5j, 0.7, 2 + 0.1j, 5j):
-            blocks = list(scattering._step_blocks(figure_table, lam))
-            # on the imaginary axis c is real: the real parts come alone
-            assert all(len(b) == (1 if lam.real == 0 else 2) for b in blocks)
             assert rel_diff(step_matrices(figure_table, lam)[0], reference_pairs(figure_table, lam)) <= 1e-13
 
     def test_folded_pair_at_the_stability_edge(self, figure_table):
@@ -185,17 +219,17 @@ class TestTransferMatrixKernel:
 
     @pytest.mark.parametrize("fig", [3, 4])
     def test_q_half_layout(self, fig, one_soliton_fields, two_soliton_fields):
-        # the samples are the batched field values; q_half lays them out as build_Q
+        # the samples are the batched field values; build_Q lays them out row by row
         fields = one_soliton_fields if fig == 3 else two_soliton_fields
         table = sample_potential(fields, 0.0, -40.0, 40.0, 1001)
         xs_half = np.linspace(-40.0, 40.0, 2003)
         assert np.array_equal(table.u, fields(xs_half, np.zeros(xs_half.size)))
         want = np.array([build_Q(row) for row in table.u])
-        assert np.array_equal(table.q_half, want)
+        assert np.array_equal(build_Q(table.u), want)
 
     @pytest.mark.parametrize("n", [4000, 16000])
     def test_table_no_larger_than_q_half(self, two_soliton_fields, n):
-        # every array the table stores counts, so a cached q_half would fail
+        # every array the table stores counts, so a cached build_Q(table.u) would fail
         table = sample_potential(two_soliton_fields, 0.0, -40.0, 40.0, n)
         stored = sum(
             v.nbytes for v in (getattr(table, fld.name) for fld in dataclasses.fields(table))
@@ -312,24 +346,23 @@ class TestScatteringMatrix:
         bound = np.sqrt(2.0) / table.h
         rows = coupling_row_sweep(table, np.array([-0.999 * bound, 0.999 * bound]))
         assert np.all(np.isfinite(rows)) and np.all(np.abs(rows[:, 6]) <= 1.0 + 1e-9)
+        assert np.isfinite(omega77_from_table(table, 0.999 * bound))
         for lams in ([0.5, 1.001 * bound], [-1.001 * bound], [1e300]):
             with pytest.raises(NonFiniteScatteringError, match="stability bound"):
                 coupling_row_sweep(table, np.array(lams))
-        with pytest.raises(NonFiniteScatteringError, match="lambda = nan is not finite"):
-            coupling_row_sweep(table, np.array([0.5, np.nan]))
 
-    def test_real_lambda_past_stability_bound(self, one_soliton_fields):
-        # sqrt(2) / h = 70.7 on this table; past it Omega77 and the evolution
-        # residual would come out non-finite
-        tables = [sample_potential(one_soliton_fields, t, -40.0, 40.0, 4000) for t in (0.0, 0.2)]
-        assert np.isfinite(omega77_from_table(tables[0], 70.0))
-        for lam in (75.0, np.array([0.5j, -75.0])):
-            with pytest.raises(NonFiniteScatteringError, match="lambda = -?75 exceeds the RK4 stability"):
-                omega77_from_table(tables[0], lam)
-        with pytest.raises(NonFiniteScatteringError, match="lambda = 75 exceeds the RK4 stability"):
-            norm_drift_from_table(tables[0], 75.0, 100)
-        with pytest.raises(NonFiniteScatteringError, match="lambda = 100 exceeds the RK4 stability"):
-            scattering_evolution_check(*tables, 100.0)
+    @pytest.mark.parametrize("entry, lam, error, match", REFUSALS)
+    def test_lambda_refused(self, refusal_tables, entry, lam, error, match):
+        with pytest.raises(error, match=match):
+            ENTRIES[entry](refusal_tables, lam)
+
+    def test_omega77_overflow_refused(self, one_soliton_fields):
+        # |lambda| h = 12, far outside the RK4 stability region: the step product
+        # overflows, and Omega77 raises naming that lambda, with no numpy warning
+        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 4000)
+        for lam in (600.05j, np.array([0.5j, 600.05j])):
+            with pytest.raises(NonFiniteScatteringError, match=r"^Omega77 = .* at lambda = 0\+600.05j is not finite$"):
+                omega77_from_table(table, lam)
 
     def test_large_upper_lambda_keeps_omega77(self, one_soliton_fields):
         # far up the imaginary axis Omega77 stays finite, with no warning
@@ -337,17 +370,6 @@ class TestScatteringMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isfinite(omega77_from_table(table, 5j))
-
-    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0, np.nan)], ids=["nan", "inf", "nanj"])
-    def test_non_finite_lambda_refused(self, one_soliton_fields, lam):
-        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 1000)
-        for entry in (omega77_from_table, locate_zero_from_table):
-            with pytest.raises(NonFiniteScatteringError, match="is not finite"):
-                entry(table, lam)
-        with pytest.raises(NonFiniteScatteringError, match="is not finite"):
-            norm_drift_from_table(table, lam, 100)
-        with pytest.raises(NonFiniteScatteringError, match="is not finite"):
-            omega77_from_table(table, np.array([0.5j, lam]))
 
     def test_omega77_of_an_array(self, one_soliton_fields):
         # one pass for every lambda of an array, as one call per lambda
@@ -357,15 +379,6 @@ class TestScatteringMatrix:
         assert got.shape == (3,)
         for value, lam in zip(got, lams):
             assert abs(value - omega77_from_table(table, lam)) <= 1e-13
-
-    def test_lower_half_plane_rejected(self, one_soliton_fields):
-        # unrefused, -3i would read -4.7e138 here, where the Blaschke factor is 2
-        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 4000)
-        for lam in (-3j, np.array([0.5j, 0.5 - 0.5j])):
-            with pytest.raises(HalfPlaneError, match="lies in the lower half-plane"):
-                omega77_from_table(table, lam)
-        with pytest.raises(HalfPlaneError, match="real lambda only"):
-            norm_drift_from_table(table, 0.5 + 0.5j, 100)
 
     def test_omega77_is_blaschke_factor(self, one_soliton_fields):
         # analytic prediction for a reflectionless potential with one zero at i
@@ -390,13 +403,13 @@ class TestLocateSpectralZero:
     def test_figure3_roundtrip(self, one_soliton_fields):
         table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 16000)
         found = locate_zero_from_table(table, 0.8j)
-        assert abs(found - 1j) < 1e-6
+        assert abs(found - 1j) < 1e-6 and found.real == 0.0
 
     def test_figure4_roundtrip(self, two_soliton_fields):
         table = sample_potential(two_soliton_fields, 0.0, -40.0, 40.0, 16000)
         for seed, expect in ((0.25j, 0.3j), (0.55j, 0.5j)):
             found = locate_zero_from_table(table, seed)
-            assert abs(found - expect) < 1e-5
+            assert abs(found - expect) < 1e-5 and found.real == 0.0
 
     def test_zero_potential_fails(self, zero_fields):
         table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
@@ -411,14 +424,15 @@ class TestLocateSpectralZero:
         assert trace[-1] == (found, omega77_from_table(table, found))
 
     def test_stops_at_first_non_finite_omega77(self, one_soliton_fields):
-        # |lambda| h = 12, far outside the RK4 stability region: Omega77 is NaN,
-        # and the search stops there without a numpy warning
+        # |lambda| h = 12, far outside the RK4 stability region: Omega77 at the
+        # seed overflows, and the search stops there, with the error of
+        # omega77_from_table, before it records an evaluation and without a
+        # numpy warning
         table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 4000)
         trace = []
-        with pytest.raises(ZeroSearchError, match="is not finite") as info:
+        with pytest.raises(NonFiniteScatteringError, match=r"at lambda = 0\+600.05j is not finite"):
             locate_zero_from_table(table, 600.05j, trace=trace)
-        assert len(trace) <= 2 and not np.isfinite(trace[-1][1])
-        assert len(info.value.trace) == len(trace)
+        assert trace == []
 
     def test_seed_must_be_upper(self, zero_fields):
         table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
