@@ -67,8 +67,9 @@ CSV_HEADER = "x,t,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3,abs_u1,abs_u2,abs_u3"
 _JSON_HEAD = b'{"columns":%s,"rows":[' % json.dumps(CSV_HEADER.split(","), separators=(",", ":")).encode()
 _JSON_TAIL = b"]}\n"
 
-# Grid points per field-kernel call in `evaluate_grid`.
-GRID_BLOCK = 4096
+# M entries per field-kernel call in `evaluate_grid`: 2**14 // m**2 points (4096
+# at m = 2, 1024 at m = 4) keep the kernel's temporaries cache-sized.
+GRID_ENTRIES = 2 ** 14
 
 CHECK_NAMES = ("pde", "cnls", "zero_curvature", "rh_symmetry", "scattering")
 
@@ -323,14 +324,15 @@ def _fmt(v: float) -> str:
 
 def evaluate_grid(cfg: RunConfig) -> np.ndarray:
     """Field rows (P, 11) in t-major order, columns as CSV_HEADER; one
-    kernel call per block of GRID_BLOCK points."""
+    kernel call per block of GRID_ENTRIES // m**2 points."""
     xs, ts = cfg.grid.xs(), cfg.grid.ts()
     rows = np.empty((xs.size * ts.size, 11))
     by_t = rows.reshape(ts.size, xs.size, 11)
     by_t[:, :, 0] = xs
     by_t[:, :, 1] = ts[:, None]
-    for start in range(0, len(rows), GRID_BLOCK):
-        block = rows[start:start + GRID_BLOCK]
+    size = GRID_ENTRIES // max(len(cfg.spectrum.expanded_zeros()), 1) ** 2
+    for start in range(0, len(rows), size):
+        block = rows[start:start + size]
         u = eval_fields_array(cfg.spectrum, block[:, 0], block[:, 1])
         block[:, 2:8:2] = u.real
         block[:, 3:8:2] = u.imag

@@ -91,7 +91,7 @@ def build_rh_pair(cfg: SpectrumConfig, x: float, t: float) -> RHSolutionPair:
     seeds, e, f = flow(cfg, np.array([float(x)]), np.array([float(t)]))
     lam = cfg.expanded_zeros()
     with np.errstate(over="ignore", invalid="ignore"):
-        # zeros near the double range overflow to inf or NaN; `solve_M` refuses that M
+        # a pole gap near 0 overflows M to inf or NaN, which `solve_M` refuses
         columns = np.concatenate([seeds[:, :6] * e[0, :, None], seeds[:, 6:] * f[0, :, None]], axis=1)
         m = (np.conj(columns) @ columns.T) / (lam[None, :] - np.conj(lam)[:, None])
     # the weights are M^-1 itself, which `solve_M` forms against no right-hand side

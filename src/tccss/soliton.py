@@ -14,13 +14,12 @@ assembled and inverted.  Two families are supported:
 
 `flow` is the one place the seeds meet the flow: it gives the expanded
 seeds, the Type I mirror included, and the stabilized exponentials at many
-points.  The field kernels are pure functions of (config, x, t) built on it
-and giving complex arrays: (P, 3) from `eval_fields_array`, which evaluates
-many points in one vectorized pass, and (5, P, 3) from `eval_jets_array`,
-the same pass with the exact jets (u, u_x, u_xx, u_xxx, u_t); the RH factors
-of `rhp` form their kernel vectors from it too.  All solve M through
-`solve_M`, which refuses an M that is non-finite or too ill-conditioned;
-the closed forms invert nothing larger than 2x2, written out by hand.
+points.  The field kernels built on it give complex arrays: (P, 3) from
+`eval_fields_array`, many points in one vectorized pass, and (5, P, 3)
+from `eval_jets_array`, with the exact jets (u, u_x, u_xx, u_xxx, u_t); the
+RH factors of `rhp` use it too.  All solve M through `solve_M`, one
+partial-pivot elimination over the whole stack, which refuses an M that is
+non-finite or too ill-conditioned; the closed forms invert at most 2x2.
 """
 
 from __future__ import annotations
@@ -165,8 +164,8 @@ def flow(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, stabilize: bool = Tr
     channel 7, theta = i lambda_j x + 4 i lambda_j^3 t.  The scale s =
     |Re theta| (0 unless `stabilize`) keeps every component at most
     O(max seed); every bilinear formula downstream is invariant under that
-    per-vector rescaling.  Overflowing exponents come out as inf or NaN,
-    which `solve_M` refuses.
+    per-vector rescaling.  Exponentials that overflow to inf or NaN are
+    refused here.
     """
     seeds = np.array([s.full() for s in cfg.seeds], dtype=complex).reshape(-1, 7)
     lam = np.array(cfg.zeros, dtype=complex)
@@ -178,23 +177,28 @@ def flow(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, stabilize: bool = Tr
             th = np.concatenate([th, np.conj(th)], axis=1)
             seeds = np.concatenate([seeds, np.conj(seeds) @ SIGMA])
         scale = np.abs(th.real) if stabilize else 0.0
-        return seeds, np.exp(th - scale), np.exp(-th - scale)
+        e, f = np.exp(th - scale), np.exp(-th - scale)
+        _refuse_non_finite(e * f, x, t)  # finite exactly where e and f are: |e f| <= 1
+    return seeds, e, f
 
 
-def _refuse_non_finite(a: np.ndarray, x, t) -> None:
-    finite = np.isfinite(a).reshape(len(a), -1).all(axis=1)
+# with the flow finite, M overflows through a seed pairing over a small pole gap
+_M_OVERFLOW = "M overflows double precision: a pole gap z_j - conj(z_k) is too small for its seed pairing"
+
+
+def _refuse_non_finite(a: np.ndarray, x, t, cause="the flow exponents overflow double precision") -> None:
+    finite = np.isfinite(a)
     if not finite.all():
-        p = int(np.argmin(finite))
+        p = int(np.argmin(finite.reshape(len(a), -1).all(axis=1)))
         raise NonFiniteFieldError(
-            f"non-finite field at (x, t) = ({x[p]:.17g}, {t[p]:.17g}): "
-            "the flow exponents overflow double precision"
+            f"non-finite field at (x, t) = ({x[p]:.17g}, {t[p]:.17g}): {cause}"
         )
 
 
 def check_M(m: np.ndarray, x, t) -> None:
     """Refuse a non-finite stack (P, m, m) of M, or one whose SVD condition
     number exceeds MAX_CONDITION, naming the worst of the points `x`, `t`."""
-    _refuse_non_finite(m, x, t)
+    _refuse_non_finite(m, x, t, _M_OVERFLOW)
     cond = np.linalg.cond(m)
     p = int(np.argmax(cond))
     if not cond[p] <= MAX_CONDITION:
@@ -204,27 +208,52 @@ def check_M(m: np.ndarray, x, t) -> None:
         )
 
 
+def _gepp(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """[y | X] (P, m, k + m), M y = rhs and X = M^-1, by Gaussian elimination
+    with partial pivoting (largest |.|; rows swap only where needed) of
+    [M | rhs | I], entry-major (m, 2m + k, P).  Each product is one numpy call
+    on two (P,) entries, never in place, which numpy rounds alike at any P."""
+    n, k = m.shape[1], rhs.shape[2]
+    w = np.empty((n, 2 * n + k, len(m)), dtype=complex)
+    w[:, :n], w[:, n:n + k], w[:, n + k:] = m.transpose(1, 2, 0), rhs.transpose(1, 2, 0), np.eye(n)[..., None]
+    with np.errstate(all="ignore"):
+        for c in range(n):
+            piv = c + np.argmax(np.abs(w[c:, c]), axis=0)
+            pts = np.flatnonzero(piv != c)
+            w[c, c:, pts], w[piv[pts], c:, pts] = w[piv[pts], c:, pts], w[c, c:, pts]
+            w[c, c] = np.reciprocal(w[c, c])  # the diagonal keeps 1 / pivot
+            for r in range(c + 1, n):
+                low = w[r, c] * w[c, c]
+                for j in range(c + 1, w.shape[1]):
+                    w[r, j] -= low * w[c, j]
+        for c in reversed(range(n)):
+            for j in range(n, w.shape[1]):
+                w[c, j] = w[c, j] * w[c, c]
+                for r in range(c):
+                    w[r, j] -= w[r, c] * w[c, j]
+    return np.ascontiguousarray(w[:, n:].transpose(2, 0, 1))
+
+
 def solve_M(m: np.ndarray, rhs: np.ndarray, x, t):
     """Solve the stacked systems M[p] y[p] = rhs[p], (P, m, m) by (P, m, k),
     and return (y, X) with X = M^-1.
 
-    One LAPACK solve against [rhs | I] also gives X, and cond(M) <=
-    |M|_F |X|_F, at most m times too large: a stack whose products stay
-    below MAX_CONDITION / 2 is accepted; `check_M` decides any other stack
-    and any failed solve."""
-    _refuse_non_finite(m, x, t)
-    k, eye = rhs.shape[-1], np.eye(m.shape[-1])[None].repeat(len(m), axis=0)
-    try:
-        y = np.linalg.solve(m, np.concatenate([rhs, eye], axis=-1))
-    except np.linalg.LinAlgError:
-        check_M(m, x, t)
-        raise
+    `_gepp` also gives X, and cond(M) <= |M|_F |X|_F, at most m times too
+    large: a stack whose products stay below MAX_CONDITION / 2 is accepted;
+    `check_M` decides any other stack, and one it accepts with a non-finite
+    solution (a zero or tiny pivot gives inf or NaN) raises LinAlgError."""
+    if m.ndim != 3 or rhs.ndim != 3 or m.shape[2] != m.shape[1] or rhs.shape[:2] != m.shape[:2]:
+        raise ValueError(f"solve_M needs stacks (P, m, m) and (P, m, k), got {m.shape} and {rhs.shape}")
+    _refuse_non_finite(m, x, t, _M_OVERFLOW)
+    yx, k = _gepp(m, rhs), rhs.shape[2]
     with np.errstate(over="ignore", invalid="ignore"):
         # squares overflow at extreme scales; inf or NaN leaves the stack to the SVD
-        bound = (np.abs(m) ** 2).sum(axis=(1, 2)) * (np.abs(y[..., k:]) ** 2).sum(axis=(1, 2))
+        bound = (np.abs(m) ** 2).sum(axis=(1, 2)) * (np.abs(yx[..., k:]) ** 2).sum(axis=(1, 2))
     if not np.all(bound < (0.5 * MAX_CONDITION) ** 2):
         check_M(m, x, t)
-    return y[..., :k], y[..., k:]
+        if not np.isfinite(yx).all():
+            raise np.linalg.LinAlgError("the elimination of an accepted M is not finite")
+    return yx[..., :k], yx[..., k:]
 
 
 def eval_fields_array(
@@ -241,14 +270,13 @@ def eval_jets_array(
     """Exact jets (u, u_x, u_xx, u_xxx, u_t) at the points: (5, P, 3).
 
     `x` and `t` broadcast against each other; with `derivatives=False` only
-    u is formed, (1, P, 3).  Every kernel vector is a seed times the
-    exponentials of `flow`, e = exp(theta - s) on channels 1..6 and
-    f = exp(-theta - s) on channel 7, so M is the constant seed pairings
-    times outer products of e and f; no (P, m, 7) vector array is formed.
+    u is formed, (1, P, 3).  M is the constant seed pairings times outer
+    products of the exponentials e and f of `flow`; no (P, m, 7) vector
+    array is formed.
 
     The fields depend on (x, t) only through theta = i z x + 4 i z^3 t of
-    each expanded zero z, and not on s, which is held fixed at each
-    point.  So a derivative along a rate a (a = i z for x, 4 i z^3 for t)
+    each expanded zero z, and not on the scale s of `flow`, held fixed at
+    each point.  So a derivative along a rate a (a = i z for x, 4 i z^3 for t)
     multiplies e_j by a_j, f_j by -a_j and the right-hand side b = conj(f
     seed_7) by -conj(a): M's two numerator parts pick up c^n and (-c)^n
     with c_kj = conj(a_k) + a_j.  Leibniz's rule gives every jet order of

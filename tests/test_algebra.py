@@ -99,6 +99,39 @@ class TestLuSolve:
         # a stack just inside the bound is accepted
         check_M(np.diag([1.0, 1.0 / (0.5 * MAX_CONDITION)])[None], *at_points(1))
 
+    def test_row_swaps_match_per_matrix_solve(self):
+        # the first two need a row swap, the other three none
+        a = np.array(
+            [[[1e-20, 1], [1, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 3j]], np.eye(2), [[1, 1e-20], [0, 1]]],
+            dtype=complex,
+        )
+        b = np.array([[[1, 2j], [3, -1]]] * len(a), dtype=complex)
+        y, inv = solve_M(a, b, *at_points(len(a)))
+        for ap, bp, yp, xp in zip(a, b, y, inv):
+            for got, ref in ((yp, np.linalg.solve(ap, bp)), (xp, np.linalg.solve(ap, np.eye(2)))):
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (3, 2), (4, 1)])
+    def test_same_bits_alone_as_in_stack(self, n, k):
+        # the elimination is per point, so the stack size cannot move the bits
+        rng = np.random.default_rng(n)
+        a = np.array([rand_matrix(rng, n) for _ in range(1000)])
+        b = np.array([rand_matrix(rng, n, k) for _ in range(1000)])
+        y, inv = solve_M(a, b, *at_points(1000))
+        for p in range(1000):
+            yp, xp = solve_M(a[p:p + 1], b[p:p + 1], *at_points(1))
+            assert yp.tobytes() == y[p:p + 1].tobytes() and xp.tobytes() == inv[p:p + 1].tobytes()
+
+    def test_singular_matrix_in_large_stack(self):
+        # an exactly zero pivot at point 500: the SVD refuses it, with no warning
+        rng = np.random.default_rng(4)
+        m = np.array([random_unitary(rng, 4) for _ in range(1000)])
+        m[500] = np.ones((4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NearSingularError, match=r"\(x, t\) = \(500, 0.5\)"):
+                solve_M(m, np.ones((1000, 4, 1)), *at_points(1000))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_M(np.eye(3)[None], np.zeros((1, 4, 1)), *at_points(1))

@@ -16,7 +16,7 @@ from tccss import cli, io_cli, scattering
 from tccss.io_cli import (
     CHECK_NAMES,
     CSV_HEADER,
-    GRID_BLOCK,
+    GRID_ENTRIES,
     ConfigError,
     OutputSpec,
     RunConfig,
@@ -280,6 +280,18 @@ class TestExitTwo:
     def test_verify_overflowing_pole_denominator(self, tmp_path, capsys, check):
         # lambda - conj(lambda) = 2e308j overflows too, with no warning
         self.verify_zero(tmp_path, capsys, check, 1e308)
+
+    @pytest.mark.parametrize("eta", [1e-308, 5e-324])
+    def test_generate_zero_at_real_axis_names_pole_gap(self, tmp_path, capsys, eta):
+        # |theta| < 1e-306 keeps the flow finite; M overflows through
+        # 1 / (z - conj z), and the refusal says so
+        doc = json.loads((DOCS / "one_soliton.json").read_text())
+        doc["spectrum"]["zeros"] = [[0, eta]]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        err = cli_error(capsys, ["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+        assert err.startswith("error: non-finite field at (x, t) = (-10, -2): M overflows double precision")
+        assert "pole gap" in err and "flow exponents" not in err
 
     @staticmethod
     def verify_zero(tmp_path, capsys, check, zero):
@@ -548,11 +560,12 @@ class TestExportGrid:
         assert len(doc["rows"]) == 2
 
     def test_blocks_match_per_row_kernel_calls(self):
-        # blocks of GRID_BLOCK points across t-rows give the same bits as
-        # one kernel call per t-row
+        # blocks of GRID_ENTRIES // m**2 points across t-rows give the same
+        # bits as one kernel call per t-row; figure 2 has m = 4
         cfg = RunConfig(figure_spectrum(2), grid=GridSpec(-10.0, 10.0, 101, -3.0, 3.0, 45))
+        assert len(cfg.spectrum.expanded_zeros()) == 4
         rows = evaluate_grid(cfg)
-        assert len(rows) > GRID_BLOCK
+        assert len(rows) > GRID_ENTRIES // 4 ** 2
         xs = cfg.grid.xs()
         for i, t in enumerate(cfg.grid.ts()):
             u = eval_fields_array(cfg.spectrum, xs, t)
