@@ -510,6 +510,9 @@ def _scattering_report(cfg: RunConfig) -> ResidualReport:
     notes.append(f"max |Omega77 - B|: {residual[:9].max():.3e} over 9 real lambda in [-2, 2], "
                  f"{residual[9:].max():.3e} at lambda = 0.3+0.4j, -1+0.8j, 1.5+1.5j")
     notes.append(f"max reflection entry over the 9 real lambda: {reflection:.3e}")
+    sv = ", ".join(f"{x:.3e}" for x in table.sv)
+    notes.append(f"potential spans {table.d - 1} of 6 channel directions (singular values "
+                 f"over the largest: {sv}); step products {table.d}x{table.d}")
     return summarize(
         "scattering",
         [*residual, *np.abs(newton), reflection],

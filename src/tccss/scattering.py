@@ -20,21 +20,29 @@ P = diag(1, ..., 1, 0).  The fixed basis change V (a unitary rotation scaled
 by 1/sqrt2 on each channel pair, entries 1/2 and +-i/2) turns each pair
 (u_m, conj u_m) into (Re u_m, Im u_m); it fixes e7 and commutes with P,
 makes Q real and, having power-of-two entries, rounds nothing on the way
-back.  A classical Runge-Kutta step is then the 7x7 matrix
+back.  There Q has the arrow form [[0, v], [-2 v^T, 0]], v the real
+samples (Re u_m, Im u_m).  A reflectionless potential spans only a few
+directions of that 6-space (one for a fixed polarisation); the table keeps
+an orthonormal basis W (6, r) of the span of its samples (`_channel_basis`),
+and with R = diag(W, 1), Q R = R Q_r and P R = R P_r for the d x d arrow
+matrix Q_r of the reduced samples v W and P_r = diag(1, ..., 1, 0), d = r + 1.
+Column 7 starts as e7 = R e_d and so never leaves the range of R: every
+product below is d x d, and `_lift` maps its reduced column back through W.  A classical
+Runge-Kutta step is then the d x d matrix
 T_n(c) = sum_{k<=4} c^k T_n^(k) with real, lambda-independent T_n^(k) and
-T^(4) = h^4/24 P.  The table folds each pair of steps into one polynomial,
+T^(4) = h^4/24 P_r.  The table folds each pair of steps into one polynomial,
 T_{2k+1}(c) T_{2k}(c) = sum_{m<=8} c^m F_k^(m), and stores F^(0..7);
-F^(8) = (h^4/24)^2 P.  A lambda batch gets its pair matrices from one real
+F^(8) = (h^4/24)^2 P_r.  A lambda batch gets its pair matrices from one real
 GEMM of its powers of c against the coefficients, in blocks of at most
-BLOCK_MATRICES (lambda, pair) matrices, so transient memory does not grow
-with n_steps or the number of lambdas.  A step left unpaired at either end
-of a range is built alone from its three samples.  `_end_product`
-multiplies by tree reduction over a range of steps, on (real, imaginary)
-pairs of real arrays; no Jost path is stored.  For real lambda Q + c P is
-anti-Hermitian, so the norm of column 7 is conserved;
-`norm_drift_from_table` measures the departure from it.  Every entry
-checks its lambdas in one gate, `_lambdas`, and reads column 7 through one
-pass, `_column7`, which refuses a product that overflowed.
+BLOCK_ENTRIES matrix entries, so transient memory does not grow with n_steps
+or the number of lambdas.  A step left unpaired at either end of a range is
+built alone from its three samples.  `_end_product` multiplies by tree
+reduction over a range of steps, on (real, imaginary) pairs of real arrays;
+no Jost path is stored.  For real lambda Q + c P is anti-Hermitian, so the
+norm of column 7 is conserved; `norm_drift_from_table` measures the
+departure from it.  Every entry checks its lambdas in one gate, `_lambdas`,
+and reads column 7 through one pass, `_column7`, which refuses a product
+that overflowed.
 """
 
 from __future__ import annotations
@@ -58,11 +66,15 @@ MAX_STEP = 1.0
 # two-soliton tail a few 1e-10 at the default domain edge; 1e-9 still keeps
 # the truncation bias orders of magnitude below every stated tolerance.
 ENDPOINT_DECAY = 1e-9
-# (lambda, step) pairs per block of the transfer-matrix kernel; every
-# transient array holds a small fixed multiple of this many 7x7 matrices.
-BLOCK_MATRICES = 256
-# The diagonal of P = diag(1, ..., 1, 0) in a flattened 7x7 matrix.
-_P_DIAG = slice(0, 41, 8)
+# Matrix entries per block of the transfer-matrix kernel: a block holds
+# BLOCK_ENTRIES // d^2 (lambda, step) d x d matrices (256 at d = 7), and every
+# transient array a small fixed multiple of that many.
+BLOCK_ENTRIES = 256 * 49
+# Nodes per call of the field kernel while sampling.
+SAMPLE_CHUNK = 512
+# Rank rule of the channel basis: the directions left out may hold, in every
+# sample, at most RANK_TOL times the norm of the largest sample.
+RANK_TOL = 1e-12
 
 class DomainTooSmallError(Exception):
     """Potential has not decayed below tolerance at a domain endpoint."""
@@ -73,8 +85,9 @@ class HalfPlaneError(Exception):
 
 
 class NonFiniteScatteringError(Exception):
-    """A lambda has a NaN/infinite part or, real, lies beyond the RK4 step's
-    stability bound, or its scattering entries are NaN/infinity."""
+    """A field sample or a lambda has a NaN/infinite part, a real lambda lies
+    beyond the RK4 step's stability bound, or its scattering entries are
+    NaN/infinity."""
 
 
 class ZeroSearchError(Exception):
@@ -91,9 +104,13 @@ class ZeroSearchError(Exception):
 class PotentialTable:
     """Potential sampled on the half-step nodes of a fixed domain.
 
-    `u` holds the field triple on the 2 n_steps + 1 half-step nodes; `coef`
-    the coefficients F^(0..7) of the step pairs (2k, 2k+1),
-    (8, n_steps // 2, 7, 7) real, which every pass of a lambda batch reads.
+    `u` holds the field triple on the 2 n_steps + 1 half-step nodes.  Their
+    real coordinates (Re u_m, Im u_m) span the r orthonormal directions `w`
+    (6, r), 0 <= r <= 6, up to RANK_TOL; `sv` holds the six singular values of
+    that (2 n_steps + 1, 6) sample matrix over the largest (all 0 for the vacuum).  Column 7 evolves in the span of
+    diag(w, 1), so the step matrices are d x d, d = r + 1: `coef` holds the
+    coefficients F^(0..7) of the step pairs (2k, 2k+1),
+    (8, n_steps // 2, d, d) real, which every pass of a lambda batch reads.
     An odd last step has no pair; it is built from `u` when a pass needs it.
     """
 
@@ -102,13 +119,23 @@ class PotentialTable:
     x_max: float
     n_steps: int
     u: np.ndarray  # (2 n_steps + 1, 3)
+    w: np.ndarray  # (6, r)
+    sv: np.ndarray  # (6,)
     coef: np.ndarray
 
     def __post_init__(self):
         if self.u.shape != (2 * self.n_steps + 1, 3):
             raise ValueError(f"u has shape {self.u.shape}, need ({2 * self.n_steps + 1}, 3)")
-        if np.shape(self.coef) != (8, self.n_steps // 2, 7, 7):
-            raise ValueError(f"coef has shape {np.shape(self.coef)}, need (8, {self.n_steps // 2}, 7, 7)")
+        if np.ndim(self.w) != 2 or len(self.w) != 6:
+            raise ValueError(f"w has shape {np.shape(self.w)}, need (6, r)")
+        d = self.d
+        if np.shape(self.coef) != (8, self.n_steps // 2, d, d):
+            raise ValueError(f"coef has shape {np.shape(self.coef)}, need (8, {self.n_steps // 2}, {d}, {d})")
+
+    @property
+    def d(self) -> int:
+        """Size of the step matrices: the rank of the samples plus one."""
+        return self.w.shape[1] + 1
 
     @property
     def h(self) -> float:
@@ -138,16 +165,23 @@ def sample_potential(
 ) -> PotentialTable:
     """Sample the field on the RK half-step grid, checking endpoint decay.
 
-    `fields(x[], t)` gives the (P, 3) field triples at P points; the step
-    coefficients are built from the samples once.
+    `fields(x[], t)` gives the (P, 3) field triples at P points; the channel
+    basis and the step coefficients are built from the samples once.  A
+    non-finite sample raises NonFiniteScatteringError naming the first x.
     """
     check_domain(x_min, x_max, n_steps)
     xs_half = np.linspace(x_min, x_max, 2 * n_steps + 1)
-    # in chunks, so that the field kernel's temporaries stay a few blocks' worth
+    # in chunks, so that the field kernel's temporaries stay small
     u = np.concatenate([
-        fields(xs_half[i : i + 2 * BLOCK_MATRICES], float(t))
-        for i in range(0, xs_half.size, 2 * BLOCK_MATRICES)
+        fields(xs_half[i : i + SAMPLE_CHUNK], float(t))
+        for i in range(0, xs_half.size, SAMPLE_CHUNK)
     ])
+    bad = ~np.all(np.isfinite(u), axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NonFiniteScatteringError(
+            f"field sample {tuple(complex(c) for c in u[i])} at x = {xs_half[i]:.6g} is not finite"
+        )
     for x, tail in ((x_min, u[0]), (x_max, u[-1])):
         mag = float(np.max(np.abs(tail)))
         if mag >= ENDPOINT_DECAY:
@@ -155,13 +189,43 @@ def sample_potential(
                 f"potential magnitude {mag:.3e} at x = {x} exceeds "
                 f"{ENDPOINT_DECAY}; enlarge the domain"
             )
-    coef = _pair_coefficients(u, (float(x_max) - float(x_min)) / n_steps)
-    return PotentialTable(float(t), float(x_min), float(x_max), int(n_steps), u, coef)
+    v = _channels(u)
+    w, sv = _channel_basis(v)
+    coef = _pair_coefficients(v @ w, (float(x_max) - float(x_min)) / n_steps)
+    return PotentialTable(float(t), float(x_min), float(x_max), int(n_steps), u, w, sv, coef)
 
 
-def _coefficients(u: np.ndarray, h: float) -> np.ndarray:
-    """Step coefficients T^(0..3), (4, n, 7, 7) real, in the basis V, of the
-    n = len(u) // 2 steps over the half-step samples u.
+def _channels(u: np.ndarray) -> np.ndarray:
+    """The real coordinates (Re u_1, Im u_1, ..., Im u_3) of field triples, (..., 6)."""
+    return np.stack([u.real, u.imag], axis=-1).reshape(-1, 6)
+
+
+def _channel_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal directions w (6, r) spanning the real samples v (N, 6), and
+    the singular values of v over the largest.
+
+    w holds the leading r right singular vectors, r the least rank whose
+    left-out part of every sample is at most RANK_TOL times the norm of the
+    largest sample: 0 for a vanishing potential.
+    """
+    coords, sv, vt = np.linalg.svd(v, full_matrices=False)
+    sv /= max(sv[0], np.finfo(float).tiny)
+    coords *= sv  # scaled by the largest singular value, so that no square overflows
+    # the largest norm over the samples of their part past the first k directions, k = 0..5
+    past = np.sqrt(np.max(np.cumsum(coords[:, ::-1] ** 2, axis=1), axis=0))[::-1]
+    r = int(np.count_nonzero(past > RANK_TOL * past[0]))
+    return vt[:r].T, sv
+
+
+def _p_diag(d: int) -> slice:
+    """The diagonal of P = diag(1, ..., 1, 0) in a flattened d x d matrix."""
+    return slice(0, (d - 1) * (d + 1), d + 1)
+
+
+def _coefficients(z: np.ndarray, h: float) -> np.ndarray:
+    """Step coefficients T^(0..3), (4, n, d, d) real, in the basis
+    diag(W, 1) of V, of the n = len(z) // 2 steps over the reduced half-step
+    samples z (2n + 1, r), d = r + 1.
 
     h is the step.  With A = Q' + c P at the start, midpoint and end of a step,
     T = I + h/6 (A0 + 2 K2 + 2 K3 + K4), K2 = Am + h/2 Am A0,
@@ -169,27 +233,27 @@ def _coefficients(u: np.ndarray, h: float) -> np.ndarray:
     y' = A y) is a polynomial in c; T^(4) = h^4/24 P is left implicit.
     A build holds 17 matrices per step; callers pass a block of steps at most.
     """
-    n = len(u) // 2
-    v = np.stack([u.real, u.imag], axis=-1).reshape(-1, 6)
+    n, r = len(z) // 2, z.shape[1]
+    d, p_diag = r + 1, _p_diag(r + 1)
 
     def step(a, x, w):
         # a + c P + w (a + c P) x, coefficients of c^0 .. c^len(x)
-        out = np.empty((len(x) + 1, n, 7, 7))
+        out = np.empty((len(x) + 1, n, d, d))
         np.matmul(a, x, out=out[:-1])
         out[-1] = 0.0
-        out[1:, :, :6] += x[:, :, :6]  # P x: every row but the 7th
+        out[1:, :, :r] += x[:, :, :r]  # P x: every row but the last
         out *= w
         out[0] += a
-        out[1].reshape(n, 49)[:, _P_DIAG] += 1.0
+        out[1].reshape(n, d * d)[:, p_diag] += 1.0
         return out
 
     # Q' at the start, midpoint and end node of every step, each contiguous
-    a0, am, a1 = q = np.zeros((3, n, 7, 7))
-    q[..., :6, 6] = v[2 * np.arange(n) + np.arange(3)[:, None]]
-    q[..., 6, :6] = -2.0 * q[..., :6, 6]
-    a_poly = np.zeros((2, n, 7, 7))
+    a0, am, a1 = q = np.zeros((3, n, d, d))
+    q[..., :r, r] = z[2 * np.arange(n) + np.arange(3)[:, None]]
+    q[..., r, :r] = -2.0 * q[..., :r, r]
+    a_poly = np.zeros((2, n, d, d))
     a_poly[0] = a0
-    a_poly[1].reshape(n, 49)[:, _P_DIAG] = 1.0
+    a_poly[1].reshape(n, d * d)[:, p_diag] = 1.0
     k2 = step(am, a_poly, 0.5 * h)
     k3 = step(am, k2, 0.5 * h)
     t = step(a1, k3, h)[:4]
@@ -199,20 +263,21 @@ def _coefficients(u: np.ndarray, h: float) -> np.ndarray:
     t[:3] += k2
     t[:2] += a_poly
     t *= h / 6.0
-    t[0].reshape(n, 49)[:, ::8] += 1.0
+    t[0].reshape(n, d * d)[:, :: d + 1] += 1.0
     return t
 
 
-def _pair_coefficients(u: np.ndarray, h: float) -> np.ndarray:
-    """Coefficients F^(0..7), (8, n // 2, 7, 7) real, of the step pairs of the
-    n = len(u) // 2 steps over the half-step samples u.
+def _pair_coefficients(z: np.ndarray, h: float) -> np.ndarray:
+    """Coefficients F^(0..7), (8, n // 2, d, d) real, of the step pairs of the
+    n = len(z) // 2 steps over the reduced half-step samples z (2n + 1, r).
 
     Pair k is T_{2k+1}(c) T_{2k}(c) = sum_{m<=8} c^m F_k^(m), with
     F^(m) = sum_{i+j=m} T_{2k+1}^(i) T_{2k}^(j); F^(8) = (h^4/24)^2 P is left
-    implicit.  Folded from `_coefficients` BLOCK_MATRICES steps at a time, so
+    implicit.  Folded from `_coefficients` one block of entries at a time, so
     no single-step table is held; an odd last step is left out.
     """
-    s = h**4 / 24.0
+    s, r = h**4 / 24.0, z.shape[1]
+    d = r + 1
 
     def fold(fb, t):
         # adds to fb the pairs of the steps t; returning frees t before the next build
@@ -220,21 +285,23 @@ def _pair_coefficients(u: np.ndarray, h: float) -> np.ndarray:
         products = late[:, None] @ early[None]  # T_{2k+1}^(i) T_{2k}^(j) at [i, j]
         for i in range(4):
             fb[i : i + 4] += products[i]
-        # the implicit h^4/24 P of either step: P T zeroes row 7, T P column 7
-        fb[4:, :, :6] += s * early[:, :, :6]
-        fb[4:, ..., :6] += s * late[..., :6]
+        # the implicit h^4/24 P of either step: P T zeroes the last row, T P the last column
+        fb[4:, :, :r] += s * early[:, :, :r]
+        fb[4:, ..., :r] += s * late[..., :r]
 
-    f = np.zeros((8, len(u) // 4, 7, 7))
-    for j in range(0, f.shape[1], BLOCK_MATRICES // 2):
-        fb = f[:, j : j + BLOCK_MATRICES // 2]
-        fold(fb, _coefficients(u[4 * j : 4 * (j + fb.shape[1]) + 1], h))
+    f = np.zeros((8, len(z) // 4, d, d))
+    pairs = BLOCK_ENTRIES // (2 * d * d)
+    for j in range(0, f.shape[1], pairs):
+        fb = f[:, j : j + pairs]
+        fold(fb, _coefficients(z[4 * j : 4 * (j + fb.shape[1]) + 1], h))
     return f
 
 
 def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
-    """RK4 step matrices in the basis V, in marching order, one block at a time.
+    """RK4 step matrices in the basis diag(W, 1) of V, in marching order, one
+    block at a time.
 
-    Steps start..stop of every lambda come as real arrays (2, L, b, 7, 7) of
+    Steps start..stop of every lambda come as real arrays (2, L, b, d, d) of
     real and imaginary parts.  Each matrix is a
     step pair T_{2k+1} T_{2k}, read from the table's coefficients, but for an
     unpaired first step at an odd `start` and last step before an odd `stop`:
@@ -245,23 +312,23 @@ def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
     stop = table.n_steps if stop is None else min(stop, table.n_steps)
-    w = (2j * lams)[:, None] ** np.arange(9)
-    w = np.stack([w.real, w.imag])
-    s = table.h**4 / 24.0
+    pw = (2j * lams)[:, None] ** np.arange(9)
+    pw = np.stack([pw.real, pw.imag])
+    s, d = table.h**4 / 24.0, table.d
 
     def evaluate(coef, lead):
-        d, m = coef.shape[:2]
-        out = np.matmul(w[..., :d], coef.reshape(d, -1)).reshape(2, len(lams), m, 49)
-        out[..., _P_DIAG] += lead * w[..., d, None, None]
-        return out.reshape(2, len(lams), m, 7, 7)
+        k, m = coef.shape[:2]
+        out = np.matmul(pw[..., :k], coef.reshape(k, -1)).reshape(2, len(lams), m, d * d)
+        out[..., _p_diag(d)] += lead * pw[..., k, None, None]
+        return out.reshape(2, len(lams), m, d, d)
 
     def single(i):
-        return evaluate(_coefficients(table.u[2 * i : 2 * i + 3], table.h), s)
+        return evaluate(_coefficients(_channels(table.u[2 * i : 2 * i + 3]) @ table.w, table.h), s)
 
     if start % 2 and start < stop:
         yield single(start)
         start += 1
-    b = max(1, BLOCK_MATRICES // len(lams))
+    b = max(1, BLOCK_ENTRIES // (d * d) // len(lams))
     for j in range(start // 2, stop // 2, b):
         yield evaluate(table.coef[:, j : min(j + b, stop // 2)], s * s)
     if stop % 2 and start < stop:
@@ -269,7 +336,7 @@ def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product a @ b of (re, im) pairs (2, ..., 7, 7): four real products.
+    """Product a @ b of (re, im) pairs (2, ..., d, d): four real products.
 
     The result is an array of its own: no discarded partial product outlives the call.
     """
@@ -292,21 +359,29 @@ def _reduce(t: np.ndarray) -> np.ndarray:
 
 
 def _end_product(table: PotentialTable, lams, start: int = 0, stop=None) -> np.ndarray:
-    """The product of the RK4 steps start..stop (basis V), (L, 7, 7) complex;
-    its column 7 carries column 7 of Psi from node start to node stop.
+    """The product of the RK4 steps start..stop (basis diag(W, 1) of V),
+    (L, d, d) complex; its last column, lifted by `_lift`, carries column 7
+    of Psi from node start to node stop.
 
-    Lambdas go in chunks of at most BLOCK_MATRICES; a block of steps is
+    Lambdas go in chunks of at most one block's matrices; a block of steps is
     released as soon as its reduction has made the first products.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
-    out = np.empty((len(lams), 7, 7), dtype=complex)
-    for i in range(0, len(lams), BLOCK_MATRICES):
-        chunk = lams[i : i + BLOCK_MATRICES]
+    d = table.d
+    out = np.empty((len(lams), d, d), dtype=complex)
+    per_block = BLOCK_ENTRIES // (d * d)
+    for i in range(0, len(lams), per_block):
+        chunk = lams[i : i + per_block]
         p = None
         for r in map(_reduce, _step_blocks(table, chunk, start, stop)):
             p = r if p is None else _mul(r, p)
         out[i : i + len(chunk)] = p[0] + 1j * p[1]
     return out
+
+
+def _lift(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """diag(w, 1) y: reduced column vectors (..., d) back in the basis V, (..., 7)."""
+    return np.concatenate([y[..., :-1] @ w.T, y[..., -1:]], axis=-1)
 
 
 def _from_basis(y: np.ndarray) -> np.ndarray:
@@ -357,7 +432,7 @@ def _column7(table: PotentialTable, lams: np.ndarray) -> np.ndarray:
     (7,7) one first), where the step product has overflowed.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        cols = _from_basis(_end_product(table, lams)[:, :, 6])
+        cols = _from_basis(_lift(table.w, _end_product(table, lams)[:, :, -1]))
     bad = ~np.isfinite(cols)
     if np.any(bad):
         i = int(np.flatnonzero(np.any(bad, axis=1))[0])
@@ -380,10 +455,10 @@ def norm_drift_from_table(table: PotentialTable, lam: float, stride: int) -> flo
     lams = _lambdas(table, lam, real=True)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    col, drift = np.eye(7)[6], 0.0
+    col, drift = np.eye(table.d)[-1], 0.0
     for start in range(0, table.n_steps, stride):
         col = _end_product(table, lams, start, start + stride)[0] @ col
-        drift = max(drift, abs(np.linalg.norm(_from_basis(col)) ** 2 - 1.0))
+        drift = max(drift, abs(np.linalg.norm(_from_basis(_lift(table.w, col))) ** 2 - 1.0))
     return float(drift)
 
 

@@ -793,6 +793,24 @@ class TestScatteringCheck:
         report = run_checks(self.scattering_cfg(moved)).checks[0].report
         assert report.max_abs > 5e-5
 
+    @pytest.mark.parametrize("fig, rank", [(2, 4), (4, 2)])
+    def test_channel_note(self, fig, rank):
+        # the last note names the rank of the samples and the size of the step products
+        note = run_checks(self.scattering_cfg(figure_spectrum(fig))).checks[0].report.notes[-1]
+        head = f"potential spans {rank} of 6 channel directions (singular values over the largest: 1.000e+00, "
+        assert note.startswith(head) and note.endswith(f"); step products {rank + 1}x{rank + 1}")
+        ratios = [float(v) for v in note.split(": ")[1].split(")")[0].split(", ")]
+        assert min(ratios[:rank]) > 0.1 and max(ratios[rank:]) < 1e-13
+
+    def test_vacuum_channel_note(self):
+        doc = json.loads(MINIMAL)
+        doc["spectrum"]["seeds"] = [{"alpha": [0, 0], "gamma": [0, 0], "rho": [0, 0]}]
+        doc["checks"] = ["scattering"]
+        doc["scattering"] = {"x_min": -30.0, "x_max": 30.0, "n_steps": 3000, "t": 0.0}
+        note = run_checks(parse_config(json.dumps(doc))).checks[0].report.notes[-1]
+        assert note == ("potential spans 0 of 6 channel directions (singular values over the largest: "
+                        + ", ".join(["0.000e+00"] * 6) + "); step products 1x1")
+
     def test_zero_seed_fails_with_residual_two(self):
         # a zero seed gives the vacuum, Omega77 = 1, against B of one zero: residual 2
         doc = json.loads(MINIMAL)

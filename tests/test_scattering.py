@@ -1,11 +1,14 @@
 import dataclasses
+import json
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from tccss import scattering
+from tccss.io_cli import figure_spectrum, parse_config
 from tccss.lax import build_Q
 from tccss.scattering import (
     DomainTooSmallError,
@@ -19,6 +22,7 @@ from tccss.scattering import (
     sample_potential,
     scattering_evolution_check,
 )
+from tccss.soliton import eval_fields_array
 from tccss.structure import SIGMA3_DIAG
 
 
@@ -75,14 +79,25 @@ def reference_pairs(table, lam, start=0, stop=None):
 
 
 def column7(table, lam, start=0, stop=None):
-    """Column 7 of Psi from e7 at node `start`, carried to node `stop`, by the kernel."""
-    return scattering._from_basis(scattering._end_product(table, lam, start, stop)[:, :, 6])[0]
+    """Column 7 of Psi from e7 at node `start`, carried to node `stop`, by the
+    kernel: its reduced last column lifted through W and back from V."""
+    y = scattering._end_product(table, lam, start, stop)[:, :, -1]
+    return scattering._from_basis(scattering._lift(table.w, y))[0]
 
 
 def step_matrices(table, lams, start=0, stop=None):
-    """The kernel's step matrices, (L, steps, 7, 7), back in the basis of Psi."""
+    """The kernel's step matrices, (L, steps, d, d), in its basis diag(W, 1) of V."""
     re, im = np.concatenate(list(scattering._step_blocks(table, lams, start, stop)), axis=2)
-    return V_INV @ (re + 1j * im) @ V
+    return re + 1j * im
+
+
+def reduced(table, m):
+    """R^T V m V^-1 R, R = diag(W, 1): matrices m of Psi in the kernel's d x d
+    basis.  The step matrices of Psi's column 7 leave the range of V^-1 R
+    invariant, so this is exactly what the kernel multiplies."""
+    r = np.zeros((7, table.d))
+    r[:6, :-1], r[6, -1] = table.w, 1.0
+    return r.T @ V @ m @ V_INV @ r
 
 
 def reference_omega(table, lam):
@@ -146,6 +161,24 @@ REFUSALS = [
 ]
 
 
+# A Type I N = 3 spectrum whose samples span all six channel directions
+# (smallest singular value 0.1 of the largest)
+TYPE_I_N3 = {
+    "family": "TypeI",
+    "zeros": [[0.5, 0.5], [0.4, 0.6], [-0.3, 0.55]],
+    "seeds": [
+        {"alpha": [1, 0], "beta": [1, 0], "gamma": [1, 0], "mu": [1, 0], "rho": [1, 0], "delta": [0, 0]},
+        {"alpha": [1, 0], "beta": [0, 0], "gamma": [2, 0], "mu": [0, 0], "rho": [0, 0], "delta": [0, 0]},
+        {"alpha": [0, 0.5], "beta": [1, 0], "gamma": [0, 0], "mu": [0, 1], "rho": [1, 0], "delta": [0.5, 0]},
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def full_rank_fields():
+    return partial(eval_fields_array, parse_config(json.dumps({"spectrum": TYPE_I_N3})).spectrum)
+
+
 @pytest.fixture(scope="module")
 def refusal_tables(one_soliton_fields):
     return [sample_potential(one_soliton_fields, t, -40.0, 40.0, 4000) for t in (0.0, 0.2)]
@@ -190,7 +223,7 @@ class TestTransferMatrixKernel:
         lams = (0.35j, 0.7, 2 + 0.1j)
         got = step_matrices(figure_table, lams, start, stop)
         for j, lam in enumerate(lams):
-            want = reference_pairs(figure_table, lam, start, stop)
+            want = reduced(figure_table, reference_pairs(figure_table, lam, start, stop))
             assert got[j].shape == want.shape
             assert rel_diff(got[j], want) <= 1e-13
 
@@ -205,7 +238,8 @@ class TestTransferMatrixKernel:
     def test_step_coefficients_match_rk4_step(self, figure_table):
         # step pairs, and the unpaired last step of an odd step count
         for lam in (0.35j, 0.5 + 0.5j, 0.7, 2 + 0.1j, 5j):
-            assert rel_diff(step_matrices(figure_table, lam)[0], reference_pairs(figure_table, lam)) <= 1e-13
+            want = reduced(figure_table, reference_pairs(figure_table, lam))
+            assert rel_diff(step_matrices(figure_table, lam)[0], want) <= 1e-13
 
     def test_folded_pair_at_the_stability_edge(self, figure_table):
         # the pair polynomial, condition ~ e^{2 |c h|}, against products of two
@@ -214,8 +248,8 @@ class TestTransferMatrixKernel:
         for lam in (0.999 * np.sqrt(2.0) / figure_table.h, 5j):
             steps = reference_steps(figure_table, lam)[start : start + 200]
             got = step_matrices(figure_table, lam, start, start + 200)[0]
-            assert got.shape == (100, 7, 7)
-            assert rel_diff(got, steps[1::2] @ steps[0::2]) <= 1e-13
+            assert got.shape == (100, figure_table.d, figure_table.d)
+            assert rel_diff(got, reduced(figure_table, steps[1::2] @ steps[0::2])) <= 1e-13
 
     @pytest.mark.parametrize("fig", [3, 4])
     def test_q_half_layout(self, fig, one_soliton_fields, two_soliton_fields):
@@ -239,16 +273,17 @@ class TestTransferMatrixKernel:
         assert stored <= q_half_bytes + table.u.nbytes
 
     def test_table_coefficients_fit_samples(self, one_soliton_fields):
-        # sum_{m<=8} c^m F^(m), F^(8) = (h^4/24)^2 P, is the product of the step pair
-        assert sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 2001).coef.shape == (8, 1000, 7, 7)
+        # sum_{m<=8} c^m F^(m), F^(8) = (h^4/24)^2 P, is the product of the
+        # step pair; figure 3 spans one channel direction, so d = 2
+        assert sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 2001).coef.shape == (8, 1000, 2, 2)
         table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 2000)
-        assert table.coef.shape == (8, 1000, 7, 7)
+        assert table.coef.shape == (8, 1000, 2, 2)
         for lam in (0.35j, 0.7, 2 + 0.1j):
             c = 2j * lam
             pairs = np.tensordot(c ** np.arange(8), table.coef, axes=1)
-            pairs[:, range(6), range(6)] += c**8 * (table.h**4 / 24.0) ** 2
+            pairs[:, 0, 0] += c**8 * (table.h**4 / 24.0) ** 2
             steps = reference_steps(table, lam)
-            assert rel_diff(V_INV @ pairs @ V, steps[1::2] @ steps[0::2]) <= 1e-13
+            assert rel_diff(pairs, reduced(table, steps[1::2] @ steps[0::2])) <= 1e-13
         # the coefficients do not fit other samples
         with pytest.raises(ValueError, match="coef has shape"):
             dataclasses.replace(table, n_steps=1000, u=table.u[::2])
@@ -269,6 +304,70 @@ class TestTransferMatrixKernel:
                 tracemalloc.stop()
         assert peaks[4000] < 4 * 2**20
         assert peaks[16000] <= 1.5 * peaks[4000]
+
+
+class TestChannelBasis:
+    """The step products run in the span of the samples' channel directions."""
+
+    @pytest.mark.parametrize("fig, rank", [(1, 1), (2, 4), (3, 1), (4, 2), ("typeI_n3", 6)])
+    def test_rank(self, fig, rank, full_rank_fields):
+        fields = full_rank_fields if fig == "typeI_n3" else partial(eval_fields_array, figure_spectrum(fig))
+        table = sample_potential(fields, 0.0, -40.0, 40.0, 1001)
+        assert table.w.shape == (6, rank) and table.coef.shape == (8, 500, rank + 1, rank + 1)
+        assert np.max(np.abs(table.w.T @ table.w - np.eye(rank))) <= 1e-15
+        # what the rank leaves out of every sample is below RANK_TOL of the largest
+        v = np.stack([table.u.real, table.u.imag], axis=-1).reshape(-1, 6)
+        left_out = v - (v @ table.w) @ table.w.T
+        norms = np.linalg.norm(v, axis=1)
+        assert np.max(np.linalg.norm(left_out, axis=1)) <= scattering.RANK_TOL * np.max(norms)
+
+    def test_full_rank_sweep_matches_reference(self, full_rank_fields):
+        table = sample_potential(full_rank_fields, 0.0, -40.0, 40.0, 1001)
+        assert table.d == 7
+        lams = np.array([0.3, 0.7, 1.5])
+        for row, lam in zip(coupling_row_sweep(table, lams), lams):
+            assert rel_diff(row, reference_omega(table, lam)[:, 6]) <= 1e-12
+
+    @pytest.mark.parametrize("weight, rank", [(1e-7, 2), (1e-14, 1)])
+    def test_weak_second_direction(self, one_soliton_fields, weight, rank):
+        # a second channel direction at 1e-7 of the field is kept, and its
+        # coupling into column 7 is the reference's; one at 1e-14, below
+        # RANK_TOL, is left out, and column 7 still agrees with the reference
+        def fields(x, t):
+            u = one_soliton_fields(x, t)
+            u[:, 2] += weight * 1j / np.cosh(x - 1.0)
+            return u
+
+        table = sample_potential(fields, 0.0, -40.0, 40.0, 1001)
+        assert table.d == rank + 1
+        for lam in (0.3, 1.2):
+            want = reference_omega(table, lam)[:, 6]
+            assert rel_diff(coupling_row_sweep(table, np.array([lam]))[0], want) <= 1e-12
+        for lam in (0.35j, 0.5 + 0.5j):
+            assert rel_diff(column7(table, lam), reference_path(table, lam)[-1][:, 6]) <= 1e-12
+
+    def test_vacuum_has_no_direction(self, zero_fields):
+        # r = 0: 1 x 1 step products, and column 7 is e7 exactly, through the
+        # pairs and the unpaired last step of an odd step count
+        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 201)
+        assert table.w.shape == (6, 0) and table.coef.shape == (8, 100, 1, 1)
+        for lam in (0.5, 1.3j, -2.0 + 0.4j):
+            assert np.array_equal(column7(table, lam), np.eye(7)[6])
+        assert omega77_from_table(table, 1.3j) == 1.0
+        rows = coupling_row_sweep(table, np.array([0.3, 1.0]))
+        assert np.array_equal(rows, np.tile(np.eye(7)[6], (2, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("lo, hi, x", [(39.999, 41.0, "40"), (3.205, 3.215, "3.21")])
+    def test_non_finite_sample_refused(self, one_soliton_fields, bad, lo, hi, x):
+        # refused before the endpoint guard, which a NaN would pass, and before the basis
+        def fields(xs, t):
+            u = one_soliton_fields(xs, t)
+            u[(xs > lo) & (xs < hi), 1] = bad
+            return u
+
+        with pytest.raises(NonFiniteScatteringError, match=rf"^field sample .* at x = {x} is not finite$"):
+            sample_potential(fields, 0.0, -40.0, 40.0, 4000)
 
 
 class TestIntegrateJost:
