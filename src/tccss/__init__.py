@@ -25,8 +25,6 @@ from .rhp import (
 from .scattering import (
     DomainTooSmallError,
     HalfPlaneError,
-    ZeroSearchError,
-    scattering_evolution_check,
 )
 from .soliton import (
     DegenerateSeedError,

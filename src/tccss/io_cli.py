@@ -490,7 +490,8 @@ def _scattering_report(cfg: RunConfig) -> ResidualReport:
     B = prod_j (lam - z_j) / (lam - conj z_j) of the expanded zeros, which it
     equals for a reflectionless potential: |Omega77 - B| at 9 real and 3
     complex lambda, |Omega77(z) / B'(z)| (a Newton step to the zero of
-    Omega77 near z) at each zero z, and the largest real-axis reflection."""
+    Omega77 near z) at each zero z, the largest real-axis reflection, and
+    the trace identity int sum_m |u_m|^2 dx = 2 sum_j Im z_j on the table."""
     sc, z = cfg.scattering, cfg.spectrum.expanded_zeros()
     fields = partial(eval_fields_array, cfg.spectrum)
     table = scattering.sample_potential(fields, sc.t, sc.x_min, sc.x_max, sc.n_steps)
@@ -510,12 +511,16 @@ def _scattering_report(cfg: RunConfig) -> ResidualReport:
     notes.append(f"max |Omega77 - B|: {residual[:9].max():.3e} over 9 real lambda in [-2, 2], "
                  f"{residual[9:].max():.3e} at lambda = 0.3+0.4j, -1+0.8j, 1.5+1.5j")
     notes.append(f"max reflection entry over the 9 real lambda: {reflection:.3e}")
+    mass = float(np.trapezoid(np.sum(np.abs(table.u) ** 2, axis=1), dx=table.h / 2))
+    want = 2.0 * float(np.sum(z.imag))
+    notes.append(f"trace identity: int sum |u_m|^2 dx = {mass:.12g}, 2 sum Im z_j = {want:.12g}, "
+                 f"|diff| = {abs(mass - want):.3e}")
     sv = ", ".join(f"{x:.3e}" for x in table.sv)
     notes.append(f"potential spans {table.d - 1} of 6 channel directions (singular values "
                  f"over the largest: {sv}); step products {table.d}x{table.d}")
     return summarize(
         "scattering",
-        [*residual, *np.abs(newton), reflection],
+        [*residual, *np.abs(newton), reflection, mass - want],
         grid=f"[{sc.x_min}, {sc.x_max}] x {sc.n_steps} steps, t = {sc.t}",
         notes=notes,
     )

@@ -18,10 +18,10 @@ from tccss.report import GridSpec
 from tccss.rhp import symmetry_residuals
 from tccss.scattering import (
     coupling_row_sweep,
-    locate_zero_from_table,
     norm_drift_from_table,
     omega77_from_table,
     sample_potential,
+    zeros_in_disk,
 )
 from tccss.soliton import (
     SpectrumError,
@@ -168,17 +168,20 @@ def test_criterion_5_gauge_transform_round_trip():
 
 
 def test_criterion_6_direct_scattering_round_trip():
-    f3 = partial(eval_fields_array, figure_spectrum(3))
-    table3 = sample_potential(f3, 0.0, -40.0, 40.0, 16000)
-    z3 = locate_zero_from_table(table3, 0.8j)
-    assert abs(z3 - 1j) < 1e-5
-
-    f4 = partial(eval_fields_array, figure_spectrum(4))
-    table4 = sample_potential(f4, 0.0, -40.0, 40.0, 16000)
-    z_a = locate_zero_from_table(table4, 0.25j)
-    z_b = locate_zero_from_table(table4, 0.55j)
-    assert abs(z_a - 0.3j) < 1e-5
-    assert abs(z_b - 0.5j) < 1e-5
+    # every zero in a disk, from one contour pass: the count exactly, each zero
+    # to 1e-5 of the one constructed
+    error = 0.0
+    tables = []
+    for fig, center, radius in ((3, 0.8j, 0.6), (4, 0.45j, 0.4)):
+        spectrum = figure_spectrum(fig)
+        table = sample_potential(partial(eval_fields_array, spectrum), 0.0, -40.0, 40.0, 16000)
+        found, _ = zeros_in_disk(table, center, radius)
+        want = spectrum.expanded_zeros()
+        assert len(found) == len(want)
+        error = max(error, *(float(np.min(np.abs(found - z))) for z in want))
+        tables.append(table)
+    assert error < 1e-5
+    table3, table4 = tables
 
     reflection = 0.0
     for table in (table3, table4):
@@ -190,7 +193,7 @@ def test_criterion_6_direct_scattering_round_trip():
     assert drift < 1e-8
     report(
         6,
-        f"zeros recovered to {max(abs(z3 - 1j), abs(z_a - 0.3j), abs(z_b - 0.5j)):.2e}; "
+        f"zeros counted and recovered to {error:.2e}; "
         f"reflection {reflection:.2e}; column-7 norm drift {drift:.2e}",
     )
 

@@ -748,10 +748,16 @@ class TestScatteringCheck:
     def scattering_cfg(spectrum):
         return RunConfig(spectrum, checks=("scattering",), scattering=ScatteringSpec(-40.0, 40.0, 4000))
 
+    @staticmethod
+    def trace_diff(report):
+        note = next(n for n in report.notes if n.startswith("trace identity: int sum |u_m|^2 dx = "))
+        return float(note.split("|diff| = ")[1])
+
     @pytest.mark.parametrize("fig", [1, 2, 3, 4])
     def test_zero_notes_as_parsed(self, fig):
         # one "zero j" note per configured zero, read as bench/oracle.py reads it;
-        # a Type I note carries its mirror -conj z in the same line
+        # a Type I note carries its mirror -conj z in the same line.  The trace
+        # identity int sum |u_m|^2 dx = 2 sum Im z_j holds to rounding
         cfg = self.scattering_cfg(figure_spectrum(fig))
         outcome = run_checks(cfg)
         assert outcome.passed, outcome.checks[0].report
@@ -766,6 +772,7 @@ class TestScatteringCheck:
             if "; mirror " in note:
                 assert note.split("; mirror ")[1].startswith(f"{-z.conjugate():.6g}, recovered ")
         assert outcome.checks[0].report.max_abs < 1e-6
+        assert self.trace_diff(outcome.checks[0].report) < 1e-12
 
     def test_newton_step_against_closed_form(self):
         # |diff| is |Omega77(z) / B'(z)|; B' here by central difference of B
@@ -792,6 +799,18 @@ class TestScatteringCheck:
         assert run_checks(self.scattering_cfg(spectrum)).passed
         report = run_checks(self.scattering_cfg(moved)).checks[0].report
         assert report.max_abs > 5e-5
+
+    @pytest.mark.parametrize("fig", [2, 4])
+    def test_trace_identity_flags_moved_zeros(self, monkeypatch, fig):
+        # negative control: the field of one spectrum, checked against every
+        # zero moved by 0.01i, breaks the identity by 0.02 per expanded zero
+        spectrum = figure_spectrum(fig)
+        moved = dataclasses.replace(spectrum, zeros=tuple(z + 0.01j for z in spectrum.zeros))
+        monkeypatch.setattr(io_cli, "eval_fields_array", lambda _, x, t: eval_fields_array(spectrum, x, t))
+        outcome = run_checks(self.scattering_cfg(moved))
+        assert not outcome.passed
+        want = 0.02 * len(moved.expanded_zeros())
+        assert self.trace_diff(outcome.checks[0].report) == pytest.approx(want, rel=1e-3)
 
     @pytest.mark.parametrize("fig, rank", [(2, 4), (4, 2)])
     def test_channel_note(self, fig, rank):

@@ -18,5 +18,6 @@ def test_library_use_example_runs(capsys):
     assert abs(ns["u"][0] - (-4 / 29)) < 1e-15
     assert float(residual) < 1e-12
     assert float(cross) < 1e-6
-    assert abs(complex(zero) - 1j) < 1e-6
+    assert len(ns["zeros"]) == 1 and abs(complex(zero) - 1j) < 1e-6
+    assert ns["change"] < 1e-12
     assert ns["table"].shape == (5, np.size(ns["x"]), 3)

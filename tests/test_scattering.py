@@ -14,13 +14,11 @@ from tccss.scattering import (
     DomainTooSmallError,
     HalfPlaneError,
     NonFiniteScatteringError,
-    ZeroSearchError,
     coupling_row_sweep,
-    locate_zero_from_table,
     norm_drift_from_table,
     omega77_from_table,
     sample_potential,
-    scattering_evolution_check,
+    zeros_in_disk,
 )
 from tccss.soliton import eval_fields_array
 from tccss.structure import SIGMA3_DIAG
@@ -129,31 +127,31 @@ def figure_table(request, one_soliton_fields, two_soliton_fields):
 
 
 # Every public entry, called with the lambda under test; the array forms put an
-# accepted lambda first, so the refusal must name the second.
+# accepted lambda first, so the refusal must name the second, and `disk` takes
+# it as the centre of a disk of radius 0.1.
 ENTRIES = {
     "omega77": lambda tables, lam: omega77_from_table(tables[0], lam),
     "omega77_array": lambda tables, lam: omega77_from_table(tables[0], np.array([0.5j, lam])),
     "sweep": lambda tables, lam: coupling_row_sweep(tables[0], np.array([0.5, lam])),
     "norm_drift": lambda tables, lam: norm_drift_from_table(tables[0], lam, 100),
-    "zero_search": lambda tables, lam: locate_zero_from_table(tables[0], lam),
-    "evolution": lambda tables, lam: scattering_evolution_check(*tables, lam),
+    "disk": lambda tables, lam: zeros_in_disk(tables[0], lam, 0.1),
 }
 # (entries that take the kind of lambda, lambda, error, message); on the
-# 4000-step tables sqrt(2) / h = 70.7, past which Omega77 and the evolution
-# residual would come out non-finite, and unrefused, -3i would read -4.7e138
-# where the Blaschke factor is 2
+# 4000-step tables sqrt(2) / h = 70.7, past which Omega77 would come out
+# non-finite, and unrefused, -3i would read -4.7e138 where the Blaschke
+# factor is 2
 _REFUSED = [
     (list(ENTRIES), np.nan, NonFiniteScatteringError, "^lambda = nan is not finite$"),
     (list(ENTRIES), np.inf, NonFiniteScatteringError, "^lambda = inf is not finite$"),
     (list(ENTRIES), complex(0, np.nan), NonFiniteScatteringError, r"^lambda = 0\+nanj is not finite$"),
-    (["omega77", "omega77_array", "zero_search"], -3j, HalfPlaneError, "^lambda = -0-3j lies in the lower half-plane$"),
-    (["omega77", "omega77_array"], 0.5 - 0.5j, HalfPlaneError, "lies in the lower half-plane"),
-    (["zero_search"], 0.5, HalfPlaneError, "must lie in the open upper half-plane"),
-    (["sweep", "norm_drift", "evolution"], 0.5 + 0.5j, HalfPlaneError, "real lambda only"),
+    (["omega77", "omega77_array", "disk"], -3j, HalfPlaneError, "^lambda = -0-3j lies in the lower half-plane$"),
+    (["omega77", "omega77_array", "disk"], 0.5 - 0.5j, HalfPlaneError, "lies in the lower half-plane"),
+    (["disk"], 0.1j, HalfPlaneError, r"^the disk \|lambda - 0\+0.1j\| < 0.1 reaches the real axis$"),
+    (["sweep", "norm_drift"], 0.5 + 0.5j, HalfPlaneError, "real lambda only"),
     (["sweep", "norm_drift"], -3j, HalfPlaneError, "real lambda only"),
     (list(ENTRIES), 75.0, NonFiniteScatteringError, "^lambda = 75 exceeds the RK4 stability"),
     (["omega77", "omega77_array", "sweep"], -75.0, NonFiniteScatteringError, "^lambda = -75 exceeds the RK4 stability"),
-    (["evolution"], 100.0, NonFiniteScatteringError, "^lambda = 100 exceeds the RK4 stability"),
+    (["norm_drift"], np.array([0.5, 60.0]), ValueError, "^norm_drift_from_table takes one lambda, got 2$"),
 ]
 REFUSALS = [
     pytest.param(entry, lam, error, match, id=f"{entry}-{lam}")
@@ -498,64 +496,79 @@ class TestScatteringMatrix:
         assert 10.0 < ratio < 22.0
 
 
-class TestLocateSpectralZero:
-    def test_figure3_roundtrip(self, one_soliton_fields):
-        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 16000)
-        found = locate_zero_from_table(table, 0.8j)
-        assert abs(found - 1j) < 1e-6 and found.real == 0.0
+def zero_error(found, want):
+    """The largest distance from a zero in `want` to the nearest one in `found`."""
+    return float(max(np.min(np.abs(found - z)) for z in want))
 
-    def test_figure4_roundtrip(self, two_soliton_fields):
-        table = sample_potential(two_soliton_fields, 0.0, -40.0, 40.0, 16000)
-        for seed, expect in ((0.25j, 0.3j), (0.55j, 0.5j)):
-            found = locate_zero_from_table(table, seed)
-            assert abs(found - expect) < 1e-5 and found.real == 0.0
 
-    def test_zero_potential_fails(self, zero_fields):
-        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
-        with pytest.raises(ZeroSearchError):
-            locate_zero_from_table(table, 0.8j)
+class TestZerosInDisk:
+    """Every zero of Omega77 in a disk, from one pass on its boundary circle."""
 
-    def test_trace_ends_at_returned_zero(self, one_soliton_fields):
-        table = sample_potential(one_soliton_fields, 0.0, -30.0, 30.0, 3000)
-        trace = []
-        found = locate_zero_from_table(table, 0.8j, trace=trace)
-        assert len(trace) >= 2
-        assert trace[-1] == (found, omega77_from_table(table, found))
+    # (figure, disk, steps, zero error bound, change range); figures 1 and 2 put
+    # their zeros at 0.86 of the radius, where K/2 samples leave 7e-7
+    @pytest.mark.parametrize("fig, center, radius, n, bound, lo, hi", [
+        (3, 0.8j, 0.6, 16000, 1e-10, 0.0, 1e-14),  # 4.8e-11
+        (4, 0.45j, 0.4, 16000, 1e-11, 0.0, 1e-14),  # 2.4e-12
+        (1, 0.6j, 0.59, 16000, 2e-10, 1e-7, 1e-6),  # 8.5e-11
+        (2, 0.6j, 0.59, 4000, 5e-8, 1e-7, 1e-6),  # 1.6e-8
+    ])
+    def test_recovers_every_zero(self, fig, center, radius, n, bound, lo, hi):
+        spectrum = figure_spectrum(fig)
+        table = sample_potential(partial(eval_fields_array, spectrum), 0.0, -40.0, 40.0, n)
+        found, change = zeros_in_disk(table, center, radius)
+        want = spectrum.expanded_zeros()
+        assert len(found) == len(want)
+        assert zero_error(found, want) < bound and zero_error(want, found) < bound
+        assert lo <= change < hi
 
-    def test_stops_at_first_non_finite_omega77(self, one_soliton_fields):
-        # |lambda| h = 12, far outside the RK4 stability region: Omega77 at the
-        # seed overflows, and the search stops there, with the error of
-        # omega77_from_table, before it records an evaluation and without a
-        # numpy warning
+    def test_change_is_quadrature_error_only(self, one_soliton_fields):
+        # the contour sum has converged, while the RK4 zero is still 1.2e-8 off
         table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 4000)
-        trace = []
-        with pytest.raises(NonFiniteScatteringError, match=r"at lambda = 0\+600.05j is not finite"):
-            locate_zero_from_table(table, 600.05j, trace=trace)
-        assert trace == []
+        found, change = zeros_in_disk(table, 0.8j, 0.6)
+        assert len(found) == 1 and 5e-9 < abs(found[0] - 1j) < 5e-8
+        assert change < 1e-14
 
-    def test_seed_must_be_upper(self, zero_fields):
+    def test_counts_differ_for_a_pair_near_the_circle(self):
+        # zeros 0.5i and 0.52i, 1e-3 inside the circle and 0.067 rad apart on
+        # it: all 128 samples count both, the even 64 do not, so `change` is inf;
+        # a wider disk around them resolves both
+        spectrum = dataclasses.replace(figure_spectrum(4), zeros=(0.5j, 0.52j))
+        table = sample_potential(partial(eval_fields_array, spectrum), 0.0, -40.0, 40.0, 4000)
+        found, change = zeros_in_disk(table, 0.3 + 0.51j, np.hypot(0.3, 0.01) + 1e-3)
+        assert len(found) == 2 and change == np.inf
+        found, change = zeros_in_disk(table, 0.3 + 0.51j, 0.4)
+        assert zero_error(found, [0.5j, 0.52j]) < 1e-8 and change < 1e-9
+
+    def test_vacuum_has_no_zero(self, zero_fields):
         table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
-        with pytest.raises(HalfPlaneError):
-            locate_zero_from_table(table, -0.8j)
+        found, change = zeros_in_disk(table, 0.8j, 0.6)
+        assert found.shape == (0,) and change == 0.0
 
+    def test_smaller_disk_misses_the_zeros(self):
+        # figure 1's zeros +-0.5 + 0.5i lie 0.51 from 0.6i
+        table = sample_potential(partial(eval_fields_array, figure_spectrum(1)), 0.0, -40.0, 40.0, 4000)
+        found, change = zeros_in_disk(table, 0.6j, 0.49)
+        assert found.shape == (0,) and change == 0.0
 
-class TestEvolution:
-    def test_zero_potential(self, zero_fields):
-        tables = [sample_potential(zero_fields, t, -5.0, 5.0, 200) for t in (0.0, 0.2)]
-        report = scattering_evolution_check(*tables, 0.8)
-        assert report.max_abs == 0.0
-        assert report.grid == "lambda = 0.8, t = 0.0 -> 0.2, [-5.0, 5.0] x 200 steps"
+    @pytest.mark.parametrize("center, radius, error, match", [
+        (0.5j, 0.5, HalfPlaneError, r"^the disk \|lambda - 0\+0.5j\| < 0.5 reaches the real axis$"),
+        (1 + 0.5j, 0.7, HalfPlaneError, "reaches the real axis$"),
+        (0.5j, 0.0, ValueError, "^radius must be > 0, got 0.0$"),
+        (0.5j, -0.1, ValueError, "^radius must be > 0, got -0.1$"),
+        (0.5j, np.nan, ValueError, "^radius must be > 0, got nan$"),
+        (0.5j, np.inf, HalfPlaneError, "reaches the real axis$"),
+    ])
+    def test_disk_refused(self, zero_fields, center, radius, error, match):
+        table = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
+        with pytest.raises(error, match=match):
+            zeros_in_disk(table, center, radius)
 
-    def test_refuses_tables_of_different_domains(self, zero_fields):
-        t0 = sample_potential(zero_fields, 0.0, -5.0, 5.0, 200)
-        for t1 in (sample_potential(zero_fields, 0.2, -5.0, 5.0, 400),
-                   sample_potential(zero_fields, 0.2, -5.0, 6.0, 200)):
-            with pytest.raises(ValueError, match="differ in domain or step count"):
-                scattering_evolution_check(t0, t1, 0.8)
-
-    def test_one_soliton_isospectrality(self, one_soliton_fields):
-        tables = [sample_potential(one_soliton_fields, t, -30.0, 30.0, 8000) for t in (0.0, 0.2)]
-        report = scattering_evolution_check(*tables, 0.8)
-        assert report.max_abs < 1e-6
-        # reflectionless potential: evolution of the coupling entries is vacuous
-        assert sum("vacuous" in n for n in report.notes) == 6
+    def test_stops_at_non_finite_omega77(self, one_soliton_fields):
+        # |lambda| h = 12, far outside the RK4 stability region: Omega77 on the
+        # circle overflows, and the pass raises naming the first such lambda,
+        # without a numpy warning
+        table = sample_potential(one_soliton_fields, 0.0, -40.0, 40.0, 4000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteScatteringError, match=r"^Omega77 = .* at lambda = 1\+600j is not finite$"):
+                zeros_in_disk(table, 600j, 1.0)
