@@ -9,7 +9,8 @@ degenerates to rational matrix functions
 normalized to the identity at infinity.  P1 is analytic in the closed upper
 half-plane (poles only at the conjugated zeros below the axis), P2 the other
 way around, and P2 P1 = I identically.  The potential matrix is recovered
-from the 1/lam coefficient of P1.
+from the 1/lam coefficient of P1.  Their weights M^-1 are those of the field
+kernel, from one `soliton.solve_kernel` call over many (x, t) points.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import ResidualReport, summarize
-from .soliton import Family, SpectrumConfig, flow, solve_M
+from .soliton import Family, SpectrumConfig, solve_kernel
 from .structure import SIGMA, SIGMA3
 
 POLE_GUARD_RADIUS = 1e-8
@@ -40,25 +41,23 @@ class PoleError(Exception):
 
 @dataclass(frozen=True)
 class RHSolutionPair:
-    """Rational RH factors bound to one spectrum at fixed (x, t).
+    """Rational RH factors bound to one spectrum at the points of `build_rh_pair`.
 
-    Immutable after construction; the weight matrix W = M^-1 (in the scaled
-    vector gauge) is shared by both factors and by the potential expansion.
-    `columns[j]` spans ker P1(lambda_j); the row vector vhat_j =
-    conj(columns[j]) spans the left kernel of P2 at the conjugate zero.
+    Immutable; the points' shape `...` (none for one point) leads every array.
+    The weight matrix W = M^-1 (scaled vector gauge) is shared by both factors
+    and the potential expansion.  `columns[..., j, :]` spans ker P1(lambda_j);
+    its conjugate vhat_j spans the left kernel of P2 at the conjugate zero.
     Both carry the stabilizing factor exp(-|Re theta_j|) of `flow`.
     """
 
-    columns: np.ndarray       # (m, 7) kernel vectors v_j
-    weights: np.ndarray       # (m, m) inverse of the stabilized M
+    columns: np.ndarray       # (..., m, 7) kernel vectors v_j
+    weights: np.ndarray       # (..., m, m) inverse of the stabilized M
     zeros: np.ndarray         # (m,) expanded zeros (poles of P2)
 
     def _factor(self, lam, poles: np.ndarray, sign: float, on_rows: bool) -> np.ndarray:
-        """I + sign sum_kj v_k vhat_j W_kj / (lam - poles[i]), with i = k
-        when `on_rows` (P2) and i = j otherwise (P1).
-
-        (7, 7) for a scalar lam, (L, 7, 7) for a 1-D array of L values.
-        """
+        """I + sign sum_kj v_k vhat_j W_kj / (lam - poles[i]), i = k when
+        `on_rows` (P2) and i = j otherwise (P1): (..., 7, 7) for a scalar lam,
+        (..., L, 7, 7) for a 1-D array of L."""
         lam = np.asarray(lam, dtype=complex)
         gaps = lam.reshape(-1, 1) - poles
         hits = np.argwhere(np.abs(gaps) < POLE_GUARD_RADIUS)
@@ -66,9 +65,10 @@ class RHSolutionPair:
             i, j = hits[0]
             raise PoleError(int(j), complex(poles[j]), complex(lam.reshape(-1)[i]))
         shifts = sign / gaps
-        scaled = self.weights * (shifts[:, :, None] if on_rows else shifts[:, None, :])
-        p = np.eye(7) + self.columns.T @ scaled @ np.conj(self.columns)
-        return p.reshape(lam.shape + (7, 7))
+        scaled = self.weights[..., None, :, :] * (shifts[:, :, None] if on_rows else shifts[:, None, :])
+        v = self.columns[..., None, :, :]
+        p = np.eye(7) + v.swapaxes(-1, -2) @ scaled @ np.conj(v)
+        return p.reshape(self.weights.shape[:-2] + lam.shape + (7, 7))
 
     def evaluate_P1(self, lam) -> np.ndarray:
         """P1 at lam; poles sit at the conjugated zeros (lower half-plane)."""
@@ -80,27 +80,21 @@ class RHSolutionPair:
 
     def first_order_term(self) -> np.ndarray:
         """Coefficient of 1/lam in the large-lambda expansion of P1."""
-        return -(self.columns.T @ self.weights @ np.conj(self.columns))
+        return -(self.columns.swapaxes(-1, -2) @ self.weights @ np.conj(self.columns))
 
 
-def build_rh_pair(cfg: SpectrumConfig, x: float, t: float) -> RHSolutionPair:
-    """Assemble both RH factors; M is factorized once per (x, t).
-
-    M_kj = (vhat_k . v_j) / (lambda_j - conj(lambda_k)) over the kernel
-    vectors v_j of `flow` at the one point."""
-    seeds, e, f = flow(cfg, np.array([float(x)]), np.array([float(t)]))
-    lam = cfg.expanded_zeros()
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a pole gap near 0 overflows M to inf or NaN, which `solve_M` refuses
-        columns = np.concatenate([seeds[:, :6] * e[0, :, None], seeds[:, 6:] * f[0, :, None]], axis=1)
-        m = (np.conj(columns) @ columns.T) / (lam[None, :] - np.conj(lam)[:, None])
-    # the weights are M^-1 itself, which `solve_M` forms against no right-hand side
-    _, weights = solve_M(m[None], np.zeros((1, len(lam), 0), dtype=complex), [x], [t])
-    return RHSolutionPair(columns, weights[0], lam)
+def build_rh_pair(cfg: SpectrumConfig, x, t) -> RHSolutionPair:
+    """Both RH factors at the points (x, t), which broadcast; the weights are
+    the X = M^-1 of one `solve_kernel` call over all of them."""
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+    seeds, e, f, *_, weights = solve_kernel(cfg, x.ravel(), t.ravel())
+    columns = np.concatenate([seeds[:, :6] * e[:, :, None], seeds[:, 6:] * f[:, :, None]], axis=2)
+    shape = x.shape + (len(seeds),)
+    return RHSolutionPair(columns.reshape(shape + (7,)), weights.reshape(shape + (len(seeds),)), cfg.expanded_zeros())
 
 
-def reconstruct_potential(cfg: SpectrumConfig, x: float, t: float) -> np.ndarray:
-    """Potential matrix Q = i [P1^(1), sigma3] from the expansion of P1.
+def reconstruct_potential(cfg: SpectrumConfig, x, t) -> np.ndarray:
+    """Potential matrices Q = i [P1^(1), sigma3] (..., 7, 7) at the points.
 
     The commutator zeroes every entry off the seventh row/column, so the
     result automatically carries the coupling template; entries (1,7), (3,7),
@@ -127,10 +121,9 @@ def _near_poles(cfg: SpectrumConfig, lams: np.ndarray) -> tuple[np.ndarray, np.n
     return samples, gaps.any(axis=0) | gaps.any(axis=1)
 
 
-def symmetry_residuals(
-    cfg: SpectrumConfig, x: float, t: float, lambda_samples
-) -> dict[str, float]:
-    """Max-norm residuals of every stated RH identity, keyed by name.
+def symmetry_residuals(cfg: SpectrumConfig, x, t, lambda_samples) -> dict[str, float]:
+    """Max-norm residuals of every stated RH identity over the points (x, t),
+    which broadcast, keyed by name.
 
     * ``hermitian``:    P1(conj lam)^dagger - P2(lam) over all samples
     * ``sigma``:        sigma conj(P1(-conj lam)) sigma - P1(lam)  (type I only)
@@ -138,9 +131,9 @@ def symmetry_residuals(
     * ``kernel``:       |P1(lambda_j) v_j| and |vhat_j P2(conj lambda_j)| per zero
     * ``det_at_zeros``: |det P1(lambda_j)| per zero
 
-    Each identity is one array expression over all samples or all zeros.
-    Samples and zeros within POLE_GUARD_RADIUS of a pole are left out
-    (`check_symmetries` names them).
+    Each identity is one array expression over all points and all samples
+    or zeros.  Samples and zeros within POLE_GUARD_RADIUS of a pole are left
+    out (`check_symmetries` names them).
     """
     pair = build_rh_pair(cfg, x, t)
     lams = np.array([complex(s) for s in lambda_samples], dtype=complex)
@@ -153,21 +146,22 @@ def symmetry_residuals(
         out["sigma"] = _worst(left - pair.evaluate_P1(lams))
     real = lams[lams.imag == 0.0]
     out["jump"] = _worst(pair.evaluate_P2(real) @ pair.evaluate_P1(real) - np.eye(7))
-    zeros, v = pair.zeros[~near_zero], pair.columns[~near_zero]
+    zeros, v = pair.zeros[~near_zero], pair.columns[..., ~near_zero, :]
     p1, p2 = pair.evaluate_P1(zeros), pair.evaluate_P2(np.conj(zeros))
-    out["kernel"] = max(_worst(p1 @ v[:, :, None]), _worst(np.conj(v)[:, None, :] @ p2))
+    out["kernel"] = max(_worst(p1 @ v[..., None]), _worst(np.conj(v)[..., None, :] @ p2))
     out["det_at_zeros"] = _worst(np.linalg.det(p1))
     return out
 
 
 def check_symmetries(cfg: SpectrumConfig, points, lambda_samples) -> ResidualReport:
-    """Bundle the symmetry residuals at every (x, t) of `points` into one
-    report: each identity's worst value over the points, and the worst of
-    those overall.  A note names every sample and zero left out for lying
-    within POLE_GUARD_RADIUS of a pole."""
+    """Bundle the symmetry residuals over the (x, t) pairs of `points`, one
+    `symmetry_residuals` call, into one report: each identity's worst value
+    over the points, and the worst of those overall.  A note names every
+    sample and zero left out for lying within POLE_GUARD_RADIUS of a pole."""
+    if not len(points) or any(np.shape(p) != (2,) for p in points):
+        raise ValueError(f"points must be a non-empty list of (x, t) pairs, got {points!r}")
     samples = [complex(s) for s in lambda_samples]
-    res = [symmetry_residuals(cfg, x, t, samples) for x, t in points]
-    worst = {k: max(r[k] for r in res) for k in res[0]}
+    worst = symmetry_residuals(cfg, *np.array(points, dtype=float).T, samples)
     notes = [f"{k}: {v:.3e}" for k, v in worst.items()]
     near_sample, near_zero = _near_poles(cfg, np.array(samples, dtype=complex))
     guard, zeros = f"within {POLE_GUARD_RADIUS:g} of a pole", cfg.expanded_zeros()

@@ -14,12 +14,12 @@ assembled and inverted.  Two families are supported:
 
 `flow` is the one place the seeds meet the flow: it gives the expanded
 seeds, the Type I mirror included, and the stabilized exponentials at many
-points.  The field kernels built on it give complex arrays: (P, 3) from
-`eval_fields_array`, many points in one vectorized pass, and (5, P, 3)
-from `eval_jets_array`, with the exact jets (u, u_x, u_xx, u_xxx, u_t); the
-RH factors of `rhp` use it too.  All solve M through `solve_M`, one
-partial-pivot elimination over the whole stack, which refuses an M that is
-non-finite or too ill-conditioned; the closed forms invert at most 2x2.
+points.  `solve_kernel` alone forms M, on `flow`, and solves it through
+`solve_M`, one partial-pivot elimination over the whole stack, which refuses
+an M that is non-finite or too ill-conditioned.  The field kernels and the RH
+factors of `rhp` build on it; the field kernels give complex arrays: (P, 3)
+from `eval_fields_array`, many points in one vectorized pass, and (5, P, 3)
+from `eval_jets_array`, the exact jets (u, u_x, u_xx, u_xxx, u_t).
 """
 
 from __future__ import annotations
@@ -256,6 +256,27 @@ def solve_M(m: np.ndarray, rhs: np.ndarray, x, t):
     return yx[..., :k], yx[..., k:]
 
 
+def solve_kernel(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, stabilize: bool = True, odd: bool = False):
+    """M at the points of `flow`, solved once through `solve_M`: (seeds, e, f,
+    M, M_odd, y, X), y = M^-1 conj(f seed_7) (P, m) and X = M^-1 (P, m, m).
+
+    M_kj = (vhat_k . v_j) / (lambda_j - conj(lambda_k)) over the kernel
+    vectors v_j is (p6 + p7) / gaps: the seed pairings times outer products
+    of e (channels 1..6) and f (channel 7), with no (P, m, 7) vector array.
+    M_odd = (p6 - p7) / gaps, which odd derivatives of M scale, if `odd`.
+    """
+    seeds, e, f = flow(cfg, x, t, stabilize)
+    zeros = cfg.expanded_zeros()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a pole gap near 0 overflows M to inf or NaN, which `solve_M` refuses
+        p6 = np.conj(seeds[:, :6]) @ seeds[:, :6].T * (np.conj(e)[:, :, None] * e[:, None, :])
+        p7 = np.outer(np.conj(seeds[:, 6]), seeds[:, 6]) * (np.conj(f)[:, :, None] * f[:, None, :])
+        gaps = zeros[None, :] - np.conj(zeros)[:, None]
+        m = (p6 + p7) / gaps
+        y, inv = solve_M(m, np.conj(seeds[:, 6] * f)[:, :, None], x, t)
+        return seeds, e, f, m, (p6 - p7) / gaps if odd else None, y[:, :, 0], inv
+
+
 def eval_fields_array(
     cfg: SpectrumConfig, x, t, stabilize: bool = True
 ) -> np.ndarray:
@@ -270,9 +291,7 @@ def eval_jets_array(
     """Exact jets (u, u_x, u_xx, u_xxx, u_t) at the points: (5, P, 3).
 
     `x` and `t` broadcast against each other; with `derivatives=False` only
-    u is formed, (1, P, 3).  M is the constant seed pairings times outer
-    products of the exponentials e and f of `flow`; no (P, m, 7) vector
-    array is formed.
+    u is formed, (1, P, 3).  M and the solve are those of `solve_kernel`.
 
     The fields depend on (x, t) only through theta = i z x + 4 i z^3 t of
     each expanded zero z, and not on the scale s of `flow`, held fixed at
@@ -289,28 +308,15 @@ def eval_jets_array(
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     x, t = x.ravel(), t.ravel()
-    if not cfg.zeros:
-        return np.zeros((5 if derivatives else 1, x.size, 3), dtype=complex)
-    seeds, e, f = flow(cfg, x, t, stabilize)
+    seeds, e, f, m, m_odd, y, inv = solve_kernel(cfg, x, t, stabilize, odd=derivatives)
     with np.errstate(over="ignore", invalid="ignore"):
-        zeros = cfg.expanded_zeros()
-        # M = (p6 + p7) / denom: the seed pairings times outer products of
-        # e (channels 1..6) and f (channel 7)
-        p6 = np.conj(seeds[:, :6]) @ seeds[:, :6].T * (np.conj(e)[:, :, None] * e[:, None, :])
-        p7 = np.outer(np.conj(seeds[:, 6]), seeds[:, 6]) * (np.conj(f)[:, :, None] * f[:, None, :])
-        denom = zeros[None, :] - np.conj(zeros)[:, None]
-        comps = seeds[:, 0:6:2]
-        m = (p6 + p7) / denom
-        b = np.conj(seeds[:, 6] * f)
-        y, inv = solve_M(m, b[:, :, None], x, t)
-        jets = [2j * (e * y[:, :, 0]) @ comps]
+        zeros, comps, b = cfg.expanded_zeros(), seeds[:, 0:6:2], np.conj(seeds[:, 6] * f)
+        jets = [2j * (e * y) @ comps]
         if derivatives:
-            # M^(i) = c^i (p6 + (-1)^i p7) / denom: c^i times m or m_odd
-            m_odd = (p6 - p7) / denom
             for rate, n in ((1j * zeros, 3), (4j * zeros ** 3, 1)):
                 c = np.conj(rate)[:, None] + rate[None, :]
                 dm = {i: c ** i * (m_odd if i % 2 else m) for i in range(1, n + 1)}
-                ys = [y[:, :, 0]]
+                ys = [y]
                 for k in range(1, n + 1):
                     r = (-np.conj(rate)) ** k * b
                     for i in range(1, k + 1):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tccss import rhp
+from tccss.io_cli import RunConfig, _coarsen, figure_config, figure_spectrum, run_checks
 from tccss.rhp import (
     PoleError,
     build_rh_pair,
@@ -12,6 +14,7 @@ from tccss.soliton import (
     Family,
     SpectrumConfig,
     TypeIISeed,
+    eval_fields_array,
     one_soliton_spectrum,
 )
 from tccss.structure import SIGMA
@@ -110,6 +113,58 @@ class TestBuildRhPair:
             assert evaluate(lams[:0]).shape == (0, 7, 7)
 
 
+class TestPointAxes:
+    """A pair built at many (x, t) points carries their shape in front."""
+
+    @pytest.mark.parametrize("fig", [1, 2, 3, 4])
+    def test_row_matches_each_point_bit_for_bit(self, fig):
+        cfg = figure_spectrum(fig)
+        grid = _coarsen(figure_config(fig).grid)
+        xs, t = grid.xs(), grid.ts()[3]
+        lams = np.array([0.5, -1.2, 0.7 + 1.3j, 2j])
+        row = build_rh_pair(cfg, xs, t)
+        m = len(cfg.expanded_zeros())
+        assert row.columns.shape == (len(xs), m, 7) and row.weights.shape == (len(xs), m, m)
+        p1, p2 = row.evaluate_P1(lams), row.evaluate_P2(lams)
+        assert p1.shape == p2.shape == (len(xs), len(lams), 7, 7)
+        assert row.evaluate_P1(0.5).shape == row.first_order_term().shape == (len(xs), 7, 7)
+        for p, x in enumerate(xs):
+            one = build_rh_pair(cfg, x, t)
+            assert np.array_equal(row.columns[p], one.columns)
+            assert np.array_equal(row.weights[p], one.weights)
+            assert np.array_equal(p1[p], one.evaluate_P1(lams))
+            assert np.array_equal(p2[p], one.evaluate_P2(lams))
+
+    def test_scalar_point_keeps_shapes(self, collision_cfg):
+        pair = build_rh_pair(collision_cfg, 0.3, 0.15)
+        assert pair.columns.shape == (4, 7) and pair.weights.shape == (4, 4)
+        assert pair.evaluate_P1(0.5).shape == pair.first_order_term().shape == (7, 7)
+        assert pair.evaluate_P2(np.array([0.5, 1j, 2.0])).shape == (3, 7, 7)
+
+    def test_points_broadcast(self, two_soliton_cfg):
+        pair = build_rh_pair(two_soliton_cfg, np.array([[0.0], [0.4]]), np.array([0.1, -0.2, 0.3]))
+        assert pair.columns.shape == (2, 3, 2, 7)
+        assert pair.evaluate_P1(np.array([0.5, 1j])).shape == (2, 3, 2, 7, 7)
+        assert np.array_equal(pair.weights[1, 2], build_rh_pair(two_soliton_cfg, 0.4, 0.3).weights)
+
+    def test_pole_error_names_first_lambda_over_points(self, two_soliton_cfg):
+        pair = build_rh_pair(two_soliton_cfg, np.linspace(-1.0, 1.0, 5), 0.2)
+        with pytest.raises(PoleError) as err:
+            pair.evaluate_P2(np.array([0.5, 0.5j + 1e-9, 0.3j]))
+        assert err.value.zero_index == 1 and err.value.lam == 0.5j + 1e-9
+
+    def test_rh_symmetry_check_builds_one_pair(self, collision_cfg, monkeypatch):
+        calls = []
+
+        def counted(cfg, x, t):
+            calls.append(np.broadcast(x, t).size)
+            return build_rh_pair(cfg, x, t)
+
+        monkeypatch.setattr(rhp, "build_rh_pair", counted)
+        outcome = run_checks(RunConfig(collision_cfg, checks=("rh_symmetry",)))
+        assert calls == [2] and outcome.passed
+
+
 class TestReconstructPotential:
     def test_vacuum(self):
         q = reconstruct_potential(vacuum_cfg(), 0.1, 0.2)
@@ -132,6 +187,17 @@ class TestReconstructPotential:
             assert abs(q[0, 6] - s[0]) < 1e-12
             assert abs(q[2, 6] - s[1]) < 1e-12
             assert abs(q[4, 6] - s[2]) < 1e-12
+
+    @pytest.mark.parametrize("fig", [1, 2, 3, 4])
+    def test_whole_verify_grid_in_one_call(self, fig):
+        # 451 points of the coarsened grid that `verify` checks; the worst
+        # measured is 2.7e-14 of the peak, on figure 2
+        grid = _coarsen(figure_config(fig).grid)
+        gx, gt = (a.ravel() for a in np.meshgrid(grid.xs(), grid.ts()))
+        q = reconstruct_potential(figure_spectrum(fig), gx, gt)
+        u = eval_fields_array(figure_spectrum(fig), gx, gt)
+        assert q.shape == (451, 7, 7)
+        assert np.max(np.abs(q[:, [0, 2, 4], 6] - u)) <= 1e-13 * np.max(np.abs(u))
 
     @pytest.mark.parametrize("fixture", ["two_soliton_cfg", "collision_cfg"])
     def test_symmetries_of_potential(self, fixture, request):
@@ -197,6 +263,9 @@ class TestCheckSymmetries:
         assert report.grid == "(x, t) in ((0, 0), (0.7, 0.3)), 2 lambda samples"
         res = [symmetry_residuals(collision_cfg, x, t, [0.5, 1.0 + 1.0j]) for x, t in points]
         assert report.notes == tuple(f"{k}: {max(r[k] for r in res):.3e}" for k in res[0])
+        # one call over all points gives each identity's worst value exactly
+        got = symmetry_residuals(collision_cfg, *np.array(points).T, [0.5, 1.0 + 1.0j])
+        assert got == {k: max(r[k] for r in res) for k in res[0]}
 
     def test_samples_and_zeros_near_poles_left_out(self):
         # the zero 1e-12j lies within the guard of its own conjugate pole
@@ -210,6 +279,11 @@ class TestCheckSymmetries:
             "lambda sample (1e-09+0j) left out: within 1e-08 of a pole",
             "zero 1 = 1e-12j left out of kernel and det_at_zeros: within 1e-08 of a pole",
         )
+
+    @pytest.mark.parametrize("points", [[], [(0.0, 0.0, 1.0)], [0.0, 0.7], [(0.0, 0.0), (0.7,)], [[(0.0, 0.0)]]])
+    def test_empty_or_misshaped_points_refused(self, collision_cfg, points):
+        with pytest.raises(ValueError, match="points must be"):
+            check_symmetries(collision_cfg, points, [0.5, 1.0 + 1.0j])
 
     def test_clear_samples_name_nothing(self, collision_cfg):
         report = check_symmetries(collision_cfg, [(0.0, 0.0)], [0.5, 1.0 + 1.0j])

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tccss import rhp
+from tccss import soliton
 from tccss.rhp import build_rh_pair
 from tccss.soliton import (
     DegenerateSeedError,
@@ -23,6 +23,7 @@ from tccss.soliton import (
     flow,
     one_soliton_closed_form,
     one_soliton_spectrum,
+    solve_kernel,
     theta,
     two_soliton_closed_form,
 )
@@ -59,12 +60,11 @@ def fields_at(cfg, x, t, stabilize=True):
 
 
 def rh_M(cfg, x, t, monkeypatch):
-    """The M that `build_rh_pair` forms at (x, t), and its kernel vectors;
-    M is taken from the call to `solve_M`, which is not run."""
-    seen = []
-    monkeypatch.setattr(rhp, "solve_M", lambda m, rhs, *points: seen.append(m[0]) or (rhs, m))
-    columns = build_rh_pair(cfg, x, t).columns
-    return seen[0], columns
+    """The M that `solve_kernel` forms at (x, t) for the field kernel and the
+    RH pair, and the pair's kernel vectors; `solve_M` is not run."""
+    monkeypatch.setattr(soliton, "solve_M", lambda m, rhs, *points: (rhs, m))
+    m = solve_kernel(cfg, np.array([x]), np.array([t]))[3][0]
+    return m, build_rh_pair(cfg, x, t).columns
 
 
 class TestBuildVectors:
@@ -117,7 +117,7 @@ class TestBuildVectors:
 
 
 class TestBuildM:
-    """The M of `build_rh_pair`, M_kj = (vhat_k . v_j) / (lambda_j -
+    """The M of `solve_kernel`, M_kj = (vhat_k . v_j) / (lambda_j -
     conj(lambda_k)) over the stabilized kernel vectors."""
 
     def test_type2_inner_product(self, monkeypatch):
