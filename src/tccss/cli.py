@@ -17,16 +17,15 @@ from pathlib import Path
 
 from .io_cli import (
     ConfigError,
-    VerifyError,
     export_grid,
     parse_config_file,
-    run_checks,
     run_figure,
     run_lambda_sweep,
     write_text,
 )
 from .scattering import DomainTooSmallError, NonFiniteScatteringError
 from .soliton import NearSingularError, NonFiniteFieldError, SpectrumError
+from .verify import VerifyError, run_checks
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Configuration parsing, grid export, figure reproduction, verification.
+"""Configuration parsing, grid export, figure reproduction, the lambda sweep.
 
 The JSON run configuration (complex numbers are [re, im] pairs):
 
@@ -48,8 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import floatfmt, lax, rhp, scattering, soliton
-from .report import GridSpec, ResidualReport, summarize
+from . import floatfmt, lax, scattering, soliton
+from .report import GridSpec
 from .soliton import (
     Family,
     SpectrumConfig,
@@ -58,8 +58,8 @@ from .soliton import (
     TypeIISeed,
     breather_spectrum,
     eval_fields_array,
-    eval_jets_array,
 )
+from .verify import CHECKS, potential_table, run_checks
 
 CSV_HEADER = "x,t,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3,abs_u1,abs_u2,abs_u3"
 # json.dumps({"columns": ..., "rows": rows}, separators=(",", ":"),
@@ -70,23 +70,6 @@ _JSON_TAIL = b"]}\n"
 # M entries per field-kernel call in `evaluate_grid`: 2**14 // m**2 points (4096
 # at m = 2, 1024 at m = 4) keep the kernel's temporaries cache-sized.
 GRID_ENTRIES = 2 ** 14
-
-CHECK_NAMES = ("pde", "cnls", "zero_curvature", "rh_symmetry", "scattering")
-
-# Pass thresholds on each check's max-abs residual.  The jet-route checks
-# (pde, cnls, zero_curvature) read at most 2.1e-7 on the benchmark configs at
-# the order-4, h = 1e-3 stencil defaults, nearly all of it cross-check
-# truncation (see README).
-DEFAULT_THRESHOLDS = {
-    "pde": 1e-4,
-    "cnls": 1e-4,
-    "zero_curvature": 1e-6,
-    "rh_symmetry": 1e-10,
-    "scattering": 1e-5,
-}
-
-# Checks run on a coarsened copy of the export grid to stay desk-scale.
-VERIFY_GRID_CAP = (41, 11)
 
 
 class ConfigError(ValueError):
@@ -126,18 +109,16 @@ class RunConfig:
 
     def __post_init__(self):
         for c in self.checks:
-            if c not in CHECK_NAMES:
-                raise ConfigError(
-                    f"unknown check {c!r}; supported: {', '.join(CHECK_NAMES)}"
-                )
+            if c not in CHECKS:
+                raise ConfigError(f"unknown check {c!r}; supported: {', '.join(CHECKS)}")
         for k, v in self.thresholds.items():
-            if k not in CHECK_NAMES:
+            if k not in CHECKS:
                 raise ConfigError(f"thresholds.{k}: unknown check name")
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"thresholds.{k}: expected a finite number > 0, got {v!r}")
 
     def threshold(self, check: str) -> float:
-        return float(self.thresholds.get(check, DEFAULT_THRESHOLDS[check]))
+        return float(self.thresholds.get(check, CHECKS[check][1]))
 
 
 # The object sections of RunConfig, each read and written field by field.
@@ -264,7 +245,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("checks: expected a list of check names")
     # unknown names are refused first, so only check names reach a message
-    thresholds = _object(doc.get("thresholds", {}), CHECK_NAMES, (), "thresholds", "check")
+    thresholds = _object(doc.get("thresholds", {}), CHECKS, (), "thresholds", "check")
     thresholds = {k: _number(v, f"thresholds.{k}", finite=False) for k, v in thresholds.items()}
     return RunConfig(
         _parse_spectrum(doc["spectrum"]), checks=tuple(checks), thresholds=thresholds, **parts
@@ -362,194 +343,6 @@ def export_grid(cfg: RunConfig, out_path=None) -> Path:
     return write_file(cfg.output.path if out_path is None else out_path, partial(render, rows))
 
 
-# -- verification orchestration ----------------------------------------------
-
-class VerifyError(Exception):
-    """A verification check failed to execute; carries the check name."""
-
-    def __init__(self, check: str, cause: Exception):
-        self.check = check
-        super().__init__(f"check {check!r} failed: {cause}")
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    report: ResidualReport
-    threshold: float
-    passed: bool
-
-    def as_dict(self) -> dict:
-        d = self.report.as_dict()
-        d["threshold"] = self.threshold
-        d["passed"] = self.passed
-        return d
-
-
-@dataclass(frozen=True)
-class VerificationOutcome:
-    checks: tuple[CheckOutcome, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.as_dict() for c in self.checks]}
-
-
-def _coarsen(grid: GridSpec, cap=VERIFY_GRID_CAP) -> GridSpec:
-    nx = min(grid.nx, cap[0])
-    nt = min(grid.nt, cap[1])
-    return GridSpec(grid.x_min, grid.x_max, nx, grid.t_min, grid.t_max, nt)
-
-
-def _zero_curvature_probes(grid: GridSpec) -> list[tuple[complex, float, float]]:
-    """Five seeded (lambda, x, t) probes inside 0.8 times the grid."""
-    rng = np.random.default_rng(0)
-    lams = [0.3 + 0.0j, 1.1 + 0.4j, -2.0 + 0.1j]
-    lams += [complex(rng.uniform(-2, 2), rng.uniform(0, 0.5)) for _ in range(2)]
-    return [
-        (lam, float(rng.uniform(grid.x_min, grid.x_max) * 0.8),
-         float(rng.uniform(grid.t_min, grid.t_max) * 0.8))
-        for lam in lams
-    ]
-
-
-# The jet orders each jet-route check reads, besides u itself, and the
-# sampled order whose central difference cross-checks each of them.
-_JET_ORDERS_READ = {
-    "pde": ("x1", "x3", "t1"),
-    "cnls": ("x1", "x2", "x3", "t1"),
-    "zero_curvature": ("x1", "x2", "x3", "t1"),
-}
-_SAMPLED = {"x1": "u", "x2": "u_x", "x3": "u_xx", "t1": "u"}
-
-
-def _jet_table(cfg: RunConfig):
-    """Points, jets (5, P, 3), cross-check discrepancies and probe lambdas of
-    the table: the coarsened grid's points, then the zero-curvature probes."""
-    grid = _coarsen(cfg.grid)
-    gx, gt = np.meshgrid(grid.xs(), grid.ts())
-    lams, px, pt = zip(*_zero_curvature_probes(cfg.grid))
-    x = np.concatenate([gx.ravel(), px])
-    t = np.concatenate([gt.ravel(), pt])
-    jets, discrepancy = lax.jet_table(
-        partial(eval_fields_array, cfg.spectrum), partial(eval_jets_array, cfg.spectrum),
-        x, t, cfg.stencil,
-    )
-    return x, t, jets, discrepancy, lams
-
-
-def _jet_report(check: str, cfg: RunConfig, table) -> ResidualReport:
-    """One jet-route check: its max_abs is the larger of the residual and the
-    cross-check discrepancy of every jet order it reads."""
-    x, t, jets, discrepancy, lams = table
-    grid, st, orders = _coarsen(cfg.grid), cfg.stencil, _JET_ORDERS_READ[check]
-    n = grid.nx * grid.nt
-    notes = [f"jet table: {x.size} points ({grid.nx}x{grid.nt} grid and {x.size - n} zero-curvature probes)"]
-    for o in orders:
-        notes.append(
-            f"cross-check {o}: {discrepancy[o]:.3e} against the order-{st.order} central "
-            f"first difference of {_SAMPLED[o]} in {o[0]}, h = {st.hx if o[0] == 'x' else st.ht}"
-        )
-    if check == "pde":
-        name, where = "pde_tccss", grid.describe()
-        residual = lax.pde_residual_tccss(jets[:, :n])
-    elif check == "cnls":
-        name, where = "cnls_gauge", f"{grid.describe()}, read at (X, T) = (x + t/12, t)"
-        residual = lax.gauge_transform_and_cnls_residual(jets[:, :n], x[:n], t[:n])
-    else:
-        name, where = "zero_curvature", "5 probe points (seeded rng) and the grid crest"
-        crest = int(np.argmax(np.sum(np.abs(jets[0, :n]) ** 2, axis=1)))
-        residual = []
-        for i, lam in enumerate(lams):
-            points = [n + i, crest]
-            values = lax.zero_curvature_residual(lam, jets[:, points])
-            residual.extend(values)
-            for kind, p, r in zip(("probe", "crest"), points, values):
-                notes.append(f"lambda = {lam:.3g}, {kind} (x, t) = ({x[p]:.3g}, {t[p]:.3g}): {r:.3e}")
-    return summarize(name, residual, where, notes, floor=max(discrepancy[o] for o in orders))
-
-
-def _rh_lambda_samples(spectrum: SpectrumConfig) -> list[complex]:
-    samples = [complex(v) for v in np.linspace(-3.0, 3.0, 20)]
-    probe = 0.7 + 1.3j
-    poles = np.concatenate(
-        [spectrum.expanded_zeros(), np.conj(spectrum.expanded_zeros())]
-    )
-    # nudge the off-axis probe clear of any pole mirror
-    while (np.min(np.abs(poles - probe), initial=np.inf) < 1e-3
-           or np.min(np.abs(poles + np.conj(probe)), initial=np.inf) < 1e-3):
-        probe += 0.1 + 0.05j
-    samples.append(probe)
-    return samples
-
-
-def _scattering_report(cfg: RunConfig) -> ResidualReport:
-    """Omega77 of the sampled field against the Blaschke product
-    B = prod_j (lam - z_j) / (lam - conj z_j) of the expanded zeros, which it
-    equals for a reflectionless potential: |Omega77 - B| at 9 real and 3
-    complex lambda, |Omega77(z) / B'(z)| (a Newton step to the zero of
-    Omega77 near z) at each zero z, the largest real-axis reflection, and
-    the trace identity int sum_m |u_m|^2 dx = 2 sum_j Im z_j on the table."""
-    sc, z = cfg.scattering, cfg.spectrum.expanded_zeros()
-    fields = partial(eval_fields_array, cfg.spectrum)
-    table = scattering.sample_potential(fields, sc.t, sc.x_min, sc.x_max, sc.n_steps)
-    real, off = np.linspace(-2.0, 2.0, 9), np.array([0.3 + 0.4j, -1.0 + 0.8j, 1.5 + 1.5j, *z])
-    rows = scattering.coupling_row_sweep(table, real)
-    omega77 = np.concatenate([rows[:, 6], scattering.omega77_from_table(table, off)])
-    lam = np.concatenate([real, off])[:, None]
-    ratio = (lam - z) / (lam - np.conj(z))
-    # B'(z_k): the factor of B(z_k) that vanishes becomes 1 / (z_k - conj z_k)
-    ratio[12 + np.arange(len(z)), np.arange(len(z))] = 1.0 / (z - np.conj(z))
-    residual = np.abs(omega77[:12] - np.prod(ratio[:12], axis=1))
-    newton = omega77[12:] / np.prod(ratio[12:], axis=1)
-    reflection = float(np.max(np.abs(rows[:, :6])))
-    n = len(cfg.spectrum.zeros)
-    found = [f"{z[k]:.6g}, recovered {z[k] - newton[k]:.6g}, |diff| = {abs(newton[k]):.3e}" for k in range(len(z))]
-    notes = [f"zero {j + 1}: constructed " + "; mirror ".join(found[j::n]) for j in range(n)]
-    notes.append(f"max |Omega77 - B|: {residual[:9].max():.3e} over 9 real lambda in [-2, 2], "
-                 f"{residual[9:].max():.3e} at lambda = 0.3+0.4j, -1+0.8j, 1.5+1.5j")
-    notes.append(f"max reflection entry over the 9 real lambda: {reflection:.3e}")
-    mass = float(np.trapezoid(np.sum(np.abs(table.u) ** 2, axis=1), dx=table.h / 2))
-    want = 2.0 * float(np.sum(z.imag))
-    notes.append(f"trace identity: int sum |u_m|^2 dx = {mass:.12g}, 2 sum Im z_j = {want:.12g}, "
-                 f"|diff| = {abs(mass - want):.3e}")
-    sv = ", ".join(f"{x:.3e}" for x in table.sv)
-    notes.append(f"potential spans {table.d - 1} of 6 channel directions (singular values "
-                 f"over the largest: {sv}); step products {table.d}x{table.d}")
-    return summarize(
-        "scattering",
-        [*residual, *np.abs(newton), reflection, mass - want],
-        grid=f"[{sc.x_min}, {sc.x_max}] x {sc.n_steps} steps, t = {sc.t}",
-        notes=notes,
-    )
-
-
-def run_checks(cfg: RunConfig) -> VerificationOutcome:
-    """Run every configured check; success means all max-abs below threshold.
-
-    The jet table is built once, by the first jet-route check that runs."""
-    table = None
-    outcomes = []
-    for name in cfg.checks:
-        try:
-            if name in _JET_ORDERS_READ:
-                if table is None:
-                    table = _jet_table(cfg)
-                report = _jet_report(name, cfg, table)
-            elif name == "rh_symmetry":
-                samples = _rh_lambda_samples(cfg.spectrum)
-                report = rhp.check_symmetries(cfg.spectrum, ((0.0, 0.0), (0.7, 0.3)), samples)
-            else:
-                report = _scattering_report(cfg)
-        except Exception as exc:
-            raise VerifyError(name, exc) from exc
-        threshold = cfg.threshold(name)
-        outcomes.append(CheckOutcome(report, threshold, report.max_abs < threshold))
-    return VerificationOutcome(tuple(outcomes))
-
-
 # -- figure reproduction -----------------------------------------------------
 
 _SQRT3 = float(np.sqrt(3.0))
@@ -643,9 +436,7 @@ def run_lambda_sweep(cfg: RunConfig, lam_start: float, lam_stop: float, count: i
     """Sweep real lambda, writing |Omega77| and the coupling-entry magnitudes."""
     if count < 1:
         raise ConfigError(f"sweep needs at least one sample, got {count}")
-    sc = cfg.scattering
-    fields = partial(eval_fields_array, cfg.spectrum)
-    table = scattering.sample_potential(fields, sc.t, sc.x_min, sc.x_max, sc.n_steps)
+    table = potential_table(cfg)
     lams = np.linspace(lam_start, lam_stop, count)
     omega = scattering.coupling_row_sweep(table, lams)
     rows = np.empty((count, 8))

@@ -135,6 +135,8 @@ def symmetry_residuals(cfg: SpectrumConfig, x, t, lambda_samples) -> dict[str, f
     or zeros.  Samples and zeros within POLE_GUARD_RADIUS of a pole are left
     out (`check_symmetries` names them).
     """
+    if np.broadcast(x, t).size == 0:
+        raise ValueError("symmetry residuals need at least one (x, t) point, got none")
     pair = build_rh_pair(cfg, x, t)
     lams = np.array([complex(s) for s in lambda_samples], dtype=complex)
     near_sample, near_zero = _near_poles(cfg, lams)

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tccss import cli, io_cli, scattering
+from tccss import cli, io_cli, lax, scattering, verify
 from tccss.io_cli import (
-    CHECK_NAMES,
     CSV_HEADER,
     GRID_ENTRIES,
     ConfigError,
@@ -34,7 +33,7 @@ from tccss.io_cli import (
     run_figure,
     serialize_config,
 )
-from tccss.report import GridSpec
+from tccss.report import GridSpec, ResidualReport
 from tccss.soliton import Family, eval_fields_array
 
 from conftest import reference_array
@@ -271,6 +270,23 @@ class TestExitTwo:
         assert err.endswith(" at x = 5.0 exceeds 1e-09; enlarge the domain\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("checks", [None, []], ids=["absent", "empty"])
+    def test_verify_without_checks_refused(self, tmp_path, capsys, checks):
+        # no check configured would pass vacuously; the other commands read
+        # no checks and still run
+        doc = json.loads(MINIMAL)
+        if checks is not None:
+            doc["checks"] = checks
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        report = tmp_path / "r.json"
+        err = cli_error(capsys, ["verify", "--config", str(cfg_path), "--json", str(report)])
+        assert err.startswith("error: checks: name at least one check to run; supported: pde, cnls, ")
+        assert not report.exists()
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "g.csv")]) == 0
+        sweep = ["scatter", "--config", str(cfg_path), "--lambda-re", "0.2:2:3", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(sweep) == 0
+
     @pytest.mark.parametrize("check", ["rh_symmetry", "zero_curvature", "pde"])
     def test_verify_overflowing_zero(self, tmp_path, capsys, check):
         # lambda^3 overflows: the kernels refuse it as generate does
@@ -391,7 +407,7 @@ class TestVacuum:
 
     @pytest.mark.parametrize("family", ["TypeI", "TypeII"])
     def test_verify_every_check(self, tmp_path, capsys, family):
-        checks = list(CHECK_NAMES)
+        checks = list(verify.CHECKS)
         doc = {"spectrum": {"family": family, "zeros": [], "seeds": []}, "checks": checks}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -654,15 +670,45 @@ class TestRunChecks:
         assert all(float(n.rsplit(": ", 1)[1]) < 1e-12 for n in probes)
 
     def test_jet_table_built_once_and_only_for_jet_checks(self, monkeypatch):
-        from tccss import io_cli
+        # one jet table for any mix of jet checks, none without them; one
+        # potential table with the scattering check, none without it
+        built = {}
 
-        calls = []
-        build = io_cli._jet_table
-        monkeypatch.setattr(io_cli, "_jet_table", lambda cfg: calls.append(cfg) or build(cfg))
-        run_checks(minimal_cfg(checks=["rh_symmetry"]))
-        assert calls == []
-        run_checks(minimal_cfg(checks=["pde", "rh_symmetry", "cnls", "zero_curvature"]))
-        assert len(calls) == 1
+        def counted(module, name):
+            build = getattr(module, name)
+
+            def wrapper(*args):
+                built[name] += 1
+                return build(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(lax, "jet_table")
+        counted(scattering, "sample_potential")
+        scattering_spec = {"x_min": -30.0, "x_max": 30.0, "n_steps": 3000, "t": 0.0}
+        for checks in (
+            ["rh_symmetry"],
+            ["scattering"],
+            ["pde"],
+            ["zero_curvature", "scattering"],
+            ["pde", "rh_symmetry", "cnls", "zero_curvature"],
+            ["cnls", "scattering", "pde", "rh_symmetry", "zero_curvature"],
+        ):
+            built.update(jet_table=0, sample_potential=0)
+            outcome = run_checks(minimal_cfg(checks=checks, scattering=scattering_spec))
+            assert len(outcome.checks) == len(checks)
+            jet_checks = {"pde", "cnls", "zero_curvature"} & set(checks)
+            assert built == {"jet_table": int(bool(jet_checks)), "sample_potential": int("scattering" in checks)}, checks
+
+    def test_io_cli_runs_the_verify_checks(self):
+        # `run_figure` and every caller of `io_cli.run_checks` run the one registry
+        assert io_cli.run_checks is verify.run_checks
+
+    def test_passed_follows_report_and_threshold(self):
+        report = ResidualReport("pde_tccss", 1e-3, 1e-4, "grid")
+        assert verify.CheckOutcome(report, 2e-3).passed
+        assert not verify.CheckOutcome(report, 1e-3).passed
+        assert verify.CheckOutcome(report, 2e-3).as_dict()["passed"] is True
 
     def test_threshold_override_forces_failure(self):
         cfg = minimal_cfg(checks=["rh_symmetry"], thresholds={"rh_symmetry": 1e-30})
@@ -795,7 +841,7 @@ class TestScatteringCheck:
         # zeros moved by 1e-4, fails; unmoved, it passes
         spectrum = figure_spectrum(fig)
         moved = dataclasses.replace(spectrum, zeros=(spectrum.zeros[0] + 1e-4j, *spectrum.zeros[1:]))
-        monkeypatch.setattr(io_cli, "eval_fields_array", lambda _, x, t: eval_fields_array(spectrum, x, t))
+        monkeypatch.setattr(verify, "eval_fields_array", lambda _, x, t: eval_fields_array(spectrum, x, t))
         assert run_checks(self.scattering_cfg(spectrum)).passed
         report = run_checks(self.scattering_cfg(moved)).checks[0].report
         assert report.max_abs > 5e-5
@@ -806,7 +852,7 @@ class TestScatteringCheck:
         # zero moved by 0.01i, breaks the identity by 0.02 per expanded zero
         spectrum = figure_spectrum(fig)
         moved = dataclasses.replace(spectrum, zeros=tuple(z + 0.01j for z in spectrum.zeros))
-        monkeypatch.setattr(io_cli, "eval_fields_array", lambda _, x, t: eval_fields_array(spectrum, x, t))
+        monkeypatch.setattr(verify, "eval_fields_array", lambda _, x, t: eval_fields_array(spectrum, x, t))
         outcome = run_checks(self.scattering_cfg(moved))
         assert not outcome.passed
         want = 0.02 * len(moved.expanded_zeros())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tccss import rhp
-from tccss.io_cli import RunConfig, _coarsen, figure_config, figure_spectrum, run_checks
+from tccss.io_cli import RunConfig, figure_config, figure_spectrum, run_checks
 from tccss.rhp import (
     PoleError,
     build_rh_pair,
@@ -18,6 +18,7 @@ from tccss.soliton import (
     one_soliton_spectrum,
 )
 from tccss.structure import SIGMA
+from tccss.verify import _coarsen
 
 from conftest import reference_array
 
@@ -284,6 +285,13 @@ class TestCheckSymmetries:
     def test_empty_or_misshaped_points_refused(self, collision_cfg, points):
         with pytest.raises(ValueError, match="points must be"):
             check_symmetries(collision_cfg, points, [0.5, 1.0 + 1.0j])
+
+    @pytest.mark.parametrize("x, t", [(np.zeros(0), 0.0), (0.0, np.zeros(0)), (np.zeros((2, 0)), np.zeros(0))],
+                             ids=["x", "t", "both"])
+    def test_symmetry_residuals_refuse_zero_points(self, collision_cfg, x, t):
+        # a maximum over no point would read 0 for every identity: a vacuous pass
+        with pytest.raises(ValueError, match="at least one"):
+            symmetry_residuals(collision_cfg, x, t, [0.5, 1.0 + 1.0j])
 
     def test_clear_samples_name_nothing(self, collision_cfg):
         report = check_symmetries(collision_cfg, [(0.0, 0.0)], [0.5, 1.0 + 1.0j])
