@@ -67,10 +67,6 @@ CSV_HEADER = "x,t,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3,abs_u1,abs_u2,abs_u3"
 _JSON_HEAD = b'{"columns":%s,"rows":[' % json.dumps(CSV_HEADER.split(","), separators=(",", ":")).encode()
 _JSON_TAIL = b"]}\n"
 
-# M entries per field-kernel call in `evaluate_grid`: 2**14 // m**2 points (4096
-# at m = 2, 1024 at m = 4) keep the kernel's temporaries cache-sized.
-GRID_ENTRIES = 2 ** 14
-
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration; message carries the JSON path."""
@@ -305,20 +301,17 @@ def _fmt(v: float) -> str:
 
 def evaluate_grid(cfg: RunConfig) -> np.ndarray:
     """Field rows (P, 11) in t-major order, columns as CSV_HEADER; one
-    kernel call per block of GRID_ENTRIES // m**2 points."""
+    field-kernel call, which runs the points in blocks."""
     xs, ts = cfg.grid.xs(), cfg.grid.ts()
     rows = np.empty((xs.size * ts.size, 11))
     by_t = rows.reshape(ts.size, xs.size, 11)
     by_t[:, :, 0] = xs
     by_t[:, :, 1] = ts[:, None]
-    size = GRID_ENTRIES // max(len(cfg.spectrum.expanded_zeros()), 1) ** 2
-    for start in range(0, len(rows), size):
-        block = rows[start:start + size]
-        u = eval_fields_array(cfg.spectrum, block[:, 0], block[:, 1])
-        block[:, 2:8:2] = u.real
-        block[:, 3:8:2] = u.imag
-        # np.hypot rounds as Python's abs(complex) does; np.abs may not
-        block[:, 8:] = np.hypot(u.real, u.imag)
+    u = eval_fields_array(cfg.spectrum, rows[:, 0], rows[:, 1])
+    rows[:, 2:8:2] = u.real
+    rows[:, 3:8:2] = u.imag
+    # np.hypot rounds as Python's abs(complex) does; np.abs may not
+    np.hypot(u.real, u.imag, out=rows[:, 8:])
     return rows
 
 

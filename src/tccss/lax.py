@@ -48,33 +48,30 @@ class StencilSpec:
             raise ValueError(f"order must be 2 or 4, got {self.order}")
 
 
-def jet_table(
-    fields: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    jets: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x,
-    t,
-    st: StencilSpec,
-) -> tuple[np.ndarray, dict[str, float]]:
+def jet_table(jets: Callable[[np.ndarray, np.ndarray, int], np.ndarray], x, t,
+              st: StencilSpec) -> tuple[np.ndarray, dict[str, float]]:
     """Jets (5, P, 3) at the points, and each order's cross-check discrepancy.
 
-    `jets(x[], t[])` gives the (5, P, 3) jets at P points, `fields(x[], t[])`
-    the (P, 3) fields; each is called once per stencil shift.  Orders
-    x1 and t1 are compared with the order-`st.order` central first
+    `jets(x[], t[], terms)` gives the first `terms` jet orders (terms, P, 3)
+    at P points.  It is called three times: for the table, for every x-shift
+    of the stencil at once (u, u_x, u_xx) and for every t-shift at once (u).
+    Orders x1 and t1 are compared with the order-`st.order` central first
     difference of u, x2 and x3 with that of the next lower jet order; the
     discrepancy is the largest absolute difference over points and components.
     """
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    weights = _STENCILS[st.order]
+    steps = [s * k for k in weights for s in (1, -1)]  # +k, -k per weight
 
-    def difference(sample, h):
-        # mirror shifts combined pairwise, one kernel call per shift
-        weights = _STENCILS[st.order].items()
-        return sum(w * (sample(k * h) - sample(-k * h)) for k, w in weights) / h
+    def difference(samples, h):  # mirror shifts combined pairwise
+        s = samples.reshape(len(samples), len(steps), x.size, 3)
+        return sum(w * (s[:, 2 * i] - s[:, 2 * i + 1]) for i, w in enumerate(weights.values())) / h
 
-    table = jets(x, t)
+    table = jets(x, t, 5)
     # central differences of u, u_x and u_xx in x, and of u in t
-    dx = difference(lambda s: jets(x + s, t)[:3], st.hx)
-    dt = difference(lambda s: fields(x, t + s), st.ht)
-    errors = np.abs(np.concatenate([dx, dt[None]]) - table[1:])
+    dx = difference(jets(np.concatenate([x + k * st.hx for k in steps]), np.tile(t, len(steps)), 3), st.hx)
+    dt = difference(jets(np.tile(x, len(steps)), np.concatenate([t + k * st.ht for k in steps]), 1), st.ht)
+    errors = np.abs(np.concatenate([dx, dt]) - table[1:])
     return table, dict(zip(("x1", "x2", "x3", "t1"), np.max(errors, axis=(1, 2), initial=0.0).tolist()))
 
 

@@ -9,8 +9,8 @@ degenerates to rational matrix functions
 normalized to the identity at infinity.  P1 is analytic in the closed upper
 half-plane (poles only at the conjugated zeros below the axis), P2 the other
 way around, and P2 P1 = I identically.  The potential matrix is recovered
-from the 1/lam coefficient of P1.  Their weights M^-1 are those of the field
-kernel, from one `soliton.solve_kernel` call over many (x, t) points.
+from the 1/lam coefficient of P1.  Their weights M^-1 come from the field
+kernel's elimination, one `soliton.solve_kernel` call over many (x, t) points.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .report import ResidualReport, summarize
-from .soliton import Family, SpectrumConfig, solve_kernel
+from .soliton import Family, SpectrumConfig, flow, solve_kernel
 from .structure import SIGMA, SIGMA3
 
 POLE_GUARD_RADIUS = 1e-8
@@ -84,10 +84,12 @@ class RHSolutionPair:
 
 
 def build_rh_pair(cfg: SpectrumConfig, x, t) -> RHSolutionPair:
-    """Both RH factors at the points (x, t), which broadcast; the weights are
-    the X = M^-1 of one `solve_kernel` call over all of them."""
+    """Both RH factors at the points (x, t), which broadcast: the kernel
+    vectors of `flow`, and as weights the M^-1 of one `solve_kernel`
+    elimination over all the points."""
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    seeds, e, f, *_, weights = solve_kernel(cfg, x.ravel(), t.ravel())
+    weights = solve_kernel(cfg, x.ravel(), t.ravel(), weights=True)[1]
+    seeds, e, f = flow(cfg, x.ravel(), t.ravel())
     columns = np.concatenate([seeds[:, :6] * e[:, :, None], seeds[:, 6:] * f[:, :, None]], axis=2)
     shape = x.shape + (len(seeds),)
     return RHSolutionPair(columns.reshape(shape + (7,)), weights.reshape(shape + (len(seeds),)), cfg.expanded_zeros())

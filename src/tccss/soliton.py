@@ -3,8 +3,8 @@
 The solution fields come out of a finite linear-algebra problem: each
 spectral zero lambda_j in the upper half-plane carries a constant seed
 vector; the space-time flow theta_j = i*lambda_j*x + 4i*lambda_j^3*t turns
-the seeds into kernel vectors v_j, from which a small Gram-like matrix M is
-assembled and inverted.  Two families are supported:
+the seeds into kernel vectors v_j, whose small Cauchy-like matrix M is
+inverted.  Two families are supported:
 
 * type I  -- zeros come in mirrored pairs (lambda_j, -conj(lambda_j)); the
   user supplies the N base zeros and six-component seeds, the mirrored half
@@ -14,26 +14,33 @@ assembled and inverted.  Two families are supported:
 
 `flow` is the one place the seeds meet the flow: it gives the expanded
 seeds, the Type I mirror included, and the stabilized exponentials at many
-points.  `solve_kernel` alone forms M, on `flow`, and solves it through
-`solve_M`, one partial-pivot elimination over the whole stack, which refuses
-an M that is non-finite or too ill-conditioned.  The field kernels and the RH
-factors of `rhp` build on it; the field kernels give complex arrays: (P, 3)
-from `eval_fields_array`, many points in one vectorized pass, and (5, P, 3)
-from `eval_jets_array`, the exact jets (u, u_x, u_xx, u_xxx, u_t).
+points.  `solve_kernel` runs one elimination on those kernel vectors over
+all points, never forming M, and refuses a point whose pivots are non-finite
+or too far apart.  The field kernels and the RH factors of `rhp` build on
+it; the field kernels give complex arrays: (P, 3) from `eval_fields_array`,
+many points in one vectorized pass, and (terms, P, 3) from `eval_jets_array`,
+the exact jets (u, u_x, u_xx, u_xxx, u_t) or their first terms.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .structure import SIGMA
 
-# Largest accepted 2-norm condition number of M: below 2e4 on the bundled
-# figure grids, above 4e15 for zeros 1e-13 apart with equal seeds.
+# Entries of the generators g per block of points of `solve_kernel`: blocks
+# of about KERNEL_ENTRIES // (terms m (min(m, 6) + 1)) points (m more channels
+# with the weights) keep its temporaries cache-sized.
+KERNEL_ENTRIES = 2 ** 15
+# Largest accepted ratio of the largest to the smallest pivot of the
+# elimination, at most cond(M): below 600 on the bundled figure grids, 4e26
+# for zeros 1e-13 apart with equal seeds.
 MAX_CONDITION = 1e14
 
 
@@ -46,7 +53,7 @@ class DegenerateSeedError(ValueError):
 
 
 class NearSingularError(ArithmeticError):
-    """M is singular to working precision; names the worst (x, t) and cond(M)."""
+    """M is singular to working precision; names the worst (x, t) and its pivot ratio."""
 
 
 class NonFiniteFieldError(ArithmeticError):
@@ -182,7 +189,6 @@ def flow(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, stabilize: bool = Tr
     return seeds, e, f
 
 
-# with the flow finite, M overflows through a seed pairing over a small pole gap
 _M_OVERFLOW = "M overflows double precision: a pole gap z_j - conj(z_k) is too small for its seed pairing"
 
 
@@ -195,136 +201,138 @@ def _refuse_non_finite(a: np.ndarray, x, t, cause="the flow exponents overflow d
         )
 
 
-def check_M(m: np.ndarray, x, t) -> None:
-    """Refuse a non-finite stack (P, m, m) of M, or one whose SVD condition
-    number exceeds MAX_CONDITION, naming the worst of the points `x`, `t`."""
-    _refuse_non_finite(m, x, t, _M_OVERFLOW)
-    cond = np.linalg.cond(m)
-    p = int(np.argmax(cond))
-    if not cond[p] <= MAX_CONDITION:
-        raise NearSingularError(
-            f"M is near-singular at (x, t) = ({x[p]:.17g}, {t[p]:.17g}): condition "
-            f"number {cond[p]:.3e} exceeds {MAX_CONDITION:.0e} (nearly coincident zeros?)"
-        )
+def _mul(a, b, out=None, scratch=None) -> np.ndarray:
+    """Truncated product of two series, terms leading (1, dx, dx^2, dx^3, dt
+    modulo (dx^4, dx dt, dt^2), as many as `a` has), into `out` if given."""
+    n = len(a) - (len(a) == 5)  # the terms in dx alone
+    c = np.multiply(a[0], b, out=out)
+    for i in range(1, n):
+        c[i:n] += np.multiply(a[i], b[:n - i], out=None if scratch is None else scratch[:n - i])
+    if len(a) == 5:
+        c[4] += np.multiply(a[4], b[0], out=None if scratch is None else scratch[0])
+    return c
 
 
-def _gepp(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """[y | X] (P, m, k + m), M y = rhs and X = M^-1, by Gaussian elimination
-    with partial pivoting (largest |.|; rows swap only where needed) of
-    [M | rhs | I], entry-major (m, 2m + k, P).  Each product is one numpy call
-    on two (P,) entries, never in place, which numpy rounds alike at any P."""
-    n, k = m.shape[1], rhs.shape[2]
-    w = np.empty((n, 2 * n + k, len(m)), dtype=complex)
-    w[:, :n], w[:, n:n + k], w[:, n + k:] = m.transpose(1, 2, 0), rhs.transpose(1, 2, 0), np.eye(n)[..., None]
+def _reciprocal(a) -> np.ndarray:
+    """1 / a for a series a, terms as `_mul`'s."""
+    n = len(a) - (len(a) == 5)
+    r = [1.0 / a[0]]
+    for k in range(1, n):
+        r.append(-r[0] * functools.reduce(operator.add, (a[i] * r[k - i] for i in range(1, k + 1))))
+    if len(a) == 5:
+        r.append(-r[0] * a[4] * r[0])
+    return np.stack(r)
+
+
+def _eliminate(cfg: SpectrumConfig, x, t, terms: int, stabilize: bool, weights: bool):
+    """`solve_kernel` on one block of points, bar the pivot ratio bound; W is (P, 0, 0) without `weights`."""
+    if len(x) == 1:  # numpy picks other inner loops, with other roundings, at one point
+        jets, w, ratio = _eliminate(cfg, np.repeat(x, 2), np.repeat(t, 2), terms, stabilize, weights)
+        return jets[:, :1], w[:1], ratio[:1]
+    (seeds, e, f), zeros = flow(cfg, x, t, stabilize), cfg.expanded_zeros()
+    # below six zeros, the six field channels run in an orthonormal basis of the seeds' span
+    basis = np.linalg.qr(seeds[:, :6].T)[0] if len(seeds) < 6 else np.eye(6)
+    m, n, k, d = len(zeros), len(x), len(zeros) * weights, basis.shape[1]  # g: d field channels, f, k of B
     with np.errstate(all="ignore"):
-        for c in range(n):
-            piv = c + np.argmax(np.abs(w[c:, c]), axis=0)
-            pts = np.flatnonzero(piv != c)
-            w[c, c:, pts], w[piv[pts], c:, pts] = w[piv[pts], c:, pts], w[c, c:, pts]
-            w[c, c] = np.reciprocal(w[c, c])  # the diagonal keeps 1 / pivot
-            for r in range(c + 1, n):
-                low = w[r, c] * w[c, c]
-                for j in range(c + 1, w.shape[1]):
-                    w[r, j] -= low * w[c, j]
-        for c in reversed(range(n)):
-            for j in range(n, w.shape[1]):
-                w[c, j] = w[c, j] * w[c, c]
-                for r in range(c):
-                    w[r, j] -= w[r, c] * w[c, j]
-    return np.ascontiguousarray(w[:, n:].transpose(2, 0, 1))
+        # Taylor coefficients of exp(a dx + b dt), a = i z and b = 4 i z^3
+        rate = np.array([zeros ** 0, 1j * zeros, -zeros ** 2 / 2, -1j * zeros ** 3 / 6, 4j * zeros ** 3])
+        rate = rate[:terms, :, None]
+        g = np.empty((terms, m, d + 1 + k, n), dtype=complex)
+        np.multiply((seeds[:, :6] @ np.conj(basis))[:, :, None], (rate * np.ascontiguousarray(e.T))[:, :, None],
+                    out=g[:, :, :d])
+        np.multiply(seeds[:, 6, None], np.array([1, -1, 1, -1, -1])[:terms, None, None] * rate * f.T, out=g[:, :, d])
+        g[:, :, d + 1:] = np.eye(m, k)[..., None] * (np.arange(terms) == 0)[:, None, None, None]
+        z = np.repeat(zeros[:, None], n, axis=1)  # each point's order of the zeros
+        u, w, pivots = np.zeros((terms, d, n), dtype=complex), np.zeros((k, k, n), dtype=complex), np.empty((m, n))
+        # the products of each step, and their partial products
+        work, scratch = np.empty_like(g), np.empty((min(terms - 1, 3),) + g.shape[1:], dtype=complex)
+        for c in range(m):
+            if c + 1 < m:  # pivot: swap in the row of largest |M_kk|
+                piv = c + np.argmax((np.abs(g[0, c:, :d + 1]) ** 2).sum(axis=1) / z[c:].imag, axis=0)
+                pts = np.flatnonzero(piv != c)
+                to = piv[pts]
+                g[:, c, :, pts], g[:, to, :, pts] = g[:, to, :, pts], g[:, c, :, pts]
+                z[c, pts], z[to, pts] = z[to, pts], z[c, pts]
+            gc = g[:, c]
+            # conj((z_c - conj z_k) M_kc) = g_k . conj(g_c) for the rows k >= c
+            col = _mul(g[:, c:, :d + 1], np.conj(gc[:, None, :d + 1]), work[:, c:, :d + 1],
+                       scratch[:, c:, :d + 1]).sum(axis=2)
+            pivots[c] = col[0, 0].real / (2 * z[c].imag)
+            q = _reciprocal(col[:, 0].real) * (-4 * z[c].imag)  # 2i / M_cc
+            # the field term 2i g_c[:d] conj(g_c[d]) / M_cc, then conj(M_kc / M_cc) for k > c
+            low = _mul(np.concatenate([_mul(gc[:, :d], np.conj(gc[:, d:d + 1])), col[:, 1:]], axis=1), q[:, None])
+            u += low[:, :d]
+            low = low[:, d:] * (0.5j / (np.conj(z[c]) - z[c + 1:]))
+            g[:, c + 1:] -= _mul(low[:, :, None], gc[:, None], work[:, c + 1:], scratch[:, c + 1:])
+            if weights:
+                w += gc[0, d + 1:, None] * np.conj(gc[0, d + 1:]) * (-0.5j * q[0])
+        _refuse_non_finite(np.where(np.isnan(pivots), 0.0, pivots).T, x, t, _M_OVERFLOW)
+        ratio = pivots.max(axis=0, initial=0.0) / pivots.min(axis=0, initial=np.inf)  # NaN where a pivot is
+    u = functools.reduce(operator.add, (basis[0:6:2, i, None] * u[:, i, None] for i in range(d)),
+                         np.zeros((terms, 3, n)))
+    jets = (u * np.array([1, 1, 2, 6, 1])[:terms, None, None]).transpose(0, 2, 1)  # Taylor coefficients to jets
+    return jets, w.transpose(2, 0, 1), ratio
 
 
-def solve_M(m: np.ndarray, rhs: np.ndarray, x, t):
-    """Solve the stacked systems M[p] y[p] = rhs[p], (P, m, m) by (P, m, k),
-    and return (y, X) with X = M^-1.
+def solve_kernel(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, terms: int = 1, stabilize: bool = True,
+                 weights: bool = False):
+    """The fields at the points by one elimination on the kernel vectors of
+    `flow`: (jets, W, ratio), jets (terms, P, 3) the first `terms` of (u,
+    u_x, u_xx, u_xxx, u_t), W = M^-1 (P, m, m) if `weights` (else None) and
+    ratio (P,) each point's largest pivot over its smallest.
 
-    `_gepp` also gives X, and cond(M) <= |M|_F |X|_F, at most m times too
-    large: a stack whose products stay below MAX_CONDITION / 2 is accepted;
-    `check_M` decides any other stack, and one it accepts with a non-finite
-    solution (a zero or tiny pivot gives inf or NaN) raises LinAlgError."""
-    if m.ndim != 3 or rhs.ndim != 3 or m.shape[2] != m.shape[1] or rhs.shape[:2] != m.shape[:2]:
-        raise ValueError(f"solve_M needs stacks (P, m, m) and (P, m, k), got {m.shape} and {rhs.shape}")
-    _refuse_non_finite(m, x, t, _M_OVERFLOW)
-    yx, k = _gepp(m, rhs), rhs.shape[2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # squares overflow at extreme scales; inf or NaN leaves the stack to the SVD
-        bound = (np.abs(m) ** 2).sum(axis=(1, 2)) * (np.abs(yx[..., k:]) ** 2).sum(axis=(1, 2))
-    if not np.all(bound < (0.5 * MAX_CONDITION) ** 2):
-        check_M(m, x, t)
-        if not np.isfinite(yx).all():
-            raise np.linalg.LinAlgError("the elimination of an accepted M is not finite")
-    return yx[..., :k], yx[..., k:]
+    M_kj = (vhat_k . v_j) / (z_j - conj z_k) is never formed: its Schur
+    complements keep that form on generators g_k, first v_k, and pivot c
+    sets g_k -= conj(M_kc / M_cc) g_c (Gohberg, Kailath & Olshevsky, Math.
+    Comp. 64, 1995).  M is anti-Hermitian, so the right-hand side
+    conj(g_k[6]) and the output rows g_k[0:6:2] take the same update: u is
+    the dressing sum of 2i g_c[0:6:2] conj(g_c[6]) / M_cc.  The rows of the
+    identity, conjugated and carried as channels of g, end as conj(B) with
+    M^-1 = B^H diag(1 / M_cc) B.  Below six zeros, channels 0..5 run in an
+    orthonormal basis of the seeds' span.  Each point pivots on its largest
+    |g_k|^2 / Im z_k; the pivots i M_cc = |g_c|^2 / (2 Im z_c) are positive
+    (iM is Hermitian positive definite), their ratio is at most cond(M), and
+    a ratio above MAX_CONDITION or a non-finite pivot is refused.
 
-
-def solve_kernel(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, stabilize: bool = True, odd: bool = False):
-    """M at the points of `flow`, solved once through `solve_M`: (seeds, e, f,
-    M, M_odd, y, X), y = M^-1 conj(f seed_7) (P, m) and X = M^-1 (P, m, m).
-
-    M_kj = (vhat_k . v_j) / (lambda_j - conj(lambda_k)) over the kernel
-    vectors v_j is (p6 + p7) / gaps: the seed pairings times outer products
-    of e (channels 1..6) and f (channel 7), with no (P, m, 7) vector array.
-    M_odd = (p6 - p7) / gaps, which odd derivatives of M scale, if `odd`.
+    Each quantity is a series in 1, dx, dx^2, dx^3, dt (`_mul`): e_j and f_j
+    enter times exp(+-(a dx + b dt)), a = i z_j and b = 4 i z_j^3, and conj
+    acts per term; pivots are chosen and checked on the first term.  Only
+    elementwise operations and sums over a leading axis touch the data: a
+    point's bits do not depend on the rest of the call, which runs in
+    blocks (a lone point runs twice).
     """
-    seeds, e, f = flow(cfg, x, t, stabilize)
-    zeros = cfg.expanded_zeros()
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a pole gap near 0 overflows M to inf or NaN, which `solve_M` refuses
-        p6 = np.conj(seeds[:, :6]) @ seeds[:, :6].T * (np.conj(e)[:, :, None] * e[:, None, :])
-        p7 = np.outer(np.conj(seeds[:, 6]), seeds[:, 6]) * (np.conj(f)[:, :, None] * f[:, None, :])
-        gaps = zeros[None, :] - np.conj(zeros)[:, None]
-        m = (p6 + p7) / gaps
-        y, inv = solve_M(m, np.conj(seeds[:, 6] * f)[:, :, None], x, t)
-        return seeds, e, f, m, (p6 - p7) / gaps if odd else None, y[:, :, 0], inv
+    m, n = len(cfg.expanded_zeros()), len(x)
+    blocks = max(-(-n * terms * max(m, 1) * (min(m, 6) + 1 + m * weights) // KERNEL_ENTRIES), 1)
+    size, k = max(-(-n // blocks), 1), m * weights
+    jets, w, ratio = np.empty((terms, n, 3), dtype=complex), np.empty((n, k, k), dtype=complex), np.empty(n)
+    for i in range(0, max(n, 1), size):
+        jets[:, i:i + size], w[i:i + size], ratio[i:i + size] = _eliminate(
+            cfg, x[i:i + size], t[i:i + size], terms, stabilize, weights)
+    p = int(np.argmax(ratio)) if n else 0
+    if n and not ratio[p] <= MAX_CONDITION:
+        raise NearSingularError(
+            f"M is near-singular at (x, t) = ({x[p]:.17g}, {t[p]:.17g}): pivot ratio "
+            f"{ratio[p]:.3e} exceeds {MAX_CONDITION:.0e} (nearly coincident zeros?)"
+        )
+    return jets, w if weights else None, ratio
 
 
-def eval_fields_array(
-    cfg: SpectrumConfig, x, t, stabilize: bool = True
-) -> np.ndarray:
+def eval_fields_array(cfg: SpectrumConfig, x, t, stabilize: bool = True) -> np.ndarray:
     """Fields (u1, u2, u3) at the points (x[p], t[p]) in one pass: (P, 3),
     the order-0 part of `eval_jets_array`."""
-    return eval_jets_array(cfg, x, t, stabilize, derivatives=False)[0]
+    return eval_jets_array(cfg, x, t, 1, stabilize)[0]
 
 
-def eval_jets_array(
-    cfg: SpectrumConfig, x, t, stabilize: bool = True, derivatives: bool = True
-) -> np.ndarray:
-    """Exact jets (u, u_x, u_xx, u_xxx, u_t) at the points: (5, P, 3).
-
-    `x` and `t` broadcast against each other; with `derivatives=False` only
-    u is formed, (1, P, 3).  M and the solve are those of `solve_kernel`.
-
-    The fields depend on (x, t) only through theta = i z x + 4 i z^3 t of
-    each expanded zero z, and not on the scale s of `flow`, held fixed at
-    each point.  So a derivative along a rate a (a = i z for x, 4 i z^3 for t)
-    multiplies e_j by a_j, f_j by -a_j and the right-hand side b = conj(f
-    seed_7) by -conj(a): M's two numerator parts pick up c^n and (-c)^n
-    with c_kj = conj(a_k) + a_j.  Leibniz's rule gives every jet order of
-    y = M^-1 b from the inverse X that the solve of y forms anyway,
-
-        y^(n) = X (b^(n) - sum_{i=1..n} C(n, i) M^(i) y^(n-i)),
-
-    and u^(n) = 2i sum_j sum_i C(n, i) a_j^i e_j y_j^(n-i) seed_j (Taylor-mode
-    propagation), with no second solve or condition check.
+def eval_jets_array(cfg: SpectrumConfig, x, t, terms: int = 5, stabilize: bool = True) -> np.ndarray:
+    """Exact jets (u, u_x, u_xx, u_xxx, u_t), or their first `terms` (1 to
+    5), at the points, which broadcast: (terms, P, 3).  The elimination of
+    `solve_kernel` in truncated Taylor series (Griewank & Walther,
+    *Evaluating Derivatives*, ch. 13) gives every order with no second solve.
     """
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    x, t = x.ravel(), t.ravel()
-    seeds, e, f, m, m_odd, y, inv = solve_kernel(cfg, x, t, stabilize, odd=derivatives)
-    with np.errstate(over="ignore", invalid="ignore"):
-        zeros, comps, b = cfg.expanded_zeros(), seeds[:, 0:6:2], np.conj(seeds[:, 6] * f)
-        jets = [2j * (e * y) @ comps]
-        if derivatives:
-            for rate, n in ((1j * zeros, 3), (4j * zeros ** 3, 1)):
-                c = np.conj(rate)[:, None] + rate[None, :]
-                dm = {i: c ** i * (m_odd if i % 2 else m) for i in range(1, n + 1)}
-                ys = [y]
-                for k in range(1, n + 1):
-                    r = (-np.conj(rate)) ** k * b
-                    for i in range(1, k + 1):
-                        r -= math.comb(k, i) * np.einsum("pij,pj->pi", dm[i], ys[k - i])
-                    ys.append(np.einsum("pij,pj->pi", inv, r))
-                    g = sum(math.comb(k, i) * rate ** i * ys[k - i] for i in range(k + 1))
-                    jets.append(2j * (e * g) @ comps)
-        jets = np.stack(jets)
+    if terms not in range(1, 6):
+        raise ValueError(f"terms must be 1 to 5, got {terms}")
+    x, t = (a.ravel() for a in np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float)))
+    jets = solve_kernel(cfg, x, t, terms, stabilize)[0]
     _refuse_non_finite(jets.transpose(1, 0, 2), x, t)
     return jets
 

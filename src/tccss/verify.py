@@ -92,10 +92,7 @@ class _Inputs:
         lams, px, pt = zip(*_zero_curvature_probes(cfg.grid))
         x = np.concatenate([gx.ravel(), px])
         t = np.concatenate([gt.ravel(), pt])
-        jets, discrepancy = lax.jet_table(
-            partial(eval_fields_array, cfg.spectrum), partial(eval_jets_array, cfg.spectrum),
-            x, t, cfg.stencil,
-        )
+        jets, discrepancy = lax.jet_table(partial(eval_jets_array, cfg.spectrum), x, t, cfg.stencil)
         return grid, x, t, jets, discrepancy, lams
 
 

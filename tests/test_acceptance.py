@@ -114,10 +114,7 @@ def zero_curvature_at(fig_id: int, h: float, probes) -> tuple[list[float], dict]
     cfg = figure_spectrum(fig_id)
     x = np.array([p[1] for p in probes])
     t = np.array([p[2] for p in probes])
-    jets, cross = jet_table(
-        partial(eval_fields_array, cfg), partial(eval_jets_array, cfg), x, t,
-        StencilSpec(hx=h, ht=h, order=4),
-    )
+    jets, cross = jet_table(partial(eval_jets_array, cfg), x, t, StencilSpec(hx=h, ht=h, order=4))
     residuals = [float(zero_curvature_residual(lam, jets[:, [i]])[0]) for i, (lam, _, _) in enumerate(probes)]
     return residuals, cross
 

@@ -1,46 +1,106 @@
-"""The linear algebra of the construction: the stacked `M` solve of
-`soliton.solve_M` with its condition screen, the refusal rule of
-`soliton.check_M`, and the determinants of the structure matrices that
-the RH checks rely on."""
+"""The linear algebra of the construction: the elimination on the kernel
+vectors in `soliton.solve_kernel`, its refusal rule on the pivots, the
+weights M^-1 it gives the RH pair, and the determinants of the structure
+matrices that the RH checks rely on.  M itself is formed only here, from
+the kernel vectors of `flow`, as the oracle the elimination must invert."""
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from conftest import reference_array
+from test_corpus import CORPUS
 from tccss import soliton
-from tccss.io_cli import figure_config
+from tccss.io_cli import figure_config, figure_spectrum
+from tccss.rhp import build_rh_pair
 from tccss.soliton import (
     MAX_CONDITION,
+    Family,
     NearSingularError,
     NonFiniteFieldError,
-    check_M,
+    SpectrumConfig,
+    TypeIISeed,
     eval_fields_array,
-    solve_M,
+    eval_jets_array,
+    flow,
+    one_soliton_spectrum,
+    solve_kernel,
 )
 from tccss.structure import SIGMA, SIGMA3
 
 
-def rand_matrix(rng, n, m=None):
-    m = n if m is None else m
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+def kernel_vectors(cfg, x, t):
+    """The stabilized kernel vectors v_j at the points: (P, m, 7)."""
+    seeds, e, f = flow(cfg, np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(t, dtype=float)))
+    return np.concatenate([seeds[:, :6] * e[:, :, None], seeds[:, 6:] * f[:, :, None]], axis=2)
 
 
-def at_points(p):
-    """(x, t) labels for a stack of p matrices: x = 0, 1, ..., t = 0.5."""
-    return np.arange(p, dtype=float), np.full(p, 0.5)
+def formed_M(cfg, x, t):
+    """M_kj = (vhat_k . v_j) / (z_j - conj z_k) at the points: (P, m, m)."""
+    v, z = kernel_vectors(cfg, x, t), cfg.expanded_zeros()
+    return np.conj(v) @ v.swapaxes(1, 2) / (z[None, :] - np.conj(z)[:, None])
 
 
-class TestConstruction:
-    def test_rejects_nan(self):
-        m = np.array([[[np.nan, 0], [0, 1]]], dtype=complex)
-        with pytest.raises(NonFiniteFieldError, match="non-finite"):
-            check_M(m, *at_points(1))
+def figure_grid(fig_id):
+    cfg = figure_config(fig_id)
+    return cfg.spectrum, *(a.ravel() for a in np.meshgrid(cfg.grid.xs(), cfg.grid.ts()))
 
-    def test_rejects_inf_imag(self):
-        m = np.array([np.eye(2), [[1, 0], [0, 1j * np.inf]]])
-        with pytest.raises(NonFiniteFieldError, match=r"\(x, t\) = \(1, 0.5\)"):
-            solve_M(m, np.ones((2, 2, 1)), *at_points(2))
+
+def close_pair(gap, seed2=(1.0, 2.0, 3.0)):
+    """Type II zeros i and (1 + gap) i; seeds (1, 2, 3) and `seed2`."""
+    return SpectrumConfig(
+        Family.TYPE_II, (1j, (1 + gap) * 1j), (TypeIISeed(1.0, 2.0, 3.0), TypeIISeed(*seed2))
+    )
+
+
+class TestRefusals:
+    def test_non_finite_point_named(self):
+        cfg = figure_spectrum(4)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteFieldError, match=rf"\(x, t\) = \({bad}, 0.5\)"):
+                eval_fields_array(cfg, [0.0, bad], [0.5, 0.5])
+
+    @pytest.mark.parametrize("eta", [1e-308, 5e-324])
+    def test_pole_gap_overflows_the_pivot(self, eta):
+        # the flow stays finite, the pivot |v|^2 / (2 eta) does not
+        cfg = one_soliton_spectrum(1.0, 2.0, 3.0, eta)
+        pole_gap = r"non-finite field at \(x, t\) = \(-1, 0.5\): M overflows double precision: a pole gap"
+        for evaluate in (eval_fields_array, eval_jets_array, build_rh_pair):
+            with pytest.raises(NonFiniteFieldError, match=pole_gap):
+                evaluate(cfg, np.array([-1.0, 1.0]), 0.5)
+
+    def test_near_singular_point_named_in_large_stack(self):
+        # distinct seeds and zeros 1e-9 apart: the pivot ratio is 2 at x = -5
+        # and 4e18 at x = 20, the one point of 1000 that is refused, with no
+        # numpy warning on the way
+        cfg = close_pair(1e-9, (3.0, 2.0, 1.0))
+        x = np.full(1000, -5.0)
+        x[500] = 20.0
+        assert solve_kernel(cfg, x[:2], np.full(2, 0.5))[2].max() < 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for evaluate in (eval_fields_array, eval_jets_array, build_rh_pair):
+                with pytest.raises(NearSingularError, match=r"\(x, t\) = \(20, 0.5\): pivot ratio [34]\.\d+e\+18"):
+                    evaluate(cfg, x, 0.5)
+
+    def test_bound_between_close_pairs(self):
+        # equal seeds: the pivot ratio is 3e12 to 4e12 at a gap of 1e-6
+        # (accepted) and about 4e18 at a gap of 1e-9 (refused), at every point
+        x, t = np.linspace(-5, 5, 11), np.full(11, 0.1)
+        ratio = solve_kernel(close_pair(1e-6), x, t)[2]
+        assert np.all((1e12 < ratio) & (ratio < 1e13))
+        with pytest.raises(NearSingularError, match=r"pivot ratio [34]\.\d+e\+18 exceeds 1e\+14"):
+            eval_fields_array(close_pair(1e-9), x, t)
+
+    def test_vacuum(self):
+        vacuum = SpectrumConfig(Family.TYPE_I, (), ())
+        x, t = np.linspace(-1, 1, 3), np.zeros(3)
+        jets, weights, ratio = solve_kernel(vacuum, x, t, 5, weights=True)
+        assert np.array_equal(jets, np.zeros((5, 3, 3))) and weights.shape == (3, 0, 0)
+        assert np.array_equal(ratio, np.zeros(3))
+        assert build_rh_pair(vacuum, x, t).columns.shape == (3, 0, 7)
 
 
 class TestMatmul:
@@ -49,94 +109,46 @@ class TestMatmul:
         assert np.array_equal(SIGMA @ SIGMA, np.eye(7))
 
 
-class TestLuSolve:
-    def test_identity_system(self):
-        rng = np.random.default_rng(0)
-        b = rand_matrix(rng, 4, 2)[None]
-        x, _ = solve_M(np.eye(4, dtype=complex)[None], b, *at_points(1))
-        assert np.allclose(x, b, atol=0)
+class TestWeights:
+    """The RH weights of the elimination, B^H diag(1 / M_cc) B, against the
+    M formed from the kernel vectors."""
 
-    def test_diagonal_inverse(self):
-        a = np.diag([2j, -1j])[None]
-        x, inv = solve_M(a, np.eye(2, dtype=complex)[None], *at_points(1))
-        assert np.allclose(x[0], np.diag([-0.5j, 1j]), atol=1e-15)
-        assert np.allclose(inv[0], np.diag([-0.5j, 1j]), atol=1e-15)
-
-    def test_scalar_inverse_from_one_soliton_m11(self):
+    def test_one_soliton_origin(self):
         # M11 = 29 / (2i) for the unit-seed (1, 2, 3) one-soliton at the origin
-        x, _ = solve_M(np.array([[[29 / 2j]]]), np.array([[[1.0 + 0j]]]), *at_points(1))
-        assert abs(x[0, 0, 0] - 2j / 29) < 1e-16
+        weights = build_rh_pair(one_soliton_spectrum(1.0, 2.0, 3.0, 1.0), 0.0, 0.0).weights
+        assert abs(weights[0, 0] - 2j / 29) < 1e-16
 
-    def test_residual_contract(self):
-        rng = np.random.default_rng(11)
-        a = np.array([rand_matrix(rng, 6) for _ in range(20)])
-        a = a[np.linalg.cond(a) <= 1e6]
-        b = np.array([rand_matrix(rng, 6, 3) for _ in range(len(a))])
-        x, _ = solve_M(a, b, *at_points(len(a)))
-        for ap, bp, xp in zip(a, b, x):
-            resid = np.max(np.abs(ap @ xp - bp))
-            assert resid <= 1e-12 * np.max(np.abs(ap)) * max(np.max(np.abs(xp)), 1.0)
+    @pytest.mark.parametrize("fig_id", [1, 2, 3, 4])
+    def test_inverse_of_formed_M(self, fig_id):
+        cfg, x, t = figure_grid(fig_id)
+        x, t = x[::7], t[::7]
+        m = formed_M(cfg, x, t)
+        weights = build_rh_pair(cfg, x, t).weights
+        resid = np.max(np.abs(m @ weights - np.eye(m.shape[1])), axis=(1, 2))
+        assert np.all(resid <= 1e-14 * np.linalg.cond(m))
 
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(2)
-        a = np.array([rand_matrix(rng, 7) for _ in range(20)])
-        a = a[np.linalg.cond(a) <= 1e6]
-        # no right-hand side: the inverse alone, as `build_rh_pair` takes it
-        y, inv = solve_M(a, np.zeros(a.shape[:2] + (0,), dtype=complex), *at_points(len(a)))
-        assert y.shape == (len(a), 7, 0)
-        assert np.max(np.abs(a @ inv - np.eye(7))) < 1e-10
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_fields_are_the_weighted_sum(self, name):
+        # u = 2i sum_kj v_k[0:6:2] W_kj conj(v_j[6]): fields and weights
+        # come out of one elimination and agree
+        cfg, _, x, t, bound, _ = CORPUS[name]
+        t = np.full_like(x, t)
+        v = kernel_vectors(cfg, x, t)
+        weights = build_rh_pair(cfg, x, t).weights
+        u = 2j * np.einsum("pkc,pkj,pj->pc", v[:, :, 0:6:2], weights, np.conj(v[:, :, 6]))
+        ratio = solve_kernel(cfg, x, t)[2]
+        assert np.max(np.abs(u - eval_fields_array(cfg, x, t))) <= 1e-14 * max(1.0, ratio.max())
 
-    def test_singular_zero_matrix(self):
-        with pytest.raises(NearSingularError, match=r"\(x, t\) = \(0, 0.5\)"):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                solve_M(np.zeros((1, 3, 3), dtype=complex), np.eye(3)[None], *at_points(1))
-
-    def test_singular_rank_one(self):
-        # the refusal names the worst point of the stack, here the second
-        a = np.array([np.eye(2), [[1, 1], [1, 1]]], dtype=complex)
-        with pytest.raises(NearSingularError, match=r"\(x, t\) = \(1, 0.5\)"):
-            solve_M(a, np.ones((2, 2, 1)), *at_points(2))
-        # a stack just inside the bound is accepted
-        check_M(np.diag([1.0, 1.0 / (0.5 * MAX_CONDITION)])[None], *at_points(1))
-
-    def test_row_swaps_match_per_matrix_solve(self):
-        # the first two need a row swap, the other three none
-        a = np.array(
-            [[[1e-20, 1], [1, 1]], [[0, 1], [1, 0]], [[2, 1], [1, 3j]], np.eye(2), [[1, 1e-20], [0, 1]]],
-            dtype=complex,
-        )
-        b = np.array([[[1, 2j], [3, -1]]] * len(a), dtype=complex)
-        y, inv = solve_M(a, b, *at_points(len(a)))
-        for ap, bp, yp, xp in zip(a, b, y, inv):
-            for got, ref in ((yp, np.linalg.solve(ap, bp)), (xp, np.linalg.solve(ap, np.eye(2)))):
-                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (3, 2), (4, 1)])
-    def test_same_bits_alone_as_in_stack(self, n, k):
-        # the elimination is per point, so the stack size cannot move the bits
-        rng = np.random.default_rng(n)
-        a = np.array([rand_matrix(rng, n) for _ in range(1000)])
-        b = np.array([rand_matrix(rng, n, k) for _ in range(1000)])
-        y, inv = solve_M(a, b, *at_points(1000))
-        for p in range(1000):
-            yp, xp = solve_M(a[p:p + 1], b[p:p + 1], *at_points(1))
-            assert yp.tobytes() == y[p:p + 1].tobytes() and xp.tobytes() == inv[p:p + 1].tobytes()
-
-    def test_singular_matrix_in_large_stack(self):
-        # an exactly zero pivot at point 500: the SVD refuses it, with no warning
-        rng = np.random.default_rng(4)
-        m = np.array([random_unitary(rng, 4) for _ in range(1000)])
-        m[500] = np.ones((4, 4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NearSingularError, match=r"\(x, t\) = \(500, 0.5\)"):
-                solve_M(m, np.ones((1000, 4, 1)), *at_points(1000))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_M(np.eye(3)[None], np.zeros((1, 4, 1)), *at_points(1))
-        with pytest.raises(ValueError):
-            solve_M(np.eye(2, 3)[None], np.zeros((1, 2, 1)), *at_points(1))
+    def test_zero_order_does_not_matter(self):
+        # each point pivots on its own order; listing the zeros in another
+        # order moves the jets by roundoff and permutes the weights
+        cfg = CORPUS["type_ii_n4"][0]
+        turned = SpectrumConfig(cfg.family, cfg.zeros[::-1], cfg.seeds[::-1])
+        x, t = np.linspace(-8, 8, 33), np.full(33, 0.1)
+        jets = eval_jets_array(cfg, x, t)
+        assert np.max(np.abs(jets - eval_jets_array(turned, x, t))) < 1e-13 * np.max(np.abs(jets))
+        w, w_turned = build_rh_pair(cfg, x, t).weights, build_rh_pair(turned, x, t).weights
+        assert np.max(np.abs(w - w_turned[:, ::-1, ::-1])) < 1e-13 * np.max(np.abs(w))
 
 
 class TestDet:
@@ -146,133 +158,66 @@ class TestDet:
         assert np.linalg.det(SIGMA3) == -1.0
 
 
-def figure_M_stacks(fig_id, monkeypatch):
-    """Every M of figure `fig_id`'s export grid as the batched kernel solves it."""
-    seen = []
-
-    def spy(m, rhs, x, t):
-        seen.append(m)
-        return solve_M(m, rhs, x, t)
-
-    monkeypatch.setattr(soliton, "solve_M", spy)
-    cfg = figure_config(fig_id)
-    x, t = (a.ravel() for a in np.meshgrid(cfg.grid.xs(), cfg.grid.ts()))
-    eval_fields_array(cfg.spectrum, x, t)
-    return np.concatenate(seen)
-
-
-def frobenius_bound(m):
-    """|M|_F |M^-1|_F per matrix of a stack: an upper bound on cond(M)."""
-    return np.linalg.norm(m, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(m), axis=(1, 2))
-
-
-@pytest.fixture
-def cond_calls(monkeypatch):
-    calls = []
-    cond = np.linalg.cond
-
-    def spy(m):
-        calls.append(m)
-        return cond(m)
-
-    monkeypatch.setattr(np.linalg, "cond", spy)
-    return calls
-
-
-class TestConditionScreen:
-    """`solve_M` clears a stack by |M|_F |M^-1|_F from its own solve and
-    leaves every stack that screen does not clear to the SVD of `check_M`."""
+class TestPivotRatio:
+    """The refusal rule: the ratio of the largest to the smallest pivot,
+    which is at most cond(M) since iM is Hermitian positive definite."""
 
     @pytest.mark.parametrize("fig_id", [1, 2, 3, 4])
-    def test_figure_stacks(self, fig_id, monkeypatch, cond_calls):
-        m = figure_M_stacks(fig_id, monkeypatch)
-        # every M of the construction is anti-Hermitian, so its singular
-        # values are the moduli of the eigenvalues of the Hermitian iM
+    def test_figure_grids(self, fig_id):
+        cfg, x, t = figure_grid(fig_id)
+        m = formed_M(cfg, x, t)
+        # M is anti-Hermitian and iM positive definite, so the singular
+        # values are the eigenvalues of iM
         skew = np.max(np.abs(m + np.conj(np.swapaxes(m, 1, 2))), axis=(1, 2))
         assert np.all(skew <= 1e-15 * np.max(np.abs(m), axis=(1, 2)))
-        w = np.abs(np.linalg.eigvalsh(1j * m))
-        s = np.linalg.svd(m, compute_uv=False)
-        assert np.allclose(w.max(axis=1) / w.min(axis=1), s[:, 0] / s[:, -1], rtol=1e-10, atol=0)
-        assert np.all(frobenius_bound(m) < 0.5 * MAX_CONDITION)
-        solve_M(m, np.ones(m.shape[:2] + (1,), dtype=complex), *at_points(len(m)))
-        assert cond_calls == []  # neither the kernel nor solve_M fell back to the SVD
+        w = np.linalg.eigvalsh(1j * m)
+        assert np.all(w > 0)
+        cond = w[:, -1] / w[:, 0]
+        ratio = solve_kernel(cfg, x, t)[2]
+        assert np.all((0.1 * cond <= ratio) & (ratio <= cond * (1 + 1e-12)))
+        assert ratio.max() < 1e-11 * MAX_CONDITION
 
-    def test_svd_decides_beyond_screen(self, cond_calls):
-        # cond 0.75e14: above the screen's MAX_CONDITION / 2, inside the bound
-        rhs = np.ones((1, 2, 1), dtype=complex)
-        solve_M(1j * np.diag([1.0, 1.0 / (0.75 * MAX_CONDITION)])[None], rhs, *at_points(1))
-        assert len(cond_calls) == 1
-        m = np.array([np.eye(2), np.diag([1.0, 1.0 / (2 * MAX_CONDITION)])]) * 1j
-        with pytest.raises(NearSingularError, match=r"\(x, t\) = \(1, 0.5\)"):
-            solve_M(m, np.ones((2, 2, 1)), *at_points(2))
-        assert len(cond_calls) == 2
-
-    def test_not_anti_hermitian_goes_to_svd(self, cond_calls):
-        # singular and not anti-Hermitian: the solve fails, the SVD refuses
-        with pytest.raises(NearSingularError):
-            solve_M(np.ones((1, 2, 2), dtype=complex), np.ones((1, 2, 1)), *at_points(1))
-        assert len(cond_calls) == 1
-
-    def test_all_zero_not_screened(self, cond_calls):
-        with pytest.raises(NearSingularError):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                solve_M(np.zeros((1, 2, 2), dtype=complex), np.ones((1, 2, 1)), *at_points(1))
-        assert len(cond_calls) == 1
+    def test_refusal_follows_the_bound(self, monkeypatch):
+        cfg, x, t = figure_grid(2)
+        ratio = solve_kernel(cfg, x, t)[2]
+        p = int(np.argmax(ratio))
+        monkeypatch.setattr(soliton, "MAX_CONDITION", ratio[p])
+        eval_fields_array(cfg, x, t)
+        monkeypatch.setattr(soliton, "MAX_CONDITION", ratio[p] * (1 - 1e-15))
+        with pytest.raises(NearSingularError, match=rf"\(x, t\) = \({x[p]:.17g}, {t[p]:.17g}\)"):
+            eval_fields_array(cfg, x, t)
 
 
-def random_unitary(rng, n):
-    q, r = np.linalg.qr(rand_matrix(rng, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+class TestRefusalSoundness:
+    """Random close Type II pairs and triples with one seed, cond(M) from a
+    60-digit eigensolve of iM: the kernel accepts every point with cond(M)
+    below MAX_CONDITION and refuses every point with cond(M) above 40
+    MAX_CONDITION (the pivot ratio read 0.17 to 0.25 times cond(M) on these
+    draws).  Where it accepts, the field stays within the 1e-16 cond(M) of a
+    backward-stable solve of the reference (at least 1e4 times within)."""
 
-
-class TestScreenSoundness:
-    """The screen accepts nothing the SVD would refuse: random stacks
-    U diag(s) V^H with cond(M) log-uniform in [1e8, 1e18]."""
-
-    @pytest.mark.parametrize("anti_hermitian", [False, True])
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_refuses_exactly_above_bound(self, n, anti_hermitian):
-        rng = np.random.default_rng(100 * n + anti_hermitian)
-        for _ in range(40):
-            log_cond = rng.uniform(8, 18)
-            s = 10.0 ** -np.sort(rng.uniform(0, log_cond, n))
-            if n > 1:
-                s[[0, -1]] = 1.0, 10.0 ** -log_cond
-            s *= 10.0 ** rng.uniform(-3, 3)
-            u = random_unitary(rng, n)
-            if anti_hermitian:
-                m = 1j * (u * (s * rng.choice([-1.0, 1.0], n))) @ u.conj().T
-            else:
-                m = (u * s) @ random_unitary(rng, n).conj().T
-            b = rand_matrix(rng, n, 2)
-            if np.linalg.cond(m) > MAX_CONDITION:
-                with pytest.raises(NearSingularError, match=r"\(x, t\) = \(0, 0.5\)"):
-                    solve_M(m[None], b[None], *at_points(1))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_draws(self, n):
+        rng = np.random.default_rng(7 + n)
+        for _ in range(12):
+            etas = 1.0 + np.concatenate([[0.0], np.sort(10.0 ** rng.uniform(*{2: (-10, -3), 3: (-5, -2)}[n], n - 1))])
+            seed = TypeIISeed(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+            cfg = SpectrumConfig(Family.TYPE_II, tuple(1j * etas), (seed,) * n)
+            x, t = rng.uniform(-4, 4), rng.uniform(-0.3, 0.3)
+            v, z = kernel_vectors(cfg, x, t)[0], cfg.expanded_zeros()
+            with mpmath.workdps(60):
+                im = mpmath.matrix([[1j * mpmath.fdot([mpmath.conj(mpmath.mpc(a)) for a in v[k]], [mpmath.mpc(b) for b in v[j]])
+                                     / (mpmath.mpc(z[j]) - mpmath.conj(mpmath.mpc(z[k]))) for j in range(n)] for k in range(n)])
+                w = mpmath.eighe(im, eigvals_only=True)
+                cond = float(max(w) / min(w))
+            if cond > 40 * MAX_CONDITION:
+                with pytest.raises(NearSingularError):
+                    eval_fields_array(cfg, [x], [t])
                 continue
-            y = solve_M(m[None], b[None], *at_points(1))[0][0]
-            resid = np.max(np.abs(m @ y - b))
-            assert resid <= 1e-12 * np.max(np.abs(m)) * max(np.max(np.abs(y)), 1.0)
-
-    @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    def test_extreme_scale_goes_to_svd_quietly(self, scale, cond_calls):
-        # |M|_F^2 |X|_F^2 is inf * 0 here: the SVD accepts, with no warning
-        m = scale * 1j * np.array([[[2.0, 1.0], [1.0, -3.0]]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            y, _ = solve_M(m, np.ones((1, 2, 1)), *at_points(1))
-        assert np.allclose(m[0] @ y[0], 1.0, rtol=1e-14, atol=0)
-        assert len(cond_calls) == 1
-
-    def test_failed_solve_names_the_singular_point(self):
-        m = np.array([np.eye(3), 2 * np.eye(3), np.ones((3, 3))], dtype=complex)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(m, np.ones((3, 3, 1)))
-        with pytest.raises(NearSingularError, match=r"\(x, t\) = \(2, 0.5\)"):
-            solve_M(m, np.ones((3, 3, 1)), *at_points(3))
-
-    def test_one_bad_matrix_names_its_point(self):
-        rng = np.random.default_rng(5)
-        m = np.array([random_unitary(rng, 4) for _ in range(5)])
-        m[3] = m[3] @ np.diag([1.0, 1.0, 1.0, 1e-16])
-        with pytest.raises(NearSingularError, match=r"\(x, t\) = \(3, 0.5\)"):
-            solve_M(m, rand_matrix(rng, 4, 1)[None].repeat(5, axis=0), *at_points(5))
+            try:
+                u = eval_fields_array(cfg, [x], [t])
+            except NearSingularError:
+                assert cond > MAX_CONDITION
+                continue
+            ref = reference_array(cfg, [x], [t], 60)
+            assert np.max(np.abs(u - ref)) <= 1e-16 * cond * max(1.0, np.max(np.abs(ref)))

@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from tccss import cli, io_cli, lax, scattering, verify
 from tccss.io_cli import (
     CSV_HEADER,
-    GRID_ENTRIES,
     ConfigError,
     OutputSpec,
     RunConfig,
@@ -34,7 +33,7 @@ from tccss.io_cli import (
     serialize_config,
 )
 from tccss.report import GridSpec, ResidualReport
-from tccss.soliton import Family, eval_fields_array
+from tccss.soliton import KERNEL_ENTRIES, Family, eval_fields_array
 
 from conftest import reference_array
 
@@ -576,12 +575,13 @@ class TestExportGrid:
         assert len(doc["rows"]) == 2
 
     def test_blocks_match_per_row_kernel_calls(self):
-        # blocks of GRID_ENTRIES // m**2 points across t-rows give the same
-        # bits as one kernel call per t-row; figure 2 has m = 4
+        # the kernel's blocks of KERNEL_ENTRIES // (m (m + 1)) points across
+        # t-rows give the same bits as one kernel call per t-row; figure 2
+        # has m = 4
         cfg = RunConfig(figure_spectrum(2), grid=GridSpec(-10.0, 10.0, 101, -3.0, 3.0, 45))
         assert len(cfg.spectrum.expanded_zeros()) == 4
         rows = evaluate_grid(cfg)
-        assert len(rows) > GRID_ENTRIES // 4 ** 2
+        assert len(rows) > 2 * KERNEL_ENTRIES // (4 * 5)
         xs = cfg.grid.xs()
         for i, t in enumerate(cfg.grid.ts()):
             u = eval_fields_array(cfg.spectrum, xs, t)

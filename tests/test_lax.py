@@ -141,7 +141,7 @@ class TestBuildV:
 
 def figure_table(fig_id, x, t, st=StencilSpec()):
     cfg = figure_spectrum(fig_id)
-    return jet_table(partial(eval_fields_array, cfg), partial(eval_jets_array, cfg), x, t, st)
+    return jet_table(partial(eval_jets_array, cfg), x, t, st)
 
 
 def grid_points(grid):
@@ -217,23 +217,24 @@ class TestJetTable:
     def test_wrong_jet_is_seen(self):
         cfg = figure_spectrum(3)
 
-        def wrong(x, t):
-            jets = eval_jets_array(cfg, x, t)
-            jets[2] *= 1.001
+        def wrong(x, t, terms):
+            jets = eval_jets_array(cfg, x, t, terms)
+            if terms > 2:
+                jets[2] *= 1.001
             return jets
 
         x, t = grid_points(GridSpec(-2.0, 2.0, 9, 0.0, 0.0, 1))
         _, good = figure_table(3, x, t)
-        _, bad = jet_table(partial(eval_fields_array, cfg), wrong, x, t, StencilSpec())
+        _, bad = jet_table(wrong, x, t, StencilSpec())
         assert bad["x1"] == good["x1"] and bad["t1"] == good["t1"]
         assert bad["x2"] > 1e-4 > 1e3 * good["x2"]
         assert bad["x3"] > 1e-4 > 1e3 * good["x3"]
 
-    def test_zero_field(self, zero_fields):
-        def zero(x, t):
-            return zero_jets(np.size(x))
+    def test_zero_field(self):
+        def zero(x, t, terms):
+            return zero_jets(np.size(x))[:terms]
 
-        _, discrepancy = jet_table(zero_fields, zero, np.zeros(3), np.zeros(3), StencilSpec())
+        _, discrepancy = jet_table(zero, np.zeros(3), np.zeros(3), StencilSpec())
         assert discrepancy == {"x1": 0.0, "x2": 0.0, "x3": 0.0, "t1": 0.0}
 
 
@@ -307,27 +308,38 @@ class TestGaugeTransform:
 
 
 def recording(f):
-    """`f`, recording the points of every call in the list `.calls`."""
+    """`f`, recording the terms and the points of every call in the list `.calls`."""
 
-    def g(x, t):
-        g.calls.append(list(zip(np.ravel(x).tolist(), np.ravel(t).tolist())))
-        return f(x, t)
+    def g(x, t, terms):
+        g.calls.append((terms, list(zip(np.ravel(x).tolist(), np.ravel(t).tolist()))))
+        return f(x, t, terms)
 
     g.calls = []
     return g
 
 
 class TestSampleOnce:
-    """The table samples each distinct (x, t) of its stencils once, in one
-    batched call per stencil shift."""
+    """The table samples each distinct (x, t) of its stencils once, in three
+    batched calls: the table, every x-shift and every t-shift."""
 
     @pytest.mark.parametrize("order, shifts", [(4, 4), (2, 2)])
     def test_every_shift_once(self, one_soliton_cfg, order, shifts):
-        fields = recording(partial(eval_fields_array, one_soliton_cfg))
         jets = recording(partial(eval_jets_array, one_soliton_cfg))
         x, t = grid_points(GridSpec(-2.0, 2.0, 5, 0.0, 0.2, 2))
-        jet_table(fields, jets, x, t, StencilSpec(order=order))
-        assert len(jets.calls) == 1 + shifts and len(fields.calls) == shifts
-        points = [p for call in jets.calls + fields.calls for p in call]
-        assert all(len(call) == 10 for call in jets.calls + fields.calls)
+        jet_table(jets, x, t, StencilSpec(order=order))
+        assert [(terms, len(call)) for terms, call in jets.calls] == [(5, 10), (3, 10 * shifts), (1, 10 * shifts)]
+        points = [p for _, call in jets.calls for p in call]
         assert len(set(points)) == len(points)
+
+    def test_merged_shifts_match_one_call_per_shift(self, collision_cfg):
+        # the merged x- and t-shift calls give each shift's bits of its own call
+        x, t = grid_points(GridSpec(-3.0, 3.0, 7, -0.2, 0.2, 2))
+        for terms, step in ((3, (1e-3, 0.0)), (1, (0.0, 1e-3))):
+            shifts = [1, -1, 2, -2]
+            merged = eval_jets_array(
+                collision_cfg, np.concatenate([x + k * step[0] for k in shifts]),
+                np.concatenate([t + k * step[1] for k in shifts]), terms,
+            )
+            for i, k in enumerate(shifts):
+                alone = eval_jets_array(collision_cfg, x + k * step[0], t + k * step[1], terms)
+                assert np.array_equal(merged[:, i * x.size:(i + 1) * x.size], alone)

@@ -5,11 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from tccss import soliton
 from tccss.rhp import build_rh_pair
 from tccss.soliton import (
     DegenerateSeedError,
     Family,
+    MAX_CONDITION,
     NearSingularError,
     NonFiniteFieldError,
     SpectrumConfig,
@@ -23,13 +23,13 @@ from tccss.soliton import (
     flow,
     one_soliton_closed_form,
     one_soliton_spectrum,
-    solve_kernel,
     theta,
     two_soliton_closed_form,
 )
 from tccss.structure import SIGMA
 
 from conftest import max_field_diff, reference_fields
+from test_corpus import FULL_RANK
 from tccss.io_cli import figure_spectrum
 
 
@@ -59,12 +59,12 @@ def fields_at(cfg, x, t, stabilize=True):
     return eval_fields_array(cfg, [x], [t], stabilize)[0]
 
 
-def rh_M(cfg, x, t, monkeypatch):
-    """The M that `solve_kernel` forms at (x, t) for the field kernel and the
-    RH pair, and the pair's kernel vectors; `solve_M` is not run."""
-    monkeypatch.setattr(soliton, "solve_M", lambda m, rhs, *points: (rhs, m))
-    m = solve_kernel(cfg, np.array([x]), np.array([t]))[3][0]
-    return m, build_rh_pair(cfg, x, t).columns
+def rh_M(cfg, x, t):
+    """The M whose inverse the elimination of `solve_kernel` gives the RH
+    pair at (x, t), as the inverse of the pair's weights, and the pair's
+    kernel vectors."""
+    pair = build_rh_pair(cfg, x, t)
+    return np.linalg.inv(pair.weights), pair.columns
 
 
 class TestBuildVectors:
@@ -117,38 +117,39 @@ class TestBuildVectors:
 
 
 class TestBuildM:
-    """The M of `solve_kernel`, M_kj = (vhat_k . v_j) / (lambda_j -
-    conj(lambda_k)) over the stabilized kernel vectors."""
+    """The M that `solve_kernel` inverts without forming it, M_kj =
+    (vhat_k . v_j) / (lambda_j - conj(lambda_k)) over the stabilized kernel
+    vectors."""
 
-    def test_type2_inner_product(self, monkeypatch):
+    def test_type2_inner_product(self):
         cfg = one_soliton_spectrum(1.0, 2.0, 3.0, 1.0)
-        m, _ = rh_M(cfg, 0.0, 0.0, monkeypatch)
+        m, _ = rh_M(cfg, 0.0, 0.0)
         # vhat.v = 2 (1 + 4 + 9) + 1 = 29 over the gap 2i
         assert abs(m[0, 0] - 29 / 2j) < 1e-14
 
-    def test_zero_seed_limit(self, monkeypatch):
+    def test_zero_seed_limit(self):
         eta = 0.7
         cfg = one_soliton_spectrum(0.0, 0.0, 0.0, eta)
         for (x, t) in ((0.0, 0.0), (0.9, 0.2)):
-            m, _ = rh_M(cfg, x, t, monkeypatch)
+            m, _ = rh_M(cfg, x, t)
             th = theta(1j * eta, x, t)
             # the stabilized vector carries exp(-|Re theta|)
             assert abs(m[0, 0] - np.exp(-2 * th - 2 * abs(th.real)) / (2j * eta)) < 1e-12
 
-    def test_type1_mirror_denominator(self, monkeypatch):
+    def test_type1_mirror_denominator(self):
         lam = 0.5 + 0.5j
         cfg = SpectrumConfig(Family.TYPE_I, (lam,), (TypeISeed(1, 1, 1, 1, 1, 1),))
-        m, columns = rh_M(cfg, 0.0, 0.0, monkeypatch)
+        m, columns = rh_M(cfg, 0.0, 0.0)
         assert m.shape == (2, 2)
         # the (2,1) entry divides by lam - conj(-conj(lam)) = 2 lam
         gram21 = np.dot(np.conj(columns[1]), columns[0])
         assert abs(m[1, 0] - gram21 / (2 * lam)) < 1e-14
 
-    def test_type2_matches_pairing_formula(self, monkeypatch):
+    def test_type2_matches_pairing_formula(self):
         s1, s2, l1, l2 = fig4_params()
         cfg = fig4_cfg()
         x, t = 0.4, -0.3
-        m, _ = rh_M(cfg, x, t, monkeypatch)
+        m, _ = rh_M(cfg, x, t)
         seeds, lams = (s1, s2), (l1, l2)
         # the stabilized M is D^-1 M D^-1, D = diag(exp |Re theta_j|)
         scales = [abs(theta(z, x, t).real) for z in lams]
@@ -166,10 +167,10 @@ class TestBuildM:
                 expect = num / (lams[j] - np.conj(lams[k])) * np.exp(-scales[k] - scales[j])
                 assert abs(m[k, j] - expect) < 1e-12
 
-    def test_anti_hermitian_pairing(self, monkeypatch):
+    def test_anti_hermitian_pairing(self):
         # vhat_j = v_j^dagger forces M^dagger = -M for both families
         for cfg in (fig4_cfg(), breather_spectrum(1.0, 2j, 0.3, 0.4 + 0.7j)):
-            m, columns = rh_M(cfg, 0.6, 0.2, monkeypatch)
+            m, columns = rh_M(cfg, 0.6, 0.2)
             assert np.max(np.abs(m.conj().T + m)) < 1e-12 * np.max(np.abs(m))
             gram = np.conj(columns) @ columns.T
             assert np.max(np.abs(np.conj(gram) - gram.T)) < 1e-12 * np.max(np.abs(gram))
@@ -284,17 +285,21 @@ class TestEvalFieldsArray:
         vacuum = SpectrumConfig(Family.TYPE_II, (), ())
         assert np.array_equal(eval_fields_array(vacuum, xs, 0.3), np.zeros((5, 3)))
 
-    def test_near_coincident_zeros_name_worst_point(self, monkeypatch):
+    def test_near_coincident_zeros_refused(self):
+        # zeros 1e-13 apart with equal seeds: M is singular to working
+        # precision, and its pivot ratio is about 4e26 at every point
         seed = TypeIISeed(1.0, 2.0, 3.0)
         cfg = SpectrumConfig(Family.TYPE_II, (1j, 1.0000000000001j), (seed, seed))
         xs = np.linspace(-2, 2, 9)
-        # cond of the M that the RH pair forms from its kernel vectors
-        conds = [np.linalg.cond(rh_M(cfg, x, 0.5, monkeypatch)[0]) for x in xs]
-        monkeypatch.undo()
-        worst = xs[int(np.argmax(conds))]
-        with pytest.raises(NearSingularError, match=rf"\(x, t\) = \({worst:.17g}, 0.5\)"):
+        seeds, e, f = flow(cfg, xs, np.full(9, 0.5))
+        v = np.concatenate([seeds[:, :6] * e[:, :, None], seeds[:, 6:] * f[:, :, None]], axis=2)
+        gaps = cfg.expanded_zeros()[None, :] - np.conj(cfg.expanded_zeros())[:, None]
+        assert np.min(np.linalg.cond(np.conj(v) @ v.swapaxes(1, 2) / gaps)) > MAX_CONDITION
+        named = "|".join(f"{x:.17g}" for x in xs)
+        with pytest.raises(NearSingularError, match=rf"\(x, t\) = \(({named}), 0.5\): pivot ratio [34]\.\d+e\+26"):
             eval_fields_array(cfg, xs, 0.5)
-        assert max(conds) > 1e14
+        with pytest.raises(NearSingularError):
+            eval_jets_array(cfg, xs, 0.5)
         with pytest.raises(NearSingularError):
             build_rh_pair(cfg, 0.0, 0.5)
 
@@ -361,10 +366,34 @@ class TestEvalJetsArray:
         assert np.array_equal(eval_jets_array(vacuum, xs, 0.3), np.zeros((5, 5, 3)))
         assert np.array_equal(eval_jets_array(fig4_cfg(), xs, 0.3), eval_jets_array(fig4_cfg(), xs, np.full(5, 0.3)))
 
+    def test_fewer_terms_are_the_leading_jets(self, collision_cfg):
+        x, t = np.linspace(-4, 4, 9), np.full(9, 0.2)
+        jets = eval_jets_array(collision_cfg, x, t)
+        for terms in (1, 2, 3, 4):
+            assert np.array_equal(eval_jets_array(collision_cfg, x, t, terms), jets[:terms])
+        for terms in (0, 6):
+            with pytest.raises(ValueError, match="terms must be 1 to 5"):
+                eval_jets_array(collision_cfg, x, t, terms)
+
     def test_non_finite_refused(self):
         cfg = SpectrumConfig(Family.TYPE_II, (1e120j,), (TypeIISeed(1.0, 2.0, 3.0),))
         with pytest.raises(NonFiniteFieldError, match=r"\(x, t\) = \(0, 0\)"):
             eval_jets_array(cfg, [0.0], [0.0])
+
+
+@pytest.mark.parametrize("name", ["1", "2", "3", "4", "full_rank"])
+def test_same_bits_at_any_point_count(name):
+    # a point alone, in a row and in a call that merges shifted rows, as the
+    # jet table's shift calls do: the same bits at every jet order
+    cfg = FULL_RANK if name == "full_rank" else figure_spectrum(int(name))
+    xs, t = np.linspace(-6, 6, 41), 0.3
+    merged_x = np.concatenate([xs - 1e-3, xs, xs + 2e-3])
+    for terms in (1, 3, 5):
+        row = eval_jets_array(cfg, xs, t, terms)
+        assert np.array_equal(eval_jets_array(cfg, merged_x, t, terms)[:, xs.size:2 * xs.size], row)
+        for p, x in enumerate(xs):
+            assert np.array_equal(eval_jets_array(cfg, [x], [t], terms), row[:, p:p + 1]), (terms, x)
+    assert np.array_equal(eval_fields_array(cfg, xs, t), row[0])
 
 
 class TestOneSolitonClosedForm:
