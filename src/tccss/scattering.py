@@ -13,7 +13,8 @@ half-plane.  For a reflectionless potential the couplings vanish and Omega77
 is the Blaschke product of the zeros (the `scattering` check of `verify`
 compares the two); `zeros_in_disk` finds every zero in a disk by the
 argument principle.  Every route reads a half-step table of the potential
-(`sample_potential`), sampled once and reused by a whole lambda batch.
+(`sample_potential`), sampled in one field-kernel call and reused by a whole
+lambda batch.
 
 Column 7 of Psi obeys y' = (Q + c P) y, with c = 2 i lam and
 P = diag(1, ..., 1, 0).  The fixed basis change V (a unitary rotation scaled
@@ -32,13 +33,13 @@ Runge-Kutta step is then the d x d matrix
 T_n(c) = sum_{k<=4} c^k T_n^(k) with real, lambda-independent T_n^(k) and
 T^(4) = h^4/24 P_r.  The table folds each pair of steps into one polynomial,
 T_{2k+1}(c) T_{2k}(c) = sum_{m<=8} c^m F_k^(m), and stores F^(0..7);
-F^(8) = (h^4/24)^2 P_r.  A lambda batch gets its pair matrices from one real
-GEMM of its powers of c against the coefficients, in blocks of at most
-BLOCK_ENTRIES matrix entries, so transient memory does not grow with n_steps
-or the number of lambdas.  A step left unpaired at either end of a range is
-built alone from its three samples.  `_end_product` multiplies by tree
-reduction over a range of steps, on (real, imaginary) pairs of real arrays;
-no Jost path is stored.  For real lambda Q + c P is anti-Hermitian, so the
+F^(8) = (h^4/24)^2 P_r.  A lambda batch gets its complex pair matrices from
+two real GEMMs, of the real and imaginary parts of its powers of c, against
+the coefficients, in blocks of at most BLOCK_ENTRIES matrix entries, so
+transient memory does not grow with n_steps or the number of lambdas.  A step
+left unpaired at either end of a range is built alone from its three samples.
+`_end_product` multiplies by tree reduction over a range of steps; no Jost
+path is stored.  For real lambda Q + c P is anti-Hermitian, so the
 norm of column 7 is conserved; `norm_drift_from_table` measures the
 departure from it.  Every entry checks its lambdas in one gate, `_lambdas`,
 and reads column 7 through one pass, `_column7`, which refuses a product
@@ -69,8 +70,6 @@ ENDPOINT_DECAY = 1e-9
 # BLOCK_ENTRIES // d^2 (lambda, step) d x d matrices (256 at d = 7), and every
 # transient array a small fixed multiple of that many.
 BLOCK_ENTRIES = 256 * 49
-# Nodes per call of the field kernel while sampling.
-SAMPLE_CHUNK = 512
 # Rank rule of the channel basis: the directions left out may hold, in every
 # sample, at most RANK_TOL times the norm of the largest sample.
 RANK_TOL = 1e-12
@@ -157,17 +156,14 @@ def sample_potential(
 ) -> PotentialTable:
     """Sample the field on the RK half-step grid, checking endpoint decay.
 
-    `fields(x[], t)` gives the (P, 3) field triples at P points; the channel
-    basis and the step coefficients are built from the samples once.  A
-    non-finite sample raises NonFiniteScatteringError naming the first x.
+    One call `fields(x[], t)` gives the (2 n_steps + 1, 3) field triples at
+    every node; the channel basis and the step coefficients are built from
+    the samples once.  A non-finite sample raises NonFiniteScatteringError
+    naming the first x.
     """
     check_domain(x_min, x_max, n_steps)
     xs_half = np.linspace(x_min, x_max, 2 * n_steps + 1)
-    # in chunks, so that the field kernel's temporaries stay small
-    u = np.concatenate([
-        fields(xs_half[i : i + SAMPLE_CHUNK], float(t))
-        for i in range(0, xs_half.size, SAMPLE_CHUNK)
-    ])
+    u = fields(xs_half, float(t))
     bad = ~np.all(np.isfinite(u), axis=1)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -196,13 +192,14 @@ def _channel_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal directions w (6, r) spanning the real samples v (N, 6), and
     the singular values of v over the largest.
 
-    w holds the leading r right singular vectors, r the least rank whose
-    left-out part of every sample is at most RANK_TOL times the norm of the
-    largest sample: 0 for a vanishing potential.
+    w holds the leading r right singular vectors, taken from the 6 x 6 R of
+    v = Q R, r the least rank whose left-out part of every sample is at most
+    RANK_TOL times the norm of the largest sample: 0 for a vanishing potential.
     """
-    coords, sv, vt = np.linalg.svd(v, full_matrices=False)
-    sv /= max(sv[0], np.finfo(float).tiny)
-    coords *= sv  # scaled by the largest singular value, so that no square overflows
+    _, sv, vt = np.linalg.svd(np.linalg.qr(v, mode="r"))
+    top = max(sv[0], np.finfo(float).tiny)
+    sv /= top
+    coords = v @ (vt.T / top)  # scaled by the largest singular value, so that no square overflows
     # the largest norm over the samples of their part past the first k directions, k = 0..5
     past = np.sqrt(np.max(np.cumsum(coords[:, ::-1] ** 2, axis=1), axis=0))[::-1]
     r = int(np.count_nonzero(past > RANK_TOL * past[0]))
@@ -293,26 +290,28 @@ def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
     """RK4 step matrices in the basis diag(W, 1) of V, in marching order, one
     block at a time.
 
-    Steps start..stop of every lambda come as real arrays (2, L, b, d, d) of
-    real and imaginary parts.  Each matrix is a
-    step pair T_{2k+1} T_{2k}, read from the table's coefficients, but for an
-    unpaired first step at an odd `start` and last step before an odd `stop`:
-    those come alone, from `_coefficients` on their three samples.  A
-    polynomial sum_{m<=d} c^m C^(m) is one real GEMM of the powers
-    c^0..c^(d-1) against its stored coefficients, plus the implicit
-    c^d C^(d), a multiple of P, on the diagonal of P.
+    Steps start..stop of every lambda come as complex arrays (L, b, d, d).
+    Each matrix is a step pair T_{2k+1} T_{2k}, read from the table's
+    coefficients, but for an unpaired first step at an odd `start` and last
+    step before an odd `stop`: those come alone, from `_coefficients` on their
+    three samples.  A polynomial sum_{m<=d} c^m C^(m) is two real GEMMs, of the
+    real and imaginary parts of the powers c^0..c^(d-1) against its stored
+    coefficients, plus the implicit c^d C^(d), a multiple of P, on the
+    diagonal of P.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
     stop = table.n_steps if stop is None else min(stop, table.n_steps)
     pw = (2j * lams)[:, None] ** np.arange(9)
-    pw = np.stack([pw.real, pw.imag])
     s, d = table.h**4 / 24.0, table.d
 
     def evaluate(coef, lead):
         k, m = coef.shape[:2]
-        out = np.matmul(pw[..., :k], coef.reshape(k, -1)).reshape(2, len(lams), m, d * d)
-        out[..., _p_diag(d)] += lead * pw[..., k, None, None]
-        return out.reshape(2, len(lams), m, d, d)
+        out = np.empty((len(lams), m, d, d), dtype=complex)
+        flat, coef = out.reshape(len(lams), m * d * d), coef.reshape(k, -1)
+        np.matmul(pw.real[:, :k], coef, out=flat.real)
+        np.matmul(pw.imag[:, :k], coef, out=flat.imag)
+        out.reshape(len(lams), m, d * d)[..., _p_diag(d)] += lead * pw[:, k, None, None]
+        return out
 
     def single(i):
         return evaluate(_coefficients(_channels(table.u[2 * i : 2 * i + 3]) @ table.w, table.h), s)
@@ -327,25 +326,13 @@ def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
         yield single(stop - 1)
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product a @ b of (re, im) pairs (2, ..., d, d): four real products.
-
-    The result is an array of its own: no discarded partial product outlives the call.
-    """
-    p = a @ b
-    cross = a @ b[::-1]
-    p[0] -= p[1]
-    np.add(cross[0], cross[1], out=p[1])
-    return p
-
-
 def _reduce(t: np.ndarray) -> np.ndarray:
     """Ordered products of the steps t[..., -1, :, :] @ ... @ t[..., 0, :, :] by tree reduction."""
     while t.shape[-3] > 1:
         m = t.shape[-3] // 2 * 2
-        p = _mul(t[..., 1:m:2, :, :], t[..., 0:m:2, :, :])
+        p = t[..., 1:m:2, :, :] @ t[..., 0:m:2, :, :]
         if m < t.shape[-3]:  # an odd last matrix joins the last product
-            p[..., -1:, :, :] = _mul(t[..., m:, :, :], p[..., -1:, :, :])
+            p[..., -1:, :, :] = t[..., m:, :, :] @ p[..., -1:, :, :]
         t = p
     return t[..., 0, :, :]
 
@@ -366,8 +353,8 @@ def _end_product(table: PotentialTable, lams, start: int = 0, stop=None) -> np.n
         chunk = lams[i : i + per_block]
         p = None
         for r in map(_reduce, _step_blocks(table, chunk, start, stop)):
-            p = r if p is None else _mul(r, p)
-        out[i : i + len(chunk)] = p[0] + 1j * p[1]
+            p = r if p is None else r @ p
+        out[i : i + len(chunk)] = p
     return out
 
 

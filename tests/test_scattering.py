@@ -85,8 +85,7 @@ def column7(table, lam, start=0, stop=None):
 
 def step_matrices(table, lams, start=0, stop=None):
     """The kernel's step matrices, (L, steps, d, d), in its basis diag(W, 1) of V."""
-    re, im = np.concatenate(list(scattering._step_blocks(table, lams, start, stop)), axis=2)
-    return re + 1j * im
+    return np.concatenate(list(scattering._step_blocks(table, lams, start, stop)), axis=1)
 
 
 def reduced(table, m):
@@ -107,6 +106,15 @@ def rel_diff(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def column7_scale(want):
+    """The size that column 7 carried from e7, `want`, is compared at: its own,
+    but that of e7 where Omega77 nearly vanishes.  At a zero of the spectrum
+    (0.5 + 0.5i on figure 2 and the full-rank spectrum) column 7 past the core
+    is the RK4 error alone, 6e-8 and 3e-9 at 1001 steps, and any two products
+    of the steps agree only to roundoff of the unit column they start from."""
+    return float(np.max(np.abs(want))) if abs(want[6]) >= 1e-6 else 1.0
+
+
 SEGMENTS = ["interior", "tail", "odd step", "even step"]
 
 
@@ -118,12 +126,14 @@ def segment(n, which):
             "odd step": (odd, odd + 1), "even step": (odd + 1, odd + 2)}[which]
 
 
-@pytest.fixture(scope="module", params=[(3, 1001), (3, 4097), (4, 1001), (4, 4097)],
-                ids=lambda p: f"fig{p[0]}-n{p[1]}")
-def figure_table(request, one_soliton_fields, two_soliton_fields):
+# Every rank the workloads use: d = 2 (figure 3), 3 (figure 4), 5 (figure 2)
+# and 7 (the full-rank Type I N = 3 spectrum below)
+@pytest.fixture(scope="module",
+                params=[(2, 1001), (3, 1001), (3, 4097), (4, 1001), (4, 4097), ("typeI_n3", 1001)],
+                ids=lambda p: f"{p[0] if p[0] == 'typeI_n3' else f'fig{p[0]}'}-n{p[1]}")
+def figure_table(request, fields_of):
     fig, n = request.param
-    fields = one_soliton_fields if fig == 3 else two_soliton_fields
-    return sample_potential(fields, 0.0, -40.0, 40.0, n)
+    return sample_potential(fields_of(fig), 0.0, -40.0, 40.0, n)
 
 
 # Every public entry, called with the lambda under test; the array forms put an
@@ -178,6 +188,12 @@ def full_rank_fields():
 
 
 @pytest.fixture(scope="module")
+def fields_of(full_rank_fields):
+    """The batched field map of figure 1..4, or of "typeI_n3", the full-rank spectrum."""
+    return lambda fig: full_rank_fields if fig == "typeI_n3" else partial(eval_fields_array, figure_spectrum(fig))
+
+
+@pytest.fixture(scope="module")
 def refusal_tables(one_soliton_fields):
     return [sample_potential(one_soliton_fields, t, -40.0, 40.0, 4000) for t in (0.0, 0.2)]
 
@@ -188,8 +204,8 @@ class TestTransferMatrixKernel:
     def test_column7_upper_half_plane(self, figure_table):
         for lam in (0.35j, 0.5 + 0.5j):
             want = reference_path(figure_table, lam)[-1][:, 6]
-            assert rel_diff(column7(figure_table, lam), want) <= 1e-12
-            assert abs(omega77_from_table(figure_table, lam) - want[6]) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(column7(figure_table, lam) - want)) <= 1e-12 * column7_scale(want)
+            assert abs(omega77_from_table(figure_table, lam) - want[6]) <= 1e-12 * column7_scale(want)
 
     def test_full_omega_real_lambda(self, figure_table):
         lam = 0.7
@@ -211,7 +227,8 @@ class TestTransferMatrixKernel:
         start, stop = segment(figure_table.n_steps, which)
         for lam in (1.0, 0.35j, 0.5 + 0.5j):
             want = reference_path(figure_table, lam, start)[-1 if stop is None else stop - start]
-            assert rel_diff(column7(figure_table, lam, start, stop), want[:, 6]) <= 1e-12
+            got = column7(figure_table, lam, start, stop)
+            assert np.max(np.abs(got - want[:, 6])) <= 1e-12 * column7_scale(want[:, 6])
 
     @pytest.mark.parametrize("which", SEGMENTS)
     def test_step_blocks_of_a_segment(self, figure_table, which):
@@ -258,6 +275,22 @@ class TestTransferMatrixKernel:
         assert np.array_equal(table.u, fields(xs_half, np.zeros(xs_half.size)))
         want = np.array([build_Q(row) for row in table.u])
         assert np.array_equal(build_Q(table.u), want)
+
+    @pytest.mark.parametrize("fig", [1, 2, 3, 4, "typeI_n3"])
+    def test_one_field_call_same_bits_as_chunks(self, fig, fields_of):
+        # the whole table is one kernel call, with the bits of 512-node calls
+        fields = fields_of(fig)
+        calls = []
+
+        def counted(x, t):
+            calls.append(np.size(x))
+            return fields(x, t)
+
+        table = sample_potential(counted, 0.0, -40.0, 40.0, 4000)
+        assert calls == [8001]
+        xs_half = np.linspace(-40.0, 40.0, 8001)
+        chunks = [fields(xs_half[i : i + 512], 0.0) for i in range(0, xs_half.size, 512)]
+        assert np.array_equal(table.u, np.concatenate(chunks))
 
     @pytest.mark.parametrize("n", [4000, 16000])
     def test_table_no_larger_than_q_half(self, two_soliton_fields, n):
@@ -308,9 +341,8 @@ class TestChannelBasis:
     """The step products run in the span of the samples' channel directions."""
 
     @pytest.mark.parametrize("fig, rank", [(1, 1), (2, 4), (3, 1), (4, 2), ("typeI_n3", 6)])
-    def test_rank(self, fig, rank, full_rank_fields):
-        fields = full_rank_fields if fig == "typeI_n3" else partial(eval_fields_array, figure_spectrum(fig))
-        table = sample_potential(fields, 0.0, -40.0, 40.0, 1001)
+    def test_rank(self, fig, rank, fields_of):
+        table = sample_potential(fields_of(fig), 0.0, -40.0, 40.0, 1001)
         assert table.w.shape == (6, rank) and table.coef.shape == (8, 500, rank + 1, rank + 1)
         assert np.max(np.abs(table.w.T @ table.w - np.eye(rank))) <= 1e-15
         # what the rank leaves out of every sample is below RANK_TOL of the largest
