@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 a verification threshold failed, 2 usage or
 configuration errors, including spectra whose M is near-singular or whose
 fields overflow, `scatter` sweeps whose scattering entries overflow or
 whose potential has not decayed at the ends of the scattering domain, and
-grids or sweeps too large to allocate.
+grid axes or sweeps too large to allocate.  `generate` and `figure` hold
+one block of grid points at a time, whatever the grid; every command
+writes its output file only once it is complete.
 """
 
 from __future__ import annotations

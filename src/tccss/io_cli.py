@@ -33,15 +33,19 @@ Each object section is read from the fields of its frozen dataclass
 Field grids are written t-major (outer loop t, inner x), byte-identical
 for identical configs: CSV prints each float as `'%.17g' % v` does (17
 significant digits), and JSON as `json.dumps(v)` does (the shortest repr
-that round-trips, `0.1`, `-10.0`).  Both go through `floatfmt`, one
-bounded chunk of rows at a time, straight to the file.
+that round-trips, `0.1`, `-10.0`).  Both go through `floatfmt` one block
+of BLOCK_POINTS grid points at a time, so memory is bounded by the block,
+into a temporary file that replaces the output only when complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
+import uuid
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -273,19 +277,34 @@ def serialize_config(cfg: RunConfig) -> str:
     return json.dumps(config_to_json(cfg), indent=2, sort_keys=True) + "\n"
 
 
-# -- grid evaluation and export ----------------------------------------------
+# -- grid export -------------------------------------------------------------
+
+# Grid points per block of `export_grid`, so that memory is bounded by one
+# block whatever the grid: six whole `floatfmt` chunks of rows, which on the
+# benchmark grids cuts at most one more `solve_kernel` block than one call.
+BLOCK_POINTS = 6 * (floatfmt.CHUNK_VALUES // 11)
+
 
 def write_file(path, write, make_parent=False) -> Path:
-    """Open `path` for binary writing and pass the handle to `write`; a
-    failed write is a ConfigError (exit 2)."""
+    """Pass a fresh binary file next to `path` to `write`, then move it onto
+    `path` (`os.replace`): a failure leaves `path` as it was and no
+    temporary file.  A failed write is a ConfigError (exit 2)."""
     path = Path(path)
+    tmp = path.parent / f".{uuid.uuid4().hex}.tmp"
     try:
         if make_parent:
             path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            write(fh)
+        fh = open(tmp, "xb")  # never another file; default permissions
+        try:
+            with fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return path
 
 
@@ -299,41 +318,37 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def evaluate_grid(cfg: RunConfig) -> np.ndarray:
-    """Field rows (P, 11) in t-major order, columns as CSV_HEADER; one
-    field-kernel call, which runs the points in blocks."""
-    xs, ts = cfg.grid.xs(), cfg.grid.ts()
-    rows = np.empty((xs.size * ts.size, 11))
-    by_t = rows.reshape(ts.size, xs.size, 11)
-    by_t[:, :, 0] = xs
-    by_t[:, :, 1] = ts[:, None]
-    u = eval_fields_array(cfg.spectrum, rows[:, 0], rows[:, 1])
-    rows[:, 2:8:2] = u.real
-    rows[:, 3:8:2] = u.imag
-    # np.hypot rounds as Python's abs(complex) does; np.abs may not
-    np.hypot(u.real, u.imag, out=rows[:, 8:])
-    return rows
+def _write_grid(spectrum: SpectrumConfig, xs, ts, shortest: bool, fh) -> None:
+    """Write the field rows of the grid xs x ts to `fh`, t-major, columns
+    as CSV_HEADER: a CSV file, or when `shortest` what json.dumps writes
+    for {"columns": CSV_HEADER names, "rows": rows} with separators
+    (",", ":") and sorted keys.  One field-kernel call and one `floatfmt`
+    pass per block of BLOCK_POINTS points, in one reused row buffer."""
+    n = xs.size * ts.size
+    buf = np.empty((min(n, BLOCK_POINTS), 11))
+    fh.write(_JSON_HEAD if shortest else CSV_HEADER.encode() + b"\n")
+    for start in range(0, n, BLOCK_POINTS):
+        rows = buf[:n - start]
+        p = np.arange(start, start + len(rows))
+        rows[:, 0] = xs[p % xs.size]
+        rows[:, 1] = ts[p // xs.size]
+        u = eval_fields_array(spectrum, rows[:, 0], rows[:, 1])
+        rows[:, 2:8:2] = u.real
+        rows[:, 3:8:2] = u.imag
+        # np.hypot rounds as Python's abs(complex) does; np.abs may not
+        np.hypot(u.real, u.imag, out=rows[:, 8:])
+        if start and shortest:
+            fh.write(b",")
+        floatfmt.write_rows(fh, rows, shortest, distinct=2)
+    if shortest:
+        fh.write(_JSON_TAIL)
 
 
-def render_rows_csv(rows, fh) -> None:
-    """Write CSV to the binary file `fh`; each float printed as `_fmt` prints it."""
-    fh.write(CSV_HEADER.encode() + b"\n")
-    floatfmt.write_rows(fh, rows, distinct=2)
-
-
-def render_rows_json(rows, fh) -> None:
-    """Write to `fh` what json.dumps writes for {"columns": CSV_HEADER
-    names, "rows": rows} with separators (",", ":") and sorted keys."""
-    fh.write(_JSON_HEAD)
-    floatfmt.write_rows(fh, rows, shortest=True, distinct=2)
-    fh.write(_JSON_TAIL)
-
-
-def export_grid(cfg: RunConfig, out_path=None) -> Path:
+def export_grid(cfg: RunConfig, out_path=None, make_parent=False) -> Path:
     """Write the sampled field grid; deterministic bytes for identical configs."""
-    rows = evaluate_grid(cfg)
-    render = render_rows_csv if cfg.output.format == "csv" else render_rows_json
-    return write_file(cfg.output.path if out_path is None else out_path, partial(render, rows))
+    xs, ts = cfg.grid.xs(), cfg.grid.ts()  # before the output is opened
+    write = partial(_write_grid, cfg.spectrum, xs, ts, cfg.output.format == "json")
+    return write_file(cfg.output.path if out_path is None else out_path, write, make_parent)
 
 
 # -- figure reproduction -----------------------------------------------------
@@ -408,9 +423,7 @@ def run_figure(fig_id: int, out_dir) -> list[Path]:
     """
     cfg = figure_config(fig_id)
     out_dir = Path(out_dir)
-    csv_path = write_file(
-        out_dir / f"figure{fig_id}.csv", partial(render_rows_csv, evaluate_grid(cfg)), make_parent=True
-    )
+    csv_path = export_grid(cfg, out_dir / f"figure{fig_id}.csv", make_parent=True)
     doc = config_to_json(cfg)
     sidecar = {
         "figure": fig_id,

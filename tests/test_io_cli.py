@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from functools import partial, reduce
 from pathlib import Path
@@ -12,28 +13,28 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from tccss import cli, io_cli, lax, scattering, verify
+from tccss import cli, floatfmt, io_cli, lax, scattering, verify
 from tccss.io_cli import (
+    BLOCK_POINTS,
     CSV_HEADER,
     ConfigError,
     OutputSpec,
     RunConfig,
     ScatteringSpec,
     _fmt,
-    evaluate_grid,
     figure_config,
     figure_spectrum,
     export_grid,
     parse_config,
     parse_config_file,
-    render_rows_csv,
-    render_rows_json,
     run_checks,
     run_figure,
     serialize_config,
 )
 from tccss.report import GridSpec, ResidualReport
-from tccss.soliton import KERNEL_ENTRIES, Family, eval_fields_array
+from tccss.soliton import (
+    KERNEL_ENTRIES, Family, NearSingularError, NonFiniteFieldError, eval_fields_array, one_soliton_spectrum,
+)
 
 from conftest import reference_array
 
@@ -537,7 +538,7 @@ class TestExportGrid:
     def test_batched_grid_matches_reference(self, fig_id):
         # the exported grid against the 40-digit reference
         cfg = RunConfig(figure_spectrum(fig_id), grid=GridSpec(-6.0, 6.0, 41, -1.0, 1.0, 5))
-        rows = evaluate_grid(cfg).tolist()
+        rows = whole_grid_rows(cfg).tolist()
         assert len(rows) == 41 * 5
         ref = reference_array(cfg.spectrum, [r[0] for r in rows], [r[1] for r in rows])
         worst = 0.0
@@ -574,21 +575,25 @@ class TestExportGrid:
         assert doc["columns"][0] == "x"
         assert len(doc["rows"]) == 2
 
-    def test_blocks_match_per_row_kernel_calls(self):
-        # the kernel's blocks of KERNEL_ENTRIES // (m (m + 1)) points across
-        # t-rows give the same bits as one kernel call per t-row; figure 2
+    def test_blocks_match_per_row_kernel_calls(self, tmp_path):
+        # the export's blocks of BLOCK_POINTS points, and the kernel's blocks
+        # of KERNEL_ENTRIES // (m (m + 1)) points inside them, cut across
+        # t-rows and give the same bits as one kernel call per t-row; figure 2
         # has m = 4
-        cfg = RunConfig(figure_spectrum(2), grid=GridSpec(-10.0, 10.0, 101, -3.0, 3.0, 45))
+        cfg = RunConfig(figure_spectrum(2), grid=GridSpec(-10.0, 10.0, 101, -3.0, 3.0, 91))
         assert len(cfg.spectrum.expanded_zeros()) == 4
-        rows = evaluate_grid(cfg)
-        assert len(rows) > 2 * KERNEL_ENTRIES // (4 * 5)
-        xs = cfg.grid.xs()
-        for i, t in enumerate(cfg.grid.ts()):
+        xs, ts = cfg.grid.xs(), cfg.grid.ts()
+        assert xs.size * ts.size > BLOCK_POINTS > 2 * KERNEL_ENTRIES // (4 * 5)
+        assert BLOCK_POINTS % xs.size
+        rows = np.empty((ts.size, xs.size, 11))
+        for i, t in enumerate(ts):
             u = eval_fields_array(cfg.spectrum, xs, t)
-            block = rows[i * xs.size:(i + 1) * xs.size]
-            assert block[:, 0].tobytes() == xs.tobytes()
-            assert np.all(block[:, 1] == t)
-            assert block[:, 2:8].tobytes() == np.stack([u.real, u.imag], axis=2).reshape(-1, 6).tobytes()
+            rows[i, :, 0], rows[i, :, 1] = xs, t
+            rows[i, :, 2:8] = np.stack([u.real, u.imag], axis=2).reshape(-1, 6)
+            rows[i, :, 8:] = np.hypot(u.real, u.imag)
+        got = export_grid(cfg, tmp_path / "grid.csv").read_bytes()
+        # '%.17g' text round-trips, so equal text is equal bits
+        assert got == _rendered(rows.reshape(-1, 11)).encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("fig_id", [1, 2, 3, 4, "boundary"])
@@ -598,13 +603,109 @@ class TestExportGrid:
         else:
             cfg = figure_config(fig_id)
         cfg = RunConfig(cfg.spectrum, grid=cfg.grid, output=OutputSpec(f"grid.{fmt}", fmt))
-        rows = evaluate_grid(cfg).tolist()
+        rows = whole_grid_rows(cfg).tolist()
         if fmt == "csv":
             expect = CSV_HEADER + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
         else:
             doc = {"columns": CSV_HEADER.split(","), "rows": rows}
             expect = json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
         assert export_grid(cfg, tmp_path / f"grid.{fmt}").read_bytes() == expect.encode()
+
+
+class TestStreamedExport:
+    """`export_grid` evaluates and writes one block of BLOCK_POINTS points at
+    a time, into a temporary file that replaces the output at the end."""
+
+    GRIDS = {
+        "under_one_block": GridSpec(-10.0, 10.0, 201, -1.0, 1.0, 3),
+        "two_blocks": GridSpec(-10.0, 10.0, 248, -1.0, 1.0, 36),
+        "two_blocks_and_a_point": GridSpec(-10.0, 10.0, 8929, 0.5, 0.5, 1),
+        "one_t": GridSpec(-10.0, 10.0, 201, 0.5, 0.5, 1),
+    }
+    # finite up to t = 1.6; the flow exponent 4 z^3 t overflows from t = 1.7
+    LATE = one_soliton_spectrum(1, 2, 3, 3e102)
+
+    def test_grid_sizes(self):
+        size = {name: g.nx * g.nt for name, g in self.GRIDS.items()}
+        assert size["under_one_block"] < BLOCK_POINTS
+        assert size["two_blocks"] == 2 * BLOCK_POINTS
+        assert size["two_blocks_and_a_point"] == 2 * BLOCK_POINTS + 1
+        assert BLOCK_POINTS % (floatfmt.CHUNK_VALUES // 11) == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_block_boundaries(self, tmp_path, grid, fmt):
+        # the streamed file equals one rendering of the whole grid's rows;
+        # figure 4 has m = 2, so the kernel cuts its own blocks inside these
+        cfg = RunConfig(figure_spectrum(4), grid=self.GRIDS[grid], output=OutputSpec(f"g.{fmt}", fmt))
+        expect = _rendered(whole_grid_rows(cfg), shortest=fmt == "json")
+        assert export_grid(cfg, tmp_path / f"g.{fmt}").read_bytes() == expect.encode()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    def test_late_failure_leaves_no_file(self, tmp_path, capsys, monkeypatch, existing):
+        grid = GridSpec(-10.0, 10.0, 1001, 0.0, 2.0, 21)
+        xs, ts = grid.xs(), grid.ts()
+        x, t = np.tile(xs, ts.size), np.repeat(ts, xs.size)
+        # the whole blocks before the one that holds t = 1.7 are written
+        written = 17 * grid.nx // BLOCK_POINTS
+        assert written >= 2
+        assert np.isfinite(eval_fields_array(self.LATE, x[:written * BLOCK_POINTS], t[:written * BLOCK_POINTS])).all()
+        with pytest.raises(NonFiniteFieldError) as whole:
+            eval_fields_array(self.LATE, x, t)
+        cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg_path.write_text(serialize_config(RunConfig(self.LATE, grid=grid)))
+        if existing:
+            out_path.write_bytes(b"old contents\n")
+        blocks, write_rows = [], floatfmt.write_rows
+        monkeypatch.setattr(floatfmt, "write_rows",
+                            lambda fh, rows, *args, **kw: write_rows(fh, rows, *args, **kw) or blocks.append(len(rows)))
+        err = cli_error(capsys, ["generate", "--config", str(cfg_path), "--out", str(out_path)])
+        assert err == f"error: {whole.value}\n"
+        assert blocks == [BLOCK_POINTS] * written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] + ["out.csv"] * existing
+        if existing:
+            assert out_path.read_bytes() == b"old contents\n"
+
+    def test_near_singular_names_first_failing_block(self, tmp_path):
+        # every point is near-singular: the refusal names the worst point of
+        # the first block, which is all that was evaluated
+        spectrum = minimal_cfg(spectrum={
+            "family": "TypeII", "zeros": [[0.0, 1.0], [0.0, 1.0000000000001]],
+            "seeds": [{"alpha": [1, 0], "gamma": [2, 0], "rho": [3, 0]}] * 2,
+        }).spectrum
+        cfg = RunConfig(spectrum, grid=GridSpec(-2.0, 2.0, 1001, 0.0, 1.0, 11))
+        xs, ts = cfg.grid.xs(), cfg.grid.ts()
+        x, t = np.tile(xs, ts.size), np.repeat(ts, xs.size)
+        with pytest.raises(NearSingularError) as first:
+            eval_fields_array(spectrum, x[:BLOCK_POINTS], t[:BLOCK_POINTS])
+        with pytest.raises(NearSingularError) as got:
+            export_grid(cfg, tmp_path / "g.csv")
+        assert str(got.value) == str(first.value)
+        assert not list(tmp_path.iterdir())
+
+    def test_output_file_mode(self, tmp_path):
+        # the temporary file takes the permissions a plain open() gives
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        out = export_grid(minimal_cfg(), tmp_path / "g.csv")
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_bounded_by_block(self, tmp_path, fmt):
+        # a whole-grid export peaked 4.8 times higher at 2001 x 41 than at
+        # 201 x 41; a streamed one holds one block either way
+        spectrum = parse_config_file(DOCS / "collision.json").spectrum
+        export_grid(RunConfig(spectrum, output=OutputSpec("w", fmt)), tmp_path / "warm")  # cached tables
+        peaks = {}
+        for nx in (201, 2001):
+            cfg = RunConfig(spectrum, grid=GridSpec(-10.0, 10.0, nx, -2.0, 2.0, 41), output=OutputSpec("g", fmt))
+            tracemalloc.start()
+            try:
+                export_grid(cfg, tmp_path / f"{nx}.{fmt}")
+                peaks[nx] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2001] <= 1.5 * peaks[201], peaks
 
 
 class TestRunChecks:
@@ -719,9 +820,23 @@ class TestRunChecks:
         assert payload["checks"][0]["threshold"] == 1e-30
 
 
-def _rendered(render, rows) -> str:
+def whole_grid_rows(cfg: RunConfig) -> np.ndarray:
+    """The field rows (P, 11) of the whole grid from one kernel call,
+    t-major, columns as CSV_HEADER."""
+    xs, ts = cfg.grid.xs(), cfg.grid.ts()
+    x, t = np.tile(xs, ts.size), np.repeat(ts, xs.size)
+    u = eval_fields_array(cfg.spectrum, x, t)
+    return np.column_stack([x, t, np.stack([u.real, u.imag], axis=2).reshape(-1, 6), np.hypot(u.real, u.imag)])
+
+
+def _rendered(rows, shortest=False) -> str:
+    """`rows` as one grid file: the CSV header or the JSON head, one
+    `floatfmt` pass over all rows, the JSON tail."""
     fh = io.BytesIO()
-    render(rows, fh)
+    fh.write(io_cli._JSON_HEAD if shortest else CSV_HEADER.encode() + b"\n")
+    floatfmt.write_rows(fh, rows, shortest, distinct=2)
+    if shortest:
+        fh.write(io_cli._JSON_TAIL)
     return fh.getvalue().decode()
 
 
@@ -742,7 +857,7 @@ class TestCsvRender:
             ["x,t,re_u1,im_u1,re_u2,im_u2,re_u3,im_u3,abs_u1,abs_u2,abs_u3"]
             + [",".join(_fmt(v) for v in row) for row in rows]
         ) + "\n"
-        assert _rendered(render_rows_csv, rows) == expect
+        assert _rendered(rows) == expect
 
     @given(_ROWS)
     def test_json_rows_match_dumps(self, rows):
@@ -750,7 +865,7 @@ class TestCsvRender:
         rows += [_EDGE_ROW]
         doc = {"columns": CSV_HEADER.split(","), "rows": rows}
         expect = json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True) + "\n"
-        assert _rendered(render_rows_json, rows) == expect
+        assert _rendered(rows, shortest=True) == expect
 
 
 class TestReportTypes:
