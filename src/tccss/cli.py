@@ -6,7 +6,8 @@ fields overflow, `scatter` sweeps whose scattering entries overflow or
 whose potential has not decayed at the ends of the scattering domain, and
 grid axes or sweeps too large to allocate.  `generate` and `figure` hold
 one block of grid points at a time, whatever the grid; every command
-writes its output file only once it is complete.
+replaces a regular output file only once it is complete, and writes any
+other existing target (a device, a FIFO) directly.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from functools import partial, reduce
@@ -689,6 +691,54 @@ class TestStreamedExport:
         plain.write_bytes(b"")
         out = export_grid(minimal_cfg(), tmp_path / "g.csv")
         assert out.stat().st_mode == plain.stat().st_mode
+        # a replaced file keeps its own
+        out.chmod(0o640)
+        assert export_grid(minimal_cfg(), out).stat().st_mode & 0o777 == 0o640
+
+    def test_symlink_target_written_through(self, tmp_path):
+        # the file is replaced in its own directory, not the link's
+        real, link = tmp_path / "data" / "real.csv", tmp_path / "link.csv"
+        real.parent.mkdir()
+        real.write_bytes(b"old contents\n")
+        link.symlink_to("data/real.csv")
+        export_grid(minimal_cfg(), link)
+        assert link.is_symlink()
+        assert real.read_bytes() == export_grid(minimal_cfg(), tmp_path / "g.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "g.csv", "link.csv"]
+        assert [p.name for p in real.parent.iterdir()] == ["real.csv"]
+
+    def test_fifo_target_written_directly(self, tmp_path):
+        # a target that is not a regular file is opened as it is, not replaced
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            export_grid(minimal_cfg(), fifo)
+        finally:
+            reader.join(timeout=60)
+        assert fifo.is_fifo()
+        assert got == [export_grid(minimal_cfg(), tmp_path / "g.csv").read_bytes()]
+
+    def test_stdout_pipe_target(self, tmp_path):
+        # /dev/stdout of a process whose stdout is a pipe: a link to no path
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(MINIMAL)
+        run = subprocess.run([sys.executable, "-m", "tccss.cli", "generate", "--config", str(cfg_path),
+                              "--out", "/dev/stdout"], capture_output=True)
+        assert run.returncode == 0, run.stderr
+        grid = export_grid(minimal_cfg(), tmp_path / "g.csv").read_bytes()
+        assert run.stdout == grid + b"wrote /dev/stdout\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "g.csv"]
+
+    def test_directory_target_refused_before_evaluation(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(MINIMAL)
+        monkeypatch.setattr(io_cli, "eval_fields_array", None)  # never called
+        err = cli_error(capsys, ["generate", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_bounded_by_block(self, tmp_path, fmt):
