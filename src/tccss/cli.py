@@ -77,6 +77,8 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"--lambda-re expects numbers a:b:n, got {text!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"--lambda-re endpoints must be finite, got {text!r}")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"--lambda-re span stop - start must be finite, got {text!r}")
     return start, stop, count
 
 

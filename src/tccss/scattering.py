@@ -28,22 +28,24 @@ an orthonormal basis W (6, r) of the span of its samples (`_channel_basis`),
 and with R = diag(W, 1), Q R = R Q_r and P R = R P_r for the d x d arrow
 matrix Q_r of the reduced samples v W and P_r = diag(1, ..., 1, 0), d = r + 1.
 Column 7 starts as e7 = R e_d and so never leaves the range of R: every
-product below is d x d, and `_lift` maps its reduced column back through W.  A classical
+matrix below is d x d, and `_lift` maps its reduced column back through W.  A classical
 Runge-Kutta step is then the d x d matrix
 T_n(c) = sum_{k<=4} c^k T_n^(k) with real, lambda-independent T_n^(k) and
 T^(4) = h^4/24 P_r.  The table folds each pair of steps into one polynomial,
 T_{2k+1}(c) T_{2k}(c) = sum_{m<=8} c^m F_k^(m), and stores F^(0..7);
-F^(8) = (h^4/24)^2 P_r.  A lambda batch gets its complex pair matrices from
-two real GEMMs, of the real and imaginary parts of its powers of c, against
-the coefficients, in blocks of at most BLOCK_ENTRIES matrix entries, so
+F^(8) = (h^4/24)^2 P_r.  A lambda batch gets its pair matrices X + iY from
+one real GEMM, of the real and imaginary parts of its powers of c, against
+the coefficients, in blocks of at most BLOCK_ENTRIES // d^2 matrices, so
 transient memory does not grow with n_steps or the number of lambdas.  A step
 left unpaired at either end of a range is built alone from its three samples.
-`_end_product` multiplies by tree reduction over a range of steps; no Jost
-path is stored.  For real lambda Q + c P is anti-Hermitian, so the
-norm of column 7 is conserved; `norm_drift_from_table` measures the
-departure from it.  Every entry checks its lambdas in one gate, `_lambdas`,
-and reads column 7 through one pass, `_column7`, which refuses a product
-that overflowed.
+Each is held as its realification [[X, -Y], [Y, X]], 2d x 2d real, whose
+products (numpy's small real products are several times faster than complex
+ones) are the realifications of the complex products.  `_end_product`
+multiplies them by tree reduction over a range of steps; no Jost path is
+stored.  For real lambda Q + c P is anti-Hermitian, so the norm of column 7
+is conserved; `norm_drift_from_table` measures the departure from it.
+Every entry checks its lambdas in one gate, `_lambdas`, and reads column 7
+through one pass, `_column7`, which refuses a product that overflowed.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ MAX_STEP = 1.0
 # two-soliton tail a few 1e-10 at the default domain edge; 1e-9 still keeps
 # the truncation bias orders of magnitude below every stated tolerance.
 ENDPOINT_DECAY = 1e-9
-# Matrix entries per block of the transfer-matrix kernel: a block holds
-# BLOCK_ENTRIES // d^2 (lambda, step) d x d matrices (256 at d = 7), and every
-# transient array a small fixed multiple of that many.
+# Complex matrix entries per block of the transfer-matrix kernel: a block holds
+# BLOCK_ENTRIES // d^2 (lambda, step) d x d matrices (256 at d = 7), realified to
+# 2d x 2d real, and every transient array a small fixed multiple of that many.
 BLOCK_ENTRIES = 256 * 49
 # Rank rule of the channel basis: the directions left out may hold, in every
 # sample, at most RANK_TOL times the norm of the largest sample.
@@ -290,27 +292,30 @@ def _step_blocks(table: PotentialTable, lams, start: int = 0, stop=None):
     """RK4 step matrices in the basis diag(W, 1) of V, in marching order, one
     block at a time.
 
-    Steps start..stop of every lambda come as complex arrays (L, b, d, d).
-    Each matrix is a step pair T_{2k+1} T_{2k}, read from the table's
+    Steps start..stop of every lambda come as real arrays (L, b, 2d, 2d): the
+    complex step matrix X + iY as its realification [[X, -Y], [Y, X]].  Each
+    matrix is a step pair T_{2k+1} T_{2k}, read from the table's
     coefficients, but for an unpaired first step at an odd `start` and last
     step before an odd `stop`: those come alone, from `_coefficients` on their
-    three samples.  A polynomial sum_{m<=d} c^m C^(m) is two real GEMMs, of the
-    real and imaginary parts of the powers c^0..c^(d-1) against its stored
-    coefficients, plus the implicit c^d C^(d), a multiple of P, on the
-    diagonal of P.
+    three samples.  A polynomial sum_{m<=n} c^m C^(m) is one real GEMM, of the
+    real and the imaginary parts of the powers c^0..c^(n-1) against its stored
+    coefficients, giving X and Y, plus the implicit c^n C^(n), a multiple of
+    P, on the diagonal of P.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
     stop = table.n_steps if stop is None else min(stop, table.n_steps)
     pw = (2j * lams)[:, None] ** np.arange(9)
+    ri = np.concatenate([pw.real, pw.imag])
     s, d = table.h**4 / 24.0, table.d
 
     def evaluate(coef, lead):
         k, m = coef.shape[:2]
-        out = np.empty((len(lams), m, d, d), dtype=complex)
-        flat, coef = out.reshape(len(lams), m * d * d), coef.reshape(k, -1)
-        np.matmul(pw.real[:, :k], coef, out=flat.real)
-        np.matmul(pw.imag[:, :k], coef, out=flat.imag)
-        out.reshape(len(lams), m, d * d)[..., _p_diag(d)] += lead * pw[:, k, None, None]
+        x, y = xy = np.empty((2, len(lams), m, d, d))
+        np.matmul(ri[:, :k], coef.reshape(k, -1), out=xy.reshape(2 * len(lams), m * d * d))
+        xy.reshape(2, len(lams), m, d * d)[..., _p_diag(d)] += lead * ri[:, k].reshape(2, -1, 1, 1)
+        out = np.empty((len(lams), m, 2 * d, 2 * d))
+        out[..., :d, :d] = out[..., d:, d:] = x
+        out[..., :d, d:], out[..., d:, :d] = -y, y
         return out
 
     def single(i):
@@ -342,8 +347,10 @@ def _end_product(table: PotentialTable, lams, start: int = 0, stop=None) -> np.n
     (L, d, d) complex; its last column, lifted by `_lift`, carries column 7
     of Psi from node start to node stop.
 
-    Lambdas go in chunks of at most one block's matrices; a block of steps is
-    released as soon as its reduction has made the first products.
+    The product X + iY of the realified steps is read back from its left
+    block column [X; Y].  Lambdas go in chunks of at most one block's
+    matrices; a block of steps is released as soon as its reduction has made
+    the first products.
     """
     lams = np.reshape(np.asarray(lams, dtype=complex), -1)
     d = table.d
@@ -354,7 +361,7 @@ def _end_product(table: PotentialTable, lams, start: int = 0, stop=None) -> np.n
         p = None
         for r in map(_reduce, _step_blocks(table, chunk, start, stop)):
             p = r if p is None else r @ p
-        out[i : i + len(chunk)] = p
+        out.real[i : i + len(chunk)], out.imag[i : i + len(chunk)] = p[:, :d, :d], p[:, d:, :d]
     return out
 
 

@@ -1175,6 +1175,8 @@ class TestCli:
     @pytest.mark.parametrize("sweep, message", [
         ("nan:1:3", "endpoints must be finite"),
         ("0.2:inf:3", "endpoints must be finite"),
+        # finite endpoints whose span overflows: refused before numpy's linspace warns
+        ("1e308:-1e308:3", "span stop - start must be finite"),
         # finite endpoints beyond the RK4 step's stability bound (h = 0.02: 70.7)
         ("1e200:1e201:2", "lambda = 1e+200 exceeds the RK4 stability bound"),
         ("70:71:2", "lambda = 71 exceeds the RK4 stability bound"),

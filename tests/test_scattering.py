@@ -84,8 +84,11 @@ def column7(table, lam, start=0, stop=None):
 
 
 def step_matrices(table, lams, start=0, stop=None):
-    """The kernel's step matrices, (L, steps, d, d), in its basis diag(W, 1) of V."""
-    return np.concatenate(list(scattering._step_blocks(table, lams, start, stop)), axis=1)
+    """The kernel's step matrices, (L, steps, d, d) complex, in its basis diag(W, 1)
+    of V, read back from their realifications [[X, -Y], [Y, X]]."""
+    r, d = np.concatenate(list(scattering._step_blocks(table, lams, start, stop)), axis=1), table.d
+    assert np.array_equal(r[..., :d, :d], r[..., d:, d:]) and np.array_equal(r[..., :d, d:], -r[..., d:, :d])
+    return r[..., :d, :d] + 1j * r[..., d:, :d]
 
 
 def reduced(table, m):
