@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import floatfmt, lax, scattering, soliton
-from .report import GridSpec
+from .report import GridSpec, check_axis
 from .soliton import (
     Family,
     SpectrumConfig,
@@ -456,6 +456,7 @@ def run_lambda_sweep(cfg: RunConfig, lam_start: float, lam_stop: float, count: i
     """Sweep real lambda, writing |Omega77| and the coupling-entry magnitudes."""
     if count < 1:
         raise ConfigError(f"sweep needs at least one sample, got {count}")
+    check_axis("sweep count", count)
     table = potential_table(cfg)
     lams = np.linspace(lam_start, lam_stop, count)
     omega = scattering.coupling_row_sweep(table, lams)

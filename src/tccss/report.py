@@ -7,6 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Most points of a float64 axis numpy can address: more bytes than
+# np.intp holds make np.linspace fail with an IndexError, not a ValueError.
+MAX_AXIS_POINTS = np.iinfo(np.intp).max // 8
+
+
+def check_axis(name: str, count: int) -> None:
+    """Refuse, with a ValueError, an axis of more points than a float64 array can hold."""
+    if count > MAX_AXIS_POINTS:
+        raise ValueError(f"{name} = {count} exceeds {MAX_AXIS_POINTS}, the most points of a float64 array")
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -26,10 +36,12 @@ class GridSpec:
             raise ValueError("x_max - x_min and t_max - t_min must be finite")
         if self.nx < 2:
             raise ValueError(f"nx must be >= 2, got {self.nx}")
+        check_axis("nx", self.nx)
         if self.t_min > self.t_max:
             raise ValueError(f"t_min must be <= t_max, got [{self.t_min}, {self.t_max}]")
         if self.nt < 1:
             raise ValueError(f"nt must be >= 1, got {self.nt}")
+        check_axis("nt", self.nt)
         if self.nt > 1 and self.t_min == self.t_max:
             raise ValueError("nt > 1 requires t_min < t_max")
 

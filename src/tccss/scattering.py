@@ -56,6 +56,7 @@ from typing import Callable
 
 import numpy as np
 
+from .report import check_axis
 from .structure import SIGMA3_DIAG
 
 DEFAULT_X_MIN = -40.0
@@ -139,6 +140,7 @@ def check_domain(x_min: float, x_max: float, n_steps: int) -> None:
     """Refuse, with a ValueError, a domain that no table can be sampled on."""
     if n_steps < 100:
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")
+    check_axis("2 n_steps + 1", 2 * n_steps + 1)
     span = float(x_max) - float(x_min)
     if not (x_min < x_max and math.isfinite(span)):
         raise ValueError(f"need x_min < x_max and a finite span, got [{x_min}, {x_max}]")

@@ -36,7 +36,9 @@ from .structure import SIGMA
 
 # Entries of the generators g per block of points of `solve_kernel`: blocks
 # of about KERNEL_ENTRIES // (terms m (min(m, 6) + 1)) points (m more channels
-# with the weights) keep its temporaries cache-sized.
+# with the weights).  A block holds its generators (0.5 MiB) and the products
+# of one elimination step, none larger than the generators: 1.7-2.0 MiB at
+# the peak (tracemalloc) on figures 2 and 4 and the full-rank Type I N = 3.
 KERNEL_ENTRIES = 2 ** 15
 # Largest accepted ratio of the largest to the smallest pivot of the
 # elimination, at most cond(M): below 600 on the bundled figure grids, 4e26
@@ -201,15 +203,15 @@ def _refuse_non_finite(a: np.ndarray, x, t, cause="the flow exponents overflow d
         )
 
 
-def _mul(a, b, out=None, scratch=None) -> np.ndarray:
+def _mul(a, b) -> np.ndarray:
     """Truncated product of two series, terms leading (1, dx, dx^2, dx^3, dt
-    modulo (dx^4, dx dt, dt^2), as many as `a` has), into `out` if given."""
+    modulo (dx^4, dx dt, dt^2), as many as `a` has)."""
     n = len(a) - (len(a) == 5)  # the terms in dx alone
-    c = np.multiply(a[0], b, out=out)
+    c = a[0] * b
     for i in range(1, n):
-        c[i:n] += np.multiply(a[i], b[:n - i], out=None if scratch is None else scratch[:n - i])
+        c[i:n] += a[i] * b[:n - i]
     if len(a) == 5:
-        c[4] += np.multiply(a[4], b[0], out=None if scratch is None else scratch[0])
+        c[4] += a[4] * b[0]
     return c
 
 
@@ -244,8 +246,6 @@ def _eliminate(cfg: SpectrumConfig, x, t, terms: int, stabilize: bool, weights: 
         g[:, :, d + 1:] = np.eye(m, k)[..., None] * (np.arange(terms) == 0)[:, None, None, None]
         z = np.repeat(zeros[:, None], n, axis=1)  # each point's order of the zeros
         u, w, pivots = np.zeros((terms, d, n), dtype=complex), np.zeros((k, k, n), dtype=complex), np.empty((m, n))
-        # the products of each step, and their partial products
-        work, scratch = np.empty_like(g), np.empty((min(terms - 1, 3),) + g.shape[1:], dtype=complex)
         for c in range(m):
             if c + 1 < m:  # pivot: swap in the row of largest |M_kk|
                 piv = c + np.argmax((np.abs(g[0, c:, :d + 1]) ** 2).sum(axis=1) / z[c:].imag, axis=0)
@@ -255,15 +255,14 @@ def _eliminate(cfg: SpectrumConfig, x, t, terms: int, stabilize: bool, weights: 
                 z[c, pts], z[to, pts] = z[to, pts], z[c, pts]
             gc = g[:, c]
             # conj((z_c - conj z_k) M_kc) = g_k . conj(g_c) for the rows k >= c
-            col = _mul(g[:, c:, :d + 1], np.conj(gc[:, None, :d + 1]), work[:, c:, :d + 1],
-                       scratch[:, c:, :d + 1]).sum(axis=2)
+            col = _mul(g[:, c:, :d + 1], np.conj(gc[:, None, :d + 1])).sum(axis=2)
             pivots[c] = col[0, 0].real / (2 * z[c].imag)
             q = _reciprocal(col[:, 0].real) * (-4 * z[c].imag)  # 2i / M_cc
             # the field term 2i g_c[:d] conj(g_c[d]) / M_cc, then conj(M_kc / M_cc) for k > c
             low = _mul(np.concatenate([_mul(gc[:, :d], np.conj(gc[:, d:d + 1])), col[:, 1:]], axis=1), q[:, None])
             u += low[:, :d]
             low = low[:, d:] * (0.5j / (np.conj(z[c]) - z[c + 1:]))
-            g[:, c + 1:] -= _mul(low[:, :, None], gc[:, None], work[:, c + 1:], scratch[:, c + 1:])
+            g[:, c + 1:] -= _mul(low[:, :, None], gc[:, None])
             if weights:
                 w += gc[0, d + 1:, None] * np.conj(gc[0, d + 1:]) * (-0.5j * q[0])
         _refuse_non_finite(np.where(np.isnan(pivots), 0.0, pivots).T, x, t, _M_OVERFLOW)

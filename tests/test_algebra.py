@@ -139,6 +139,22 @@ class TestWeights:
         ratio = solve_kernel(cfg, x, t)[2]
         assert np.max(np.abs(u - eval_fields_array(cfg, x, t))) <= 1e-14 * max(1.0, ratio.max())
 
+    @pytest.mark.parametrize("terms", [1, 3])
+    def test_same_bits_across_kernel_blocks(self, terms):
+        # figure 2 (m = 4) with the weights runs blocks of about
+        # KERNEL_ENTRIES // (terms 4 (4 + 1 + 4)) points: one call of four or
+        # more blocks gives the bits of the same points cut into other calls,
+        # two of them a lone point
+        cfg = figure_spectrum(2)
+        x, t = np.linspace(-6, 6, 3001), np.linspace(-0.5, 0.5, 3001)
+        assert x.size * terms * 4 * 9 > 3 * soliton.KERNEL_ENTRIES
+        whole = solve_kernel(cfg, x, t, terms, weights=True)
+        cuts = [0, 1, 2, 700, 1901, 3001]
+        parts = [solve_kernel(cfg, x[a:b], t[a:b], terms, weights=True) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(whole[0], np.concatenate([p[0] for p in parts], axis=1))
+        for i in (1, 2):  # W and the pivot ratio
+            assert np.array_equal(whole[i], np.concatenate([p[i] for p in parts]))
+
     def test_zero_order_does_not_matter(self):
         # each point pivots on its own order; listing the zeros in another
         # order moves the jets by roundoff and permutes the weights

@@ -27,6 +27,11 @@ FULL_RANK = SpectrumConfig(
     (TypeISeed(1, 1, 1, 1, 1, 0), TypeISeed(1, 0, 2, 0, 0, 0), TypeISeed(0.5j, 1, 0, 1j, 1, 0.5)),
 )
 
+# eight zeros: more rows than the six field channels, which run in the identity basis
+TYPE_II_N8 = type_ii(*zip(
+    np.linspace(0.4, 1.2, 8), map(tuple, np.random.default_rng(0).standard_normal((8, 3, 2)) @ np.array([1, 1j]))
+))
+
 # name: (spectrum, digits of the reference, x, t, field bound, jet bound)
 CORPUS = {
     "full_rank": (FULL_RANK, 40, np.linspace(-10, 10, 17), 0.0, 5e-14, 5e-14),
@@ -37,6 +42,10 @@ CORPUS = {
     "pair_1e-2": (type_ii((1.0, (1, 2, 3)), (1.01, (1, 2, 3))), 60, np.linspace(-8, 8, 17), 0.1, 1.5e-13, 1.5e-12),
     "pair_1e-4": (type_ii((1.0, (1, 2, 3)), (1.0001, (1, 2, 3))), 60, np.linspace(-8, 8, 17), 0.1, 1.5e-11, 3e-10),
     "pair_1e-6": (type_ii((1.0, (1, 2, 3)), (1.000001, (1, 2, 3))), 60, np.linspace(-8, 8, 17), 0.1, 1e-9, 6e-8),
+    # a bell of width 1 / eta, at 17 points across +-8 widths and at t = 0.1 widths^3
+    **{f"bell_{eta:g}": (type_ii((eta, (1, 2, 3))), 40, np.linspace(-8, 8, 17) / eta, 0.1 / eta ** 3, 2e-15, 2e-14)
+       for eta in (0.2, 2, 5, 20)},
+    "type_ii_n8": (TYPE_II_N8, 40, np.linspace(-20, 20, 17), 0.0, 1e-12, 4e-12),
 }
 
 

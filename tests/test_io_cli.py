@@ -33,7 +33,7 @@ from tccss.io_cli import (
     run_figure,
     serialize_config,
 )
-from tccss.report import GridSpec, ResidualReport
+from tccss.report import MAX_AXIS_POINTS, GridSpec, ResidualReport
 from tccss.soliton import (
     KERNEL_ENTRIES, Family, NearSingularError, NonFiniteFieldError, eval_fields_array, one_soliton_spectrum,
 )
@@ -248,6 +248,13 @@ class TestExitTwo:
                     "take more steps"),
         ({**FULL, "scattering": {"x_min": -40.0, "x_max": 61.0, "n_steps": 100}},
          "scattering: step h = (x_max - x_min) / n_steps = 1.01 exceeds 1.0; take more steps"),
+        # counts near 2**63, where np.linspace fails with an IndexError
+        (_full_with("grid", "nx", 2**63 - 1),
+         f"grid: nx = {2**63 - 1} exceeds {MAX_AXIS_POINTS}, the most points of a float64 array"),
+        (_full_with("grid", "nt", 2**63),
+         f"grid: nt = {2**63} exceeds {MAX_AXIS_POINTS}, the most points of a float64 array"),
+        ({**FULL, "scattering": {"n_steps": 2**62 - 1, "x_min": -1e18, "x_max": 1e18}},
+         f"scattering: 2 n_steps + 1 = {2**63 - 1} exceeds {MAX_AXIS_POINTS}, the most points of a float64 array"),
     ])
     def test_every_command(self, tmp_path, capsys, command, doc, message):
         cfg_path = tmp_path / "cfg.json"
@@ -346,6 +353,16 @@ class TestExitTwo:
         out_path = tmp_path / "x.out"
         err = cli_error(capsys, [argv[0], "--config", str(cfg_path), *argv[1:], str(out_path)])
         assert err.startswith("error: Unable to allocate ")
+        assert not out_path.exists()
+
+    def test_sweep_count_at_int64_limit(self, tmp_path, capsys):
+        # np.linspace fails with an IndexError near 2**63 points
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(FULL))
+        out_path = tmp_path / "s.csv"
+        err = cli_error(capsys, ["scatter", "--config", str(cfg_path), "--lambda-re", f"0:1:{2**63 - 1}",
+                                 "--out", str(out_path)])
+        assert err == f"error: sweep count = {2**63 - 1} exceeds {MAX_AXIS_POINTS}, the most points of a float64 array\n"
         assert not out_path.exists()
 
     def test_deep_nesting(self, tmp_path, capsys):
@@ -932,6 +949,14 @@ class TestReportTypes:
             GridSpec(-1.0, 1.0, 5, 1.0, 1.0, 2)
         g = GridSpec(-1.0, 1.0, 3, 0.5, 0.5, 1)
         assert list(g.ts()) == [0.5]
+        # the axis rule: up to MAX_AXIS_POINTS points, whichever axis
+        GridSpec(-1.0, 1.0, MAX_AXIS_POINTS, 0.0, 1.0, MAX_AXIS_POINTS)
+        for nx, nt in ((MAX_AXIS_POINTS + 1, 2), (5, MAX_AXIS_POINTS + 1)):
+            with pytest.raises(ValueError, match="the most points of a float64 array"):
+                GridSpec(-1.0, 1.0, nx, 0.0, 1.0, nt)
+        scattering.check_domain(-1e17, 1e17, (MAX_AXIS_POINTS - 1) // 2)
+        with pytest.raises(ValueError, match=r"^2 n_steps \+ 1 = "):
+            scattering.check_domain(-1e17, 1e17, (MAX_AXIS_POINTS + 1) // 2)
 
     def test_residual_report_norm_ordering(self):
         from tccss.report import ResidualReport, summarize
