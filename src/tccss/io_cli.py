@@ -30,6 +30,9 @@ Each object section is read from the fields of its frozen dataclass
 - a key that names no field is refused, in every section (thresholds
   accept check names) and at the top level.
 
+`output.path` is checked but read by no command: `generate` writes its
+`--out`, and `figure` names its own files.
+
 Field grids are written t-major (outer loop t, inner x), byte-identical
 for identical configs: CSV prints each float as `'%.17g' % v` does (17
 significant digits), and JSON as `json.dumps(v)` does (the shortest repr
@@ -358,11 +361,11 @@ def _write_grid(spectrum: SpectrumConfig, xs, ts, shortest: bool, fh) -> None:
         fh.write(_JSON_TAIL)
 
 
-def export_grid(cfg: RunConfig, out_path=None, make_parent=False) -> Path:
-    """Write the sampled field grid; deterministic bytes for identical configs."""
+def export_grid(cfg: RunConfig, out_path, make_parent=False) -> Path:
+    """Write the sampled field grid to `out_path`; deterministic bytes for identical configs."""
     xs, ts = cfg.grid.xs(), cfg.grid.ts()  # before the output is opened
     write = partial(_write_grid, cfg.spectrum, xs, ts, cfg.output.format == "json")
-    return write_file(cfg.output.path if out_path is None else out_path, write, make_parent)
+    return write_file(out_path, write, make_parent)
 
 
 # -- figure reproduction -----------------------------------------------------
@@ -371,62 +374,52 @@ _SQRT3 = float(np.sqrt(3.0))
 _SQRT2 = float(np.sqrt(2.0))
 
 
-def figure_spectrum(fig_id: int) -> SpectrumConfig:
-    """Embedded demonstration parameter sets (figures 1-4)."""
-    if fig_id == 1:
-        return breather_spectrum(
-            1j / _SQRT3, _SQRT2 * 1j / _SQRT3, _SQRT2 * 1j / _SQRT3, 0.5 + 0.5j
-        )
-    if fig_id == 2:
+# id -> (spectrum, grid, sidecar note) of the bundled figures
+_FIGURES = {
+    1: (
+        breather_spectrum(1j / _SQRT3, _SQRT2 * 1j / _SQRT3, _SQRT2 * 1j / _SQRT3, 0.5 + 0.5j),
+        GridSpec(-6.0, 6.0, 161, -3.0, 3.0, 61),
+        "breather: one mirrored zero pair with conjugate-paired seeds",
+    ),
+    2: (
         # delta seeds are not pinned by the parameter set; 0 is the neutral
         # choice consistent with the other vanishing second-seed entries.
-        return SpectrumConfig(
+        SpectrumConfig(
             Family.TYPE_I,
             (0.5 + 0.5j, 0.4 + 0.6j),
-            (
-                TypeISeed(1, 1, 1, 1, 1, 0),
-                TypeISeed(1, 0, 2, 0, 0, 0),
-            ),
-        )
-    if fig_id == 3:
-        return soliton.one_soliton_spectrum(1.0, 2.0, 3.0, 1.0)
-    if fig_id == 4:
-        return SpectrumConfig(
+            (TypeISeed(1, 1, 1, 1, 1, 0), TypeISeed(1, 0, 2, 0, 0, 0)),
+        ),
+        GridSpec(-10.0, 10.0, 201, -3.0, 3.0, 61),
+        "two-soliton collision (TypeI, N = 2); delta seeds defaulted to 0",
+    ),
+    3: (
+        soliton.one_soliton_spectrum(1.0, 2.0, 3.0, 1.0),
+        # 0.01 x-spacing keeps the sampled soliton crest within 1e-4 of the
+        # true peak amplitude (the crest sits between nodes of a 0.1 grid)
+        GridSpec(-10.0, 10.0, 2001, -2.0, 2.0, 41),
+        "bell soliton (TypeII, N = 1); only the positive-eta branch is emitted",
+    ),
+    4: (
+        SpectrumConfig(
             Family.TYPE_II,
             (0.3j, 0.5j),
-            (
-                TypeIISeed(1.0, 1.0 + 1.0j, 1.0 + 1.0j),
-                TypeIISeed(1j, 0.5j, 1j),
-            ),
-        )
-    raise ValueError(f"figure id must be in 1..4, got {fig_id}")
-
-
-_FIGURE_GRIDS = {
-    1: GridSpec(-6.0, 6.0, 161, -3.0, 3.0, 61),
-    2: GridSpec(-10.0, 10.0, 201, -3.0, 3.0, 61),
-    # 0.01 x-spacing keeps the sampled soliton crest within 1e-4 of the
-    # true peak amplitude (the crest sits between nodes of a 0.1 grid)
-    3: GridSpec(-10.0, 10.0, 2001, -2.0, 2.0, 41),
-    4: GridSpec(-20.0, 20.0, 201, -10.0, 10.0, 41),
+            (TypeIISeed(1.0, 1.0 + 1.0j, 1.0 + 1.0j), TypeIISeed(1j, 0.5j, 1j)),
+        ),
+        GridSpec(-20.0, 20.0, 201, -10.0, 10.0, 41),
+        "two-bell soliton (TypeII, N = 2)",
+    ),
 }
 
-_FIGURE_NOTES = {
-    1: ("breather: one mirrored zero pair with conjugate-paired seeds",),
-    2: ("two-soliton collision (TypeI, N = 2); delta seeds defaulted to 0",),
-    3: ("bell soliton (TypeII, N = 1); only the positive-eta branch is emitted",),
-    4: ("two-bell soliton (TypeII, N = 2)",),
-}
+
+def figure_spectrum(fig_id: int) -> SpectrumConfig:
+    """Embedded demonstration parameter sets (figures 1-4)."""
+    if fig_id not in _FIGURES:
+        raise ValueError(f"figure id must be in 1..4, got {fig_id}")
+    return _FIGURES[fig_id][0]
 
 
 def figure_config(fig_id: int) -> RunConfig:
-    spectrum = figure_spectrum(fig_id)
-    return RunConfig(
-        spectrum,
-        grid=_FIGURE_GRIDS[fig_id],
-        checks=("pde",),
-        output=OutputSpec(path=f"figure{fig_id}.csv", format="csv"),
-    )
+    return RunConfig(figure_spectrum(fig_id), grid=_FIGURES[fig_id][1], checks=("pde",))
 
 
 def run_figure(fig_id: int, out_dir) -> list[Path]:
@@ -444,7 +437,7 @@ def run_figure(fig_id: int, out_dir) -> list[Path]:
         "parameters": doc["spectrum"],
         "grid": doc["grid"],
         "pde_check": run_checks(cfg).checks[0].as_dict(),
-        "notes": list(_FIGURE_NOTES[fig_id]),
+        "notes": [_FIGURES[fig_id][2]],
     }
     json_path = write_text(
         out_dir / f"figure{fig_id}.json", json.dumps(sidecar, indent=2, sort_keys=True) + "\n"

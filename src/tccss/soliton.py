@@ -164,17 +164,16 @@ def theta(lam: complex, x: float, t: float) -> complex:
     return 1j * lam * x + 4j * (lam * (lam * lam)) * t
 
 
-def flow(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, stabilize: bool = True):
+def flow(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray):
     """Expanded seeds and flow exponentials at the points (x[p], t[p]):
     (seeds (m, 7), e (P, m), f (P, m)) for the m expanded zeros.
 
     The kernel vector of zero j at point p is the seed times e[p, j] =
     exp(theta - s) on channels 1..6 and f[p, j] = exp(-theta - s) on
     channel 7, theta = i lambda_j x + 4 i lambda_j^3 t.  The scale s =
-    |Re theta| (0 unless `stabilize`) keeps every component at most
-    O(max seed); every bilinear formula downstream is invariant under that
-    per-vector rescaling.  Exponentials that overflow to inf or NaN are
-    refused here.
+    |Re theta| keeps every component at most O(max seed); every bilinear
+    formula downstream is invariant under that per-vector rescaling.
+    Exponentials that overflow to inf or NaN are refused here.
     """
     seeds = np.array([s.full() for s in cfg.seeds], dtype=complex).reshape(-1, 7)
     lam = np.array(cfg.zeros, dtype=complex)
@@ -185,7 +184,7 @@ def flow(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, stabilize: bool = Tr
             # carries the seed sigma @ conj(seed_j)
             th = np.concatenate([th, np.conj(th)], axis=1)
             seeds = np.concatenate([seeds, np.conj(seeds) @ SIGMA])
-        scale = np.abs(th.real) if stabilize else 0.0
+        scale = np.abs(th.real)
         e, f = np.exp(th - scale), np.exp(-th - scale)
         _refuse_non_finite(e * f, x, t)  # finite exactly where e and f are: |e f| <= 1
     return seeds, e, f
@@ -226,12 +225,12 @@ def _reciprocal(a) -> np.ndarray:
     return np.stack(r)
 
 
-def _eliminate(cfg: SpectrumConfig, x, t, terms: int, stabilize: bool, weights: bool):
+def _eliminate(cfg: SpectrumConfig, x, t, terms: int, weights: bool):
     """`solve_kernel` on one block of points, bar the pivot ratio bound; W is (P, 0, 0) without `weights`."""
     if len(x) == 1:  # numpy picks other inner loops, with other roundings, at one point
-        jets, w, ratio = _eliminate(cfg, np.repeat(x, 2), np.repeat(t, 2), terms, stabilize, weights)
+        jets, w, ratio = _eliminate(cfg, np.repeat(x, 2), np.repeat(t, 2), terms, weights)
         return jets[:, :1], w[:1], ratio[:1]
-    (seeds, e, f), zeros = flow(cfg, x, t, stabilize), cfg.expanded_zeros()
+    (seeds, e, f), zeros = flow(cfg, x, t), cfg.expanded_zeros()
     # below six zeros, the six field channels run in an orthonormal basis of the seeds' span
     basis = np.linalg.qr(seeds[:, :6].T)[0] if len(seeds) < 6 else np.eye(6)
     m, n, k, d = len(zeros), len(x), len(zeros) * weights, basis.shape[1]  # g: d field channels, f, k of B
@@ -273,8 +272,7 @@ def _eliminate(cfg: SpectrumConfig, x, t, terms: int, stabilize: bool, weights: 
     return jets, w.transpose(2, 0, 1), ratio
 
 
-def solve_kernel(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, terms: int = 1, stabilize: bool = True,
-                 weights: bool = False):
+def solve_kernel(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, terms: int = 1, weights: bool = False):
     """The fields at the points by one elimination on the kernel vectors of
     `flow`: (jets, W, ratio), jets (terms, P, 3) the first `terms` of (u,
     u_x, u_xx, u_xxx, u_t), W = M^-1 (P, m, m) if `weights` (else None) and
@@ -306,7 +304,7 @@ def solve_kernel(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, terms: int =
     jets, w, ratio = np.empty((terms, n, 3), dtype=complex), np.empty((n, k, k), dtype=complex), np.empty(n)
     for i in range(0, max(n, 1), size):
         jets[:, i:i + size], w[i:i + size], ratio[i:i + size] = _eliminate(
-            cfg, x[i:i + size], t[i:i + size], terms, stabilize, weights)
+            cfg, x[i:i + size], t[i:i + size], terms, weights)
     p = int(np.argmax(ratio)) if n else 0
     if n and not ratio[p] <= MAX_CONDITION:
         raise NearSingularError(
@@ -316,13 +314,13 @@ def solve_kernel(cfg: SpectrumConfig, x: np.ndarray, t: np.ndarray, terms: int =
     return jets, w if weights else None, ratio
 
 
-def eval_fields_array(cfg: SpectrumConfig, x, t, stabilize: bool = True) -> np.ndarray:
+def eval_fields_array(cfg: SpectrumConfig, x, t) -> np.ndarray:
     """Fields (u1, u2, u3) at the points (x[p], t[p]) in one pass: (P, 3),
     the order-0 part of `eval_jets_array`."""
-    return eval_jets_array(cfg, x, t, 1, stabilize)[0]
+    return eval_jets_array(cfg, x, t, 1)[0]
 
 
-def eval_jets_array(cfg: SpectrumConfig, x, t, terms: int = 5, stabilize: bool = True) -> np.ndarray:
+def eval_jets_array(cfg: SpectrumConfig, x, t, terms: int = 5) -> np.ndarray:
     """Exact jets (u, u_x, u_xx, u_xxx, u_t), or their first `terms` (1 to
     5), at the points, which broadcast: (terms, P, 3).  The elimination of
     `solve_kernel` in truncated Taylor series (Griewank & Walther,
@@ -331,7 +329,7 @@ def eval_jets_array(cfg: SpectrumConfig, x, t, terms: int = 5, stabilize: bool =
     if terms not in range(1, 6):
         raise ValueError(f"terms must be 1 to 5, got {terms}")
     x, t = (a.ravel() for a in np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float)))
-    jets = solve_kernel(cfg, x, t, terms, stabilize)[0]
+    jets = solve_kernel(cfg, x, t, terms)[0]
     _refuse_non_finite(jets.transpose(1, 0, 2), x, t)
     return jets
 

@@ -594,6 +594,17 @@ class TestExportGrid:
         assert doc["columns"][0] == "x"
         assert len(doc["rows"]) == 2
 
+    def test_output_path_is_not_written(self, tmp_path, monkeypatch):
+        # a config's output.path parses, but generate writes only its --out
+        monkeypatch.chdir(tmp_path)
+        doc = json.loads(MINIMAL)
+        doc["grid"] = {"x_min": -1.0, "x_max": 1.0, "nx": 3, "t_min": 0.0, "t_max": 0.0, "nt": 1}
+        doc["output"] = {"path": "elsewhere.csv", "format": "csv"}
+        Path("cfg.json").write_text(json.dumps(doc))
+        assert parse_config_file("cfg.json").output.path == "elsewhere.csv"
+        assert cli.main(["generate", "--config", "cfg.json", "--out", "a.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "cfg.json"]
+
     def test_blocks_match_per_row_kernel_calls(self, tmp_path):
         # the export's blocks of BLOCK_POINTS points, and the kernel's blocks
         # of KERNEL_ENTRIES // (m (m + 1)) points inside them, cut across
